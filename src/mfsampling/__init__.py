@@ -1,13 +1,5 @@
 """Multi-frequency sampling reconstruction of acoustic source supports."""
 
-import os as _os
-
-# Thread-count override must land in the environment before BLAS loads.
-_threads = _os.environ.get("MFSAMPLING_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .geometry import (
     Ball,
     Cube,
@@ -28,31 +20,29 @@ from .forward import (
     MeasurementSet,
     MultiFreqDataset,
     add_noise,
-    far_field,
     fundamental_solution,
     generate_dataset,
-    near_field,
+    mirror,
+    phase,
+    radiated_field,
     read_dataset,
     write_dataset,
 )
 from .operators import (
     FreqFunction,
     SupportFunction,
-    apply_far_multiplier,
-    apply_far_operator,
-    apply_near_multiplier,
-    apply_near_operator,
-    distance_analysis,
-    distance_synthesis,
+    analysis,
+    apply_multiplier,
+    apply_operator,
     factorization_residual,
     far_quadratic_form,
     freq_inner,
     freq_norm,
     near_quadratic_form,
-    planewave_analysis,
-    planewave_synthesis,
+    quadratic_form,
     support_inner,
     support_norm,
+    synthesis,
 )
 from .imaging import (
     CrossSection,
@@ -62,10 +52,9 @@ from .imaging import (
     compute_indicator,
     cross_section,
     far_test_function,
-    indicator_far,
-    indicator_near,
     near_test_function,
     normalize,
+    probe,
     psf_closed_form,
     psf_discrete,
     threshold_mask,

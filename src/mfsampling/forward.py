@@ -2,9 +2,9 @@
 
 Scattered fields are evaluated by quadrature of the exact integral
 representations (outgoing point-source kernel for near-field sensors, a
-plane-wave kernel for far-field directions), extended to negative
-frequencies by conjugation (near) or direction negation (far), and
-optionally perturbed by seeded per-sample Gaussian noise.
+plane-wave kernel for far-field directions), both written through one phase
+map, extended to negative frequencies by conjugation (near) or direction
+negation (far), and optionally perturbed by seeded per-sample Gaussian noise.
 """
 
 from __future__ import annotations
@@ -115,6 +115,24 @@ class MeasurementSet:
         return idx
 
 
+def phase(kind: str, x, points) -> tuple[np.ndarray, np.ndarray | float]:
+    """Phase map of one sensor over points (n, 3), with its spreading factor.
+
+    Near sensor point x: phase |x - y|, spreading 4 pi |x - y|.  Far
+    direction xhat: phase -xhat.y, spreading 1.0.  The data kernel
+    e^{i k phase} / spreading, the probe, the outer and middle factors and
+    the indicator are all built from this map, so no kernel branches on the
+    kind and their signs agree by construction.
+    """
+    xp = _point(x)
+    if kind == "near":
+        r = np.linalg.norm(xp - points, axis=1)
+        return r, 4 * math.pi * r
+    if abs(np.linalg.norm(xp) - 1.0) > _UNIT_TOL:
+        raise ValueError("far-field direction must be a unit vector")
+    return -(points @ xp), 1.0
+
+
 @dataclass
 class MultiFreqDataset:
     """Complex field samples over (sensor, difference frequency m = -J..J)."""
@@ -148,55 +166,47 @@ def fundamental_solution(k: float, x, y) -> complex:
     return complex(np.exp(1j * k * r) / (4 * math.pi * r))
 
 
-def near_field(support: SourceSupport, rule: QuadratureRule, x, k: float) -> complex:
-    """Scattered field at x: quadrature of the point-source kernel against the source."""
-    xp = _point(x)
-    if contains(support, xp):
+def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
+                   k: float) -> complex:
+    """Field at sensor x (near) or pattern in direction x (far) at wavenumber k.
+
+    Quadrature of w * f * e^{i k phase} / spreading over the support; the
+    near kernel is the outgoing point source, the far kernel e^{-i k xhat.y}.
+    """
+    if kind == "near" and contains(support, _point(x)):
         raise GeometryError("near-field evaluation point lies inside the source support")
-    r = np.linalg.norm(xp - rule.nodes, axis=1)
+    ph, spreading = phase(kind, x, rule.nodes)
     f = support.amplitude_at(rule.nodes)
-    return complex(np.sum(rule.weights * f * np.exp(1j * k * r) / (4 * math.pi * r)))
+    return complex(np.sum(rule.weights * f * np.exp(1j * k * ph) / spreading))
 
 
-def far_field(support: SourceSupport, rule: QuadratureRule, xhat, k: float) -> complex:
-    """Far-field pattern in direction xhat: quadrature of e^{-ik xhat.y} against the source."""
-    d = _point(xhat)
-    if abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
-        raise ValueError("far-field direction must be a unit vector")
-    dots = rule.nodes @ d
-    f = support.amplitude_at(rule.nodes)
-    return complex(np.sum(rule.weights * f * np.exp(-1j * k * dots)))
+def mirror(sensors: MeasurementSet, positive: np.ndarray) -> np.ndarray:
+    """Columns m = -1..-J that the columns m = 1..J of noiseless data imply.
+
+    u(x, -k) is the conjugate of the sensor's own u(x, k) for near sensors,
+    and the antipodal direction's u(-xhat, k) for far directions.
+    """
+    if sensors.kind == "near":
+        return np.conj(positive)
+    return positive[sensors.negation_index()]
 
 
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
     """Noiseless multi-frequency dataset for a scenario.
 
     Columns m = 0..J are evaluated directly at k = m*dk; negative columns
-    are filled by conjugation (near) or by the antipodal sensor's positive
-    column (far).  zero_mode='drop' zeroes the m = 0 column instead of
-    using the continuous zero-frequency extension.
+    are filled by the mirror rule.  zero_mode='drop' zeroes the m = 0
+    column instead of using the continuous zero-frequency extension.
     """
     support, grid, sensors = scenario.support, scenario.frequencies, scenario.measurement
     rule = quadrature(support, scenario.h)
     J = grid.count
     dk = grid.spacing
-    L = len(sensors)
-    values = np.zeros((L, 2 * J + 1), dtype=complex)
-    arr = sensors.array
-    for ell in range(L):
+    values = np.zeros((len(sensors), 2 * J + 1), dtype=complex)
+    for ell, x in enumerate(sensors.array):
         for m in range(0, J + 1):
-            k = m * dk
-            if sensors.kind == "near":
-                values[ell, J + m] = near_field(support, rule, arr[ell], k)
-            else:
-                values[ell, J + m] = far_field(support, rule, arr[ell], k)
-    if sensors.kind == "near":
-        for m in range(1, J + 1):
-            values[:, J - m] = np.conj(values[:, J + m])
-    else:
-        neg = sensors.negation_index()
-        for m in range(1, J + 1):
-            values[:, J - m] = values[neg, J + m]
+            values[ell, J + m] = radiated_field(sensors.kind, support, rule, x, m * dk)
+    values[:, J - 1::-1] = mirror(sensors, values[:, J + 1:])
     if scenario.zero_mode == "drop":
         values[:, J] = 0.0
     return MultiFreqDataset(

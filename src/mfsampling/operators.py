@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .forward import FrequencyGrid, MultiFreqDataset, generate_dataset
-from .geometry import QuadratureRule, SourceSupport, quadrature, _point
+from .forward import FrequencyGrid, MultiFreqDataset, generate_dataset, phase
+from .geometry import QuadratureRule, SourceSupport, quadrature
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -88,93 +88,49 @@ def _check_grid(data: MultiFreqDataset, g: FreqFunction) -> None:
         raise ValueError("frequency grid mismatch between dataset and test function")
 
 
-def apply_near_operator(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> FreqFunction:
+def apply_operator(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> FreqFunction:
     """Band convolution (N g)(k_j) = dk * sum_l values[sensor, j-l] g(k_l)."""
-    if data.kind != "near":
-        raise ValueError("near operator requires a near-field dataset")
     _check_grid(data, g)
     block = _toeplitz_block(data, sensor)
     out = data.grid.spacing * np.einsum("jl,l->j", block, g.samples)
     return FreqFunction(grid=data.grid, samples=out)
 
 
-def apply_far_operator(data: MultiFreqDataset, sensor: int, phi: FreqFunction) -> FreqFunction:
-    """Far-field analogue of the band convolution."""
-    if data.kind != "far":
-        raise ValueError("far operator requires a far-field dataset")
-    _check_grid(data, phi)
-    block = _toeplitz_block(data, sensor)
-    out = data.grid.spacing * np.einsum("jl,l->j", block, phi.samples)
-    return FreqFunction(grid=data.grid, samples=out)
-
-
-def near_quadratic_form(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> complex:
+def quadratic_form(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> complex:
     """(N g, g) under the discrete band inner product."""
-    if data.kind != "near":
-        raise ValueError("near quadratic form requires a near-field dataset")
     _check_grid(data, g)
     block = _toeplitz_block(data, sensor)
     dk = data.grid.spacing
     return complex(dk * dk * np.einsum("jl,l,j->", block, g.samples, np.conj(g.samples)))
 
 
-def far_quadratic_form(data: MultiFreqDataset, sensor: int, phi: FreqFunction) -> complex:
-    """(F phi, phi) under the discrete band inner product."""
-    if data.kind != "far":
-        raise ValueError("far quadratic form requires a far-field dataset")
-    _check_grid(data, phi)
-    block = _toeplitz_block(data, sensor)
-    dk = data.grid.spacing
-    return complex(dk * dk * np.einsum("jl,l,j->", block, phi.samples, np.conj(phi.samples)))
+# Former per-kind names, still called by the benchmark's oracle.
+near_quadratic_form = far_quadratic_form = quadratic_form
 
 
-def distance_synthesis(x, rule: QuadratureRule, psi: SupportFunction,
-                       grid: FrequencyGrid) -> FreqFunction:
-    """Support -> band map with kernel e^{i t |x-y|} (outer factor of the near operator)."""
-    r = np.linalg.norm(_point(x) - rule.nodes, axis=1)
-    phases = np.exp(1j * np.outer(grid.nodes, r))
+def synthesis(kind: str, x, rule: QuadratureRule, psi: SupportFunction,
+              grid: FrequencyGrid) -> FreqFunction:
+    """Support -> band map with kernel e^{i t phase(y)} (outer factor of the data operator)."""
+    ph, _ = phase(kind, x, rule.nodes)
+    phases = np.exp(1j * np.outer(grid.nodes, ph))
     out = np.einsum("jq,q->j", phases, rule.weights * psi.samples)
     return FreqFunction(grid=grid, samples=out)
 
 
-def distance_analysis(x, rule: QuadratureRule, phi: FreqFunction) -> SupportFunction:
-    """Band -> support adjoint with kernel e^{-i s |x-y|}."""
-    r = np.linalg.norm(_point(x) - rule.nodes, axis=1)
-    phases = np.exp(-1j * np.outer(phi.grid.nodes, r))
+def analysis(kind: str, x, rule: QuadratureRule, phi: FreqFunction) -> SupportFunction:
+    """Band -> support adjoint with kernel e^{-i s phase(y)}."""
+    ph, _ = phase(kind, x, rule.nodes)
+    phases = np.exp(-1j * np.outer(phi.grid.nodes, ph))
     out = phi.grid.spacing * np.einsum("jq,j->q", phases, phi.samples)
     return SupportFunction(rule=rule, samples=out)
 
 
-def planewave_synthesis(xhat, rule: QuadratureRule, psi: SupportFunction,
-                        grid: FrequencyGrid) -> FreqFunction:
-    """Support -> band map with kernel e^{-i t xhat.y} (outer factor of the far operator)."""
-    d = rule.nodes @ _point(xhat)
-    phases = np.exp(-1j * np.outer(grid.nodes, d))
-    out = np.einsum("jq,q->j", phases, rule.weights * psi.samples)
-    return FreqFunction(grid=grid, samples=out)
-
-
-def planewave_analysis(xhat, rule: QuadratureRule, phi: FreqFunction) -> SupportFunction:
-    """Band -> support adjoint with kernel e^{i s xhat.y}."""
-    d = rule.nodes @ _point(xhat)
-    phases = np.exp(1j * np.outer(phi.grid.nodes, d))
-    out = phi.grid.spacing * np.einsum("jq,j->q", phases, phi.samples)
-    return SupportFunction(rule=rule, samples=out)
-
-
-def apply_near_multiplier(x, support: SourceSupport, rule: QuadratureRule,
-                          h: SupportFunction) -> SupportFunction:
-    """Middle operator of the near factorization: multiply by f(y) / (4 pi |x-y|)."""
-    r = np.linalg.norm(_point(x) - rule.nodes, axis=1)
+def apply_multiplier(kind: str, x, support: SourceSupport, rule: QuadratureRule,
+                     h: SupportFunction) -> SupportFunction:
+    """Middle operator of the factorization: multiply by f(y) / spreading(y)."""
+    _, spreading = phase(kind, x, rule.nodes)
     f = support.amplitude_at(rule.nodes)
-    return SupportFunction(rule=rule, samples=h.samples * f / (4 * math.pi * r))
-
-
-def apply_far_multiplier(support: SourceSupport, rule: QuadratureRule,
-                         h: SupportFunction) -> SupportFunction:
-    """Middle operator of the far factorization: multiply by the source density f."""
-    f = support.amplitude_at(rule.nodes)
-    return SupportFunction(rule=rule, samples=h.samples * f)
+    return SupportFunction(rule=rule, samples=h.samples * f / spreading)
 
 
 def _dense_operator_pair(scenario: "Scenario", sensor: int):
@@ -189,14 +145,9 @@ def _dense_operator_pair(scenario: "Scenario", sensor: int):
     dk = grid.spacing
     N = dk * _toeplitz_block(data, sensor)
     f = scenario.support.amplitude_at(rule.nodes)
-    if scenario.measurement.kind == "near":
-        r = np.linalg.norm(scenario.measurement.array[sensor] - rule.nodes, axis=1)
-        E = np.exp(1j * np.outer(grid.nodes, r))
-        mid = rule.weights * f / (4 * math.pi * r)
-    else:
-        d = rule.nodes @ scenario.measurement.array[sensor]
-        E = np.exp(-1j * np.outer(grid.nodes, d))
-        mid = rule.weights * f
+    ph, spreading = phase(scenario.kind, scenario.measurement.array[sensor], rule.nodes)
+    E = np.exp(1j * np.outer(grid.nodes, ph))
+    mid = rule.weights * f / spreading
     M = dk * np.einsum("jq,q,lq->jl", E, mid, np.conj(E))
     return N, M
 

@@ -97,6 +97,8 @@ def _floats(key: str, raw: str, n: int | None = None) -> list[float]:
         vals = [float(v) for v in raw.split()]
     except ValueError as exc:
         raise ConfigError(f"key '{key}': expected numbers, got {raw!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"key '{key}': values must be finite, got {raw!r}")
     if n is not None and len(vals) != n:
         raise ConfigError(f"key '{key}': expected {n} numbers, got {len(vals)}")
     return vals

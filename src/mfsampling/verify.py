@@ -9,6 +9,7 @@ deterministic given (scenario, seed).
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -16,16 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .forward import FrequencyGrid, MultiFreqDataset, generate_dataset
+from .forward import FrequencyGrid, MultiFreqDataset, generate_dataset, mirror
 from .geometry import annulus_radii, quadrature
 from .imaging import psf_closed_form, psf_discrete
 from .operators import (
     FreqFunction,
-    distance_analysis,
+    analysis,
     factorization_residual,
-    far_quadratic_form,
-    near_quadratic_form,
-    planewave_analysis,
+    quadratic_form,
     support_norm,
 )
 
@@ -114,12 +113,11 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
     rule = quadrature(scenario.support, scenario.h)
     grid = scenario.frequencies
     c_f, C_f = scenario.support.amplitude_bounds()
+    x = scenario.measurement.array[sensor]
     if scenario.kind == "near":
-        x = scenario.measurement.array[sensor]
         r1, r2 = annulus_radii(scenario.support, x)
         lower, upper = c_f / (4 * math.pi * r2), C_f / (4 * math.pi * r1)
     else:
-        x = scenario.measurement.array[sensor]
         lower, upper = c_f, C_f
     rng = np.random.default_rng([scenario.seed, sensor, _COERCIVITY_SALT])
     J = grid.count
@@ -129,15 +127,10 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
         while True:
             g = FreqFunction(grid, (rng.standard_normal(J) + 1j * rng.standard_normal(J))
                              / math.sqrt(2))
-            if scenario.kind == "near":
-                denom = support_norm(distance_analysis(x, rule, g)) ** 2
-                quad = near_quadratic_form(data, sensor, g)
-            else:
-                denom = support_norm(planewave_analysis(x, rule, g)) ** 2
-                quad = far_quadratic_form(data, sensor, g)
+            denom = support_norm(analysis(scenario.kind, x, rule, g)) ** 2
             if denom > 1e-30:
                 break
-        ratio = abs(quad) / denom
+        ratio = abs(quadratic_form(data, sensor, g)) / denom
         ratio_min, ratio_max = min(ratio_min, ratio), max(ratio_max, ratio)
         violation = max((lower - ratio) / lower, (ratio - upper) / upper, 0.0)
         worst = max(worst, violation)
@@ -183,18 +176,23 @@ def check_psf(grid: FrequencyGrid, t_samples=None) -> VerificationReport:
                       0.75 * t_zero, 1.25 * t_zero, xtol=1e-15)
     zero_err = abs(zero_loc - t_zero)
 
+    # psf_discrete on nodes j*dk is the right-endpoint rectangle rule, whose
+    # error is (dk/2)(e^{i k_max t} - 1) + (dk^2/12) i t (e^{i k_max t} - 1) + O(dk^4)
+    # (Euler-Maclaurin).  After the first term the remainder is at most
+    # dk^2 |t| / 6; another node convention leaves O(dk) there instead.
     fine = FrequencyGrid(k_max=k_max, count=_PSF_FINE_COUNT)
-    conv_err = max(abs(psf_discrete(t, fine) - psf_closed_form(t, k_max))
-                   for t in _PSF_CONVERGENCE_TS)
-    # right-endpoint rectangle rule: |error| <= (dk/2)|e^{i k_max t} - 1| + O(dk^2) <= dk
-    conv_tol = 1.1 * fine.spacing
+    dk = fine.spacing
+    conv_ratio = max(
+        abs(psf_discrete(t, fine) - psf_closed_form(t, k_max)
+            - 0.5 * dk * (cmath.exp(1j * k_max * t) - 1.0)) / (dk * dk * abs(t) / 6)
+        for t in _PSF_CONVERGENCE_TS)
 
     subchecks = {
         "peak_error": (peak_err, 1e-300),  # exact equality demanded
         "envelope_violation": (bound_violation, 1e-12),
         "strict_peak_violation": (strict_violation, 1e-12),
         "first_zero_error": (zero_err, 1e-12),
-        "convergence_error": (conv_err, conv_tol),
+        "convergence_remainder_ratio": (conv_ratio, 1.1),
     }
     ratios = {name: (0.0 if v == 0 else v / tol) for name, (v, tol) in subchecks.items()}
     worst = max(ratios.values())
@@ -212,27 +210,12 @@ def check_psf(grid: FrequencyGrid, t_samples=None) -> VerificationReport:
 
 
 def symmetry_violation(data: MultiFreqDataset) -> float:
-    """Worst per-row relative deviation from the kind's frequency symmetry."""
+    """Worst per-row relative deviation of the negative columns from the mirror rule."""
     J = data.grid.count
-    worst = 0.0
-    if data.kind == "near":
-        for ell in range(len(data.sensors)):
-            row = data.values[ell]
-            scale = np.abs(row).max()
-            if scale == 0:
-                continue
-            dev = np.abs(row[J - 1::-1] - np.conj(row[J + 1:])).max()
-            worst = max(worst, float(dev / scale))
-    else:
-        neg = data.sensors.negation_index()
-        for ell in range(len(data.sensors)):
-            row = data.values[ell]
-            scale = np.abs(row).max()
-            if scale == 0:
-                continue
-            dev = np.abs(row[J - 1::-1] - data.values[neg[ell], J + 1:]).max()
-            worst = max(worst, float(dev / scale))
-    return worst
+    scale = np.abs(data.values).max(axis=1)
+    dev = np.abs(data.values[:, J - 1::-1] - mirror(data.sensors, data.values[:, J + 1:]))
+    ratios = dev.max(axis=1)[scale > 0] / scale[scale > 0]
+    return float(ratios.max(initial=0.0))
 
 
 def check_symmetries(data: MultiFreqDataset, tol: float = 1e-14) -> VerificationReport:

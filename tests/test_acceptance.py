@@ -226,12 +226,15 @@ def test_criterion_8_determinism(tmp_path):
     scenario = replace(PRESETS["ball_pt1"], sampling=mf.SamplingGrid.cube(3.0, 24),
                        label="det")
     mf.write_config(scenario, cfg)
+    # the subprocesses import the package under test, wherever it was found
+    pythonpath = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(mf.__file__)),
+                                               os.environ.get("PYTHONPATH")]))
     digests = []
     for threads in ("1", "4"):
         outdir = tmp_path / f"t{threads}"
         outdir.mkdir()
         env = dict(os.environ,
-                   MFSAMPLING_THREADS=threads,
+                   PYTHONPATH=pythonpath,
                    OMP_NUM_THREADS=threads,
                    OPENBLAS_NUM_THREADS=threads)
         data_path = outdir / "d.mfd"

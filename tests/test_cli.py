@@ -265,6 +265,19 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert out.count("check:") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("k_max", "nan"), ("noise", "nan"), ("radius", "nan"), ("h", "inf"),
+        ("grid_bounds", "-3.0 3.0 -3.0 nan -3.0 3.0"),
+    ])
+    def test_non_finite_config_value_exit_two(self, tmp_path, capsys, key, value):
+        lines = [line for line in write_config_text(PRESETS["ball_pt1"]).splitlines()
+                 if not line.startswith(f"{key} =")]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d.mfd")])
+        assert rc == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
     def test_image_missing_data_exit_three(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         write_config(replace(PRESETS["ball_pt1"], h=0.2), cfg)

@@ -13,11 +13,10 @@ from mfsampling import (
     GeometryError,
     MeasurementSet,
     add_noise,
-    far_field,
     fundamental_solution,
     generate_dataset,
-    near_field,
     quadrature,
+    radiated_field,
     read_dataset,
     write_dataset,
 )
@@ -71,21 +70,21 @@ class TestNearField:
     def test_newtonian_ball(self, unit_ball):
         # exterior potential of a uniform unit ball at |x| = 3 is (R^3/3)/|x| = 1/9
         rule = quadrature(unit_ball, 0.05)
-        val = near_field(unit_ball, rule, (3, 0, 0), 0.0)
+        val = radiated_field("near", unit_ball, rule, (3, 0, 0), 0.0)
         assert val.imag == 0.0
         assert val.real == pytest.approx(1 / 9, rel=5e-3)
         assert ball_field_oracle(3.0, 0.0) == pytest.approx(1 / 9, rel=1e-12)
 
     def test_radial_oracle_k2(self, unit_ball):
         rule = quadrature(unit_ball, 0.05)
-        val = near_field(unit_ball, rule, (3, 0, 0), 2.0)
+        val = radiated_field("near", unit_ball, rule, (3, 0, 0), 2.0)
         exact = ball_field_oracle(3.0, 2.0)
         assert abs(val - exact) / abs(exact) < 0.01
 
     def test_point_source_limit(self):
         small = Ball(center=(0.0, 0.0, 0.0), radius=0.05)
         rule = quadrature(small, 0.0025)
-        val = near_field(small, rule, (3, 0, 0), 2.0)
+        val = radiated_field("near", small, rule, (3, 0, 0), 2.0)
         vol = 4 * math.pi * 0.05**3 / 3
         point = vol * fundamental_solution(2.0, (3, 0, 0), (0, 0, 0))
         assert abs(val - point) / abs(point) < 0.01
@@ -93,21 +92,21 @@ class TestNearField:
     def test_conjugate_symmetry(self, unit_ball):
         rule = quadrature(unit_ball, 0.2)
         for k in (0.3, 1.0, 7.7):
-            a = near_field(unit_ball, rule, (3, 0, 0), -k)
-            b = near_field(unit_ball, rule, (3, 0, 0), k)
+            a = radiated_field("near", unit_ball, rule, (3, 0, 0), -k)
+            b = radiated_field("near", unit_ball, rule, (3, 0, 0), k)
             assert a == np.conj(b)
 
     def test_inside_point_errors(self, unit_ball):
         rule = quadrature(unit_ball, 0.2)
         with pytest.raises(GeometryError):
-            near_field(unit_ball, rule, (0.5, 0, 0), 1.0)
+            radiated_field("near", unit_ball, rule, (0.5, 0, 0), 1.0)
 
     def test_convergence_in_h(self, unit_ball):
         exact = ball_field_oracle(3.0, 2.0)
         errs = []
         for h in (0.2, 0.1, 0.05):
             rule = quadrature(unit_ball, h)
-            errs.append(abs(near_field(unit_ball, rule, (3, 0, 0), 2.0) - exact))
+            errs.append(abs(radiated_field("near", unit_ball, rule, (3, 0, 0), 2.0) - exact))
         assert errs[1] < errs[0]
         assert errs[2] < errs[1]
 
@@ -115,7 +114,7 @@ class TestNearField:
 class TestFarField:
     def test_zero_frequency_is_volume(self, unit_ball):
         rule = quadrature(unit_ball, 0.1)
-        val = far_field(unit_ball, rule, (0, 0, 1), 0.0)
+        val = radiated_field("far", unit_ball, rule, (0, 0, 1), 0.0)
         assert val == rule.total_weight
 
     def test_direction_negation_symmetry(self, unit_ball):
@@ -123,11 +122,12 @@ class TestFarField:
         d = np.array([1.0, 2.0, -0.5])
         d /= np.linalg.norm(d)
         for k in (0.7, 3.0):
-            assert far_field(unit_ball, rule, d, -k) == far_field(unit_ball, rule, -d, k)
+            assert (radiated_field("far", unit_ball, rule, d, -k)
+                    == radiated_field("far", unit_ball, rule, -d, k))
 
     def test_analytic_ball_k2(self, unit_ball):
         rule = quadrature(unit_ball, 0.05)
-        val = far_field(unit_ball, rule, (0, 1, 0), 2.0)
+        val = radiated_field("far", unit_ball, rule, (0, 1, 0), 2.0)
         exact = 4 * math.pi * (math.sin(2) - 2 * math.cos(2)) / 8
         assert ball_pattern_oracle(2.0) == pytest.approx(exact, rel=1e-12)
         assert abs(val - exact) / abs(exact) < 0.01
@@ -137,14 +137,14 @@ class TestFarField:
         # unbounded near zeros of the pattern
         rule = quadrature(unit_ball, 0.05)
         ks = np.arange(0, 12.0)
-        num = np.array([far_field(unit_ball, rule, (1, 0, 0), k) for k in ks])
+        num = np.array([radiated_field("far", unit_ball, rule, (1, 0, 0), k) for k in ks])
         exact = np.array([ball_pattern_oracle(k) for k in ks])
         assert np.abs(num - exact).max() <= 0.01 * np.abs(exact).max()
 
     def test_non_unit_direction_errors(self, unit_ball):
         rule = quadrature(unit_ball, 0.2)
         with pytest.raises(ValueError, match="unit"):
-            far_field(unit_ball, rule, (1, 1, 0), 1.0)
+            radiated_field("far", unit_ball, rule, (1, 1, 0), 1.0)
 
 
 class TestFrequencyGrid:

@@ -12,16 +12,14 @@ from mfsampling import (
     MultiFreqDataset,
     SamplingGrid,
     add_noise,
+    compute_indicator,
     cross_section,
-    far_test_function,
     generate_dataset,
-    indicator_far,
-    indicator_near,
-    near_quadratic_form,
-    near_test_function,
     normalize,
+    probe,
     psf_closed_form,
     psf_discrete,
+    quadratic_form,
     threshold_mask,
 )
 from conftest import radial_profile_deviation
@@ -30,36 +28,37 @@ from conftest import radial_profile_deviation
 class TestTestFunctions:
     def test_near_probe_at_sensor(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
-        g = near_test_function((3.0, 0.0, 0.0), (3.0, 0.0, 0.0), grid)
+        g = probe("near", (3.0, 0.0, 0.0), (3.0, 0.0, 0.0), grid)
         assert np.array_equal(g.samples, np.ones(11, dtype=complex))
 
     def test_near_probe_unimodular(self):
         grid = FrequencyGrid(k_max=7.0, count=9)
-        g = near_test_function((3.0, 0.0, 0.0), (0.4, -1.2, 0.7), grid)
+        g = probe("near", (3.0, 0.0, 0.0), (0.4, -1.2, 0.7), grid)
         assert np.allclose(np.abs(g.samples), 1.0, rtol=1e-15)
 
     def test_near_probe_phases(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
-        g = near_test_function((3.0, 0.0, 0.0), (0.0, 0.0, 0.0), grid)
+        g = probe("near", (3.0, 0.0, 0.0), (0.0, 0.0, 0.0), grid)
         expected = np.exp(3j * np.arange(1, 12))
         assert np.allclose(g.samples, expected, rtol=1e-14)
 
     def test_far_probe_at_origin(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
-        phi = far_test_function((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), grid)
+        phi = probe("far", (0.0, 1.0, 0.0), (0.0, 0.0, 0.0), grid)
         assert np.array_equal(phi.samples, np.ones(11, dtype=complex))
 
     def test_far_probe_matches_near_probe_on_equal_argument(self):
-        # xhat.z = 1.5 equals |x - z'| for x = (3,0,0), z' = (1.5,0,0)
+        # the far phase -xhat.z = 1.5 for xhat = e1, z = (-1.5,0,0) equals the
+        # near phase |x - z'| for x = (3,0,0), z' = (1.5,0,0)
         grid = FrequencyGrid(k_max=11.0, count=11)
-        phi = far_test_function((1.0, 0.0, 0.0), (1.5, 0.0, 0.0), grid)
-        g = near_test_function((3.0, 0.0, 0.0), (1.5, 0.0, 0.0), grid)
+        phi = probe("far", (1.0, 0.0, 0.0), (-1.5, 0.0, 0.0), grid)
+        g = probe("near", (3.0, 0.0, 0.0), (1.5, 0.0, 0.0), grid)
         assert np.allclose(phi.samples, g.samples, rtol=1e-15)
 
     def test_far_probe_requires_unit_direction(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
         with pytest.raises(ValueError, match="unit"):
-            far_test_function((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), grid)
+            probe("far", (2.0, 0.0, 0.0), (0.0, 0.0, 0.0), grid)
 
 
 class TestPsfClosedForm:
@@ -116,33 +115,29 @@ class TestPsfDiscrete:
 class TestIndicatorNear:
     def test_matches_scalar_quadratic_forms(self, ball_dataset):
         grid = SamplingGrid(bounds=((-3, 3), (-3, 3), (-3, 3)), resolution=(6, 6, 6))
-        field = indicator_near(ball_dataset, grid)
+        field = compute_indicator(ball_dataset, grid)
         x = ball_dataset.sensors.array[0]
         for v, z in enumerate(grid.centers()):
-            g = near_test_function(x, z, ball_dataset.grid)
-            ref = abs(near_quadratic_form(ball_dataset, 0, g))
+            g = probe("near", x, z, ball_dataset.grid)
+            ref = abs(quadratic_form(ball_dataset, 0, g))
             assert abs(field.values[v] - ref) <= 1e-12 * max(ref, 1e-30)
 
     def test_nonnegative(self, ball_dataset):
-        field = indicator_near(ball_dataset, SamplingGrid.cube(3.0, 8))
+        field = compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 8))
         assert np.all(field.values >= 0)
 
     def test_homogeneity(self, ball_dataset):
         grid = SamplingGrid.cube(3.0, 6)
-        base = indicator_near(ball_dataset, grid)
+        base = compute_indicator(ball_dataset, grid)
         scaled_data = replace(ball_dataset, values=2.5 * ball_dataset.values)
-        scaled = indicator_near(scaled_data, grid)
+        scaled = compute_indicator(scaled_data, grid)
         assert np.allclose(scaled.values, 2.5 * base.values, rtol=1e-12)
         assert np.allclose(normalize(scaled).values, normalize(base).values, rtol=1e-12)
-
-    def test_kind_check(self, far_ball_dataset):
-        with pytest.raises(ValueError, match="near"):
-            indicator_near(far_ball_dataset, SamplingGrid.cube(3.0, 4))
 
     def test_annulus_concentration(self, ball_dataset):
         # single sensor: the bright region is the annulus seen from the sensor
         grid = SamplingGrid.cube(3.0, 24)
-        field = normalize(indicator_near(ball_dataset, grid))
+        field = normalize(compute_indicator(ball_dataset, grid))
         d = np.linalg.norm(grid.centers() - np.array([3.0, 0.0, 0.0]), axis=1)
         shell = field.values[(d >= 2.0) & (d <= 4.0)].mean()
         outside = field.values[(d >= 5.0) & (d <= 5.5)].mean()
@@ -150,29 +145,29 @@ class TestIndicatorNear:
 
     def test_spherical_invariance(self, ball_dataset):
         grid = SamplingGrid.cube(3.0, 24)
-        field = normalize(indicator_near(ball_dataset, grid))
+        field = normalize(compute_indicator(ball_dataset, grid))
         half_vox = 0.5 * grid.voxel_size[0]
         dev = radial_profile_deviation(field, (3.0, 0.0, 0.0), half_vox)
         assert dev <= 0.02
 
     def test_sandwich_at_probe_lattice(self, ball_scenario, ball_dataset, unit_ball):
-        from mfsampling import distance_analysis, quadrature, support_norm
+        from mfsampling import analysis, quadrature, support_norm
         rule = quadrature(unit_ball, ball_scenario.h)
         x = (3.0, 0.0, 0.0)
         lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
         for z in [(0, 0, 0), (0.5, 0.5, 0), (-1, 0.2, 0.8), (2, 2, 2), (-2.5, 0, 1)]:
-            g = near_test_function(x, z, ball_dataset.grid)
-            denom = support_norm(distance_analysis(x, rule, g)) ** 2
-            ratio = abs(near_quadratic_form(ball_dataset, 0, g)) / denom
+            g = probe("near", x, z, ball_dataset.grid)
+            denom = support_norm(analysis("near", x, rule, g)) ** 2
+            ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 
     def test_noise_robustness(self):
         scenario = mf.PRESETS["ball_pt14"]
         data = generate_dataset(scenario)
         grid = SamplingGrid.cube(3.0, 32)
-        base = normalize(indicator_near(data, grid))
+        base = normalize(compute_indicator(data, grid))
         for seed in range(1, 6):
-            noisy = normalize(indicator_near(add_noise(data, 0.05, seed), grid))
+            noisy = normalize(compute_indicator(add_noise(data, 0.05, seed), grid))
             assert np.abs(noisy.values - base.values).max() <= 0.10
 
 
@@ -185,27 +180,39 @@ class TestIndicatorFar:
                            [vp2, vp1, v0, vm1, vm2]])
         data = MultiFreqDataset(kind="far", sensors=sensors, grid=grid, values=values)
         sampling = SamplingGrid(bounds=((-1, 1), (-1, 1), (-1, 1)), resolution=(1, 1, 1))
-        field = indicator_far(data, sampling)
+        field = compute_indicator(data, sampling)
         expected = abs(2 * v0 + vm1 + vp1) + abs(2 * v0 + vp1 + vm1)
         assert field.values[0] == pytest.approx(expected, rel=1e-14)
 
     def test_nonnegative(self, far_ball_dataset):
-        field = indicator_far(far_ball_dataset, SamplingGrid.cube(3.0, 8))
+        field = compute_indicator(far_ball_dataset, SamplingGrid.cube(3.0, 8))
         assert np.all(field.values >= 0)
+
+    def test_offcentre_ball_reconstruction(self):
+        # an origin-centred ball is its own point reflection; this one is not
+        center = np.array([1.2, 0.4, 0.0])
+        directions = mf.PRESETS["ball_pt14"].measurement.array / 3.0
+        scenario = mf.Scenario(
+            support=mf.Ball(center=tuple(center), radius=0.5), h=0.1,
+            measurement=MeasurementSet.far_directions(directions),
+            frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1,
+            sampling=SamplingGrid.cube(3.0, 32),
+        )
+        assert len(scenario.measurement) == 14
+        field = normalize(compute_indicator(generate_dataset(scenario), scenario.sampling))
+        mask = threshold_mask(field, 0.7)
+        assert mask.count > 0
+        assert np.linalg.norm(np.array(mask.centroid) - center) <= 0.25
 
     def test_slab_geometry(self, far_ball_dataset):
         # +-e1 directions: the indicator depends on z only through z1
         grid = SamplingGrid.cube(3.0, 16)
-        field = normalize(indicator_far(far_ball_dataset, grid))
+        field = normalize(compute_indicator(far_ball_dataset, grid))
         cube = field.reshaped()
         ax1 = grid.axis_centers(0)
         for i in np.nonzero(np.abs(ax1) < 1.0)[0]:
             layer = cube[i]
             assert layer.std() / layer.mean() < 0.05
-
-    def test_kind_check(self, ball_dataset):
-        with pytest.raises(ValueError, match="far"):
-            indicator_far(ball_dataset, SamplingGrid.cube(3.0, 4))
 
 
 class TestNormalize:
@@ -225,7 +232,7 @@ class TestNormalize:
         assert np.array_equal(once.values, twice.values)
 
     def test_argmax_preserved(self, ball_dataset):
-        field = indicator_near(ball_dataset, SamplingGrid.cube(3.0, 8))
+        field = compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 8))
         assert normalize(field).values.argmax() == field.values.argmax()
 
     def test_zero_field_errors(self):
@@ -235,7 +242,7 @@ class TestNormalize:
 
 @pytest.fixture(scope="module")
 def ball_field(ball_dataset):
-    return normalize(indicator_near(ball_dataset, SamplingGrid.cube(3.0, 16)))
+    return normalize(compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 16)))
 
 
 class TestCrossSection:
@@ -276,7 +283,7 @@ class TestThresholdMask:
         assert tight.mask[ball_field.values.argmax()]
 
     def test_requires_normalized(self, ball_dataset):
-        field = indicator_near(ball_dataset, SamplingGrid.cube(3.0, 8))
+        field = compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 8))
         with pytest.raises(ValueError, match="normalized"):
             threshold_mask(field, 0.7)
 
@@ -302,7 +309,7 @@ class TestThresholdMask:
 
 class TestFieldIO:
     def test_round_trip(self, ball_dataset, tmp_path):
-        field = normalize(indicator_near(ball_dataset, SamplingGrid.cube(3.0, 8)))
+        field = normalize(compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 8)))
         path = tmp_path / "field.mff"
         mf.imaging.write_field(field, path, "deadbeef")
         back, meta = mf.imaging.read_field(path)
@@ -312,7 +319,7 @@ class TestFieldIO:
         assert meta["scenario_hash"] == "deadbeef"
 
     def test_mask_rle_reconstructs(self, ball_dataset, tmp_path):
-        field = normalize(indicator_near(ball_dataset, SamplingGrid.cube(3.0, 8)))
+        field = normalize(compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 8)))
         mask = threshold_mask(field, 0.6)
         path = tmp_path / "mask.txt"
         mf.imaging.write_mask(mask, path, "-")
@@ -327,7 +334,7 @@ class TestFieldIO:
         assert np.array_equal(rebuilt, mask.mask)
 
     def test_cross_section_csv(self, ball_dataset, tmp_path):
-        field = normalize(indicator_near(ball_dataset, SamplingGrid.cube(3.0, 8)))
+        field = normalize(compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 8)))
         cs = cross_section(field, 3, 0.0)
         path = tmp_path / "slice.csv"
         mf.imaging.write_cross_section(cs, path, "feed")

@@ -13,20 +13,17 @@ from mfsampling import (
     MultiFreqDataset,
     QuadratureRule,
     SupportFunction,
-    apply_near_multiplier,
-    apply_near_operator,
-    distance_analysis,
-    distance_synthesis,
+    analysis,
+    apply_multiplier,
+    apply_operator,
     factorization_residual,
-    far_quadratic_form,
     freq_inner,
-    near_quadratic_form,
-    near_test_function,
-    planewave_analysis,
-    planewave_synthesis,
+    probe,
+    quadratic_form,
     quadrature,
     support_inner,
     support_norm,
+    synthesis,
 )
 
 
@@ -54,14 +51,14 @@ def toy_near_dataset():
 class TestApplyNearOperator:
     def test_zero_input(self, ball_dataset):
         g = FreqFunction(ball_dataset.grid, np.zeros(11, dtype=complex))
-        out = apply_near_operator(ball_dataset, 0, g)
+        out = apply_operator(ball_dataset, 0, g)
         assert np.all(out.samples == 0)
 
     def test_hand_2x2(self, toy_near_dataset):
         vm1, v0, vp1 = -0.2 + 0.1j, 0.5 + 0.0j, 0.1 + 0.7j
         g1, g2 = 1.0 + 2.0j, -1.0j
         g = FreqFunction(toy_near_dataset.grid, np.array([g1, g2]))
-        out = apply_near_operator(toy_near_dataset, 0, g)
+        out = apply_operator(toy_near_dataset, 0, g)
         # dk = 1; row j collects values[j - l]
         expected = np.array([v0 * g1 + vm1 * g2, vp1 * g1 + v0 * g2])
         assert np.allclose(out.samples, expected, rtol=1e-15, atol=0)
@@ -71,76 +68,60 @@ class TestApplyNearOperator:
         g1, g2 = random_freq(ball_dataset.grid, rng), random_freq(ball_dataset.grid, rng)
         a, b = 1.3 - 0.2j, -0.7 + 2.1j
         combo = FreqFunction(ball_dataset.grid, a * g1.samples + b * g2.samples)
-        lhs = apply_near_operator(ball_dataset, 0, combo).samples
-        rhs = (a * apply_near_operator(ball_dataset, 0, g1).samples
-               + b * apply_near_operator(ball_dataset, 0, g2).samples)
+        lhs = apply_operator(ball_dataset, 0, combo).samples
+        rhs = (a * apply_operator(ball_dataset, 0, g1).samples
+               + b * apply_operator(ball_dataset, 0, g2).samples)
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_grid_mismatch(self, ball_dataset):
         g = FreqFunction(FrequencyGrid(k_max=11.0, count=7), np.zeros(7, dtype=complex))
         with pytest.raises(ValueError, match="grid mismatch"):
-            apply_near_operator(ball_dataset, 0, g)
-
-    def test_kind_mismatch(self, far_ball_dataset):
-        g = FreqFunction(far_ball_dataset.grid, np.zeros(11, dtype=complex))
-        with pytest.raises(ValueError, match="near"):
-            apply_near_operator(far_ball_dataset, 0, g)
+            apply_operator(ball_dataset, 0, g)
 
 
 class TestQuadraticForms:
     def test_zero(self, ball_dataset):
         g = FreqFunction(ball_dataset.grid, np.zeros(11, dtype=complex))
-        assert near_quadratic_form(ball_dataset, 0, g) == 0
+        assert quadratic_form(ball_dataset, 0, g) == 0
 
     def test_matches_inner_product(self, ball_dataset):
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = random_freq(ball_dataset.grid, rng)
-            qf = near_quadratic_form(ball_dataset, 0, g)
-            ip = freq_inner(apply_near_operator(ball_dataset, 0, g), g)
+            qf = quadratic_form(ball_dataset, 0, g)
+            ip = freq_inner(apply_operator(ball_dataset, 0, g), g)
             assert abs(qf - ip) <= 1e-14 * abs(qf)
 
     def test_positive_at_center_probe(self, ball_dataset):
-        g = near_test_function((3.0, 0.0, 0.0), (0.0, 0.0, 0.0), ball_dataset.grid)
-        assert abs(near_quadratic_form(ball_dataset, 0, g)) > 0
+        g = probe("near", (3.0, 0.0, 0.0), (0.0, 0.0, 0.0), ball_dataset.grid)
+        assert abs(quadratic_form(ball_dataset, 0, g)) > 0
 
     def test_far_zero(self, far_ball_dataset):
         phi = FreqFunction(far_ball_dataset.grid, np.zeros(11, dtype=complex))
-        assert far_quadratic_form(far_ball_dataset, 0, phi) == 0
+        assert quadratic_form(far_ball_dataset, 0, phi) == 0
 
     def test_homogeneity(self, ball_dataset):
         rng = np.random.default_rng(9)
         g = random_freq(ball_dataset.grid, rng)
         alpha = 2.7
         scaled = FreqFunction(ball_dataset.grid, alpha * g.samples)
-        assert near_quadratic_form(ball_dataset, 0, scaled) == pytest.approx(
-            alpha**2 * near_quadratic_form(ball_dataset, 0, g), rel=1e-12)
+        assert quadratic_form(ball_dataset, 0, scaled) == pytest.approx(
+            alpha**2 * quadratic_form(ball_dataset, 0, g), rel=1e-12)
 
 
 class TestAdjointness:
-    def test_distance_pair(self, unit_ball, ball_scenario):
+    @pytest.mark.parametrize("kind, x, seed", [("near", (3.0, 0.0, 0.0), 7),
+                                               ("far", (0.0, 0.0, 1.0), 8)],
+                             ids=["near", "far"])
+    def test_synthesis_analysis_pair(self, unit_ball, ball_scenario, kind, x, seed):
         rule = quadrature(unit_ball, 0.2)
         grid = ball_scenario.frequencies
-        x = (3.0, 0.0, 0.0)
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(seed)
         for _ in range(100):
             psi = random_support(rule, rng)
             phi = random_freq(grid, rng)
-            lhs = freq_inner(distance_synthesis(x, rule, psi, grid), phi)
-            rhs = support_inner(psi, distance_analysis(x, rule, phi))
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            assert abs(lhs - rhs) / scale < 1e-12
-
-    def test_planewave_pair(self, unit_ball, ball_scenario):
-        rule = quadrature(unit_ball, 0.2)
-        grid = ball_scenario.frequencies
-        xhat = (0.0, 0.0, 1.0)
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            psi = random_support(rule, rng)
-            phi = random_freq(grid, rng)
-            lhs = freq_inner(planewave_synthesis(xhat, rule, psi, grid), phi)
-            rhs = support_inner(psi, planewave_analysis(xhat, rule, phi))
+            lhs = freq_inner(synthesis(kind, x, rule, psi, grid), phi)
+            rhs = support_inner(psi, analysis(kind, x, rule, phi))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) / scale < 1e-12
 
@@ -149,7 +130,7 @@ class TestAdjointness:
                               weights=np.array([0.125]), spacing=0.5)
         psi = SupportFunction(rule, np.array([1.0 + 0j]))
         grid = ball_scenario.frequencies
-        out = distance_synthesis((3.0, 0.0, 0.0), rule, psi, grid)
+        out = synthesis("near", (3.0, 0.0, 0.0), rule, psi, grid)
         assert np.allclose(out.samples, 0.125 * np.exp(1j * grid.nodes * 3.0), rtol=1e-15)
 
 
@@ -157,7 +138,7 @@ class TestMiddleOperator:
     def test_zero(self, unit_ball):
         rule = quadrature(unit_ball, 0.25)
         h = SupportFunction(rule, np.zeros(len(rule), dtype=complex))
-        out = apply_near_multiplier((3.0, 0.0, 0.0), unit_ball, rule, h)
+        out = apply_multiplier("near", (3.0, 0.0, 0.0), unit_ball, rule, h)
         assert np.all(out.samples == 0)
 
     def test_single_node_multiplier(self):
@@ -165,7 +146,7 @@ class TestMiddleOperator:
         rule = QuadratureRule(nodes=np.array([[2.0, 0.0, 0.0]]),
                               weights=np.array([1e-3]), spacing=0.1)
         h = SupportFunction(rule, np.array([1.0 + 0j]))
-        out = apply_near_multiplier((0.0, 0.0, 0.0), ball, rule, h)
+        out = apply_multiplier("near", (0.0, 0.0, 0.0), ball, rule, h)
         assert out.samples[0] == pytest.approx(1 / (8 * math.pi), rel=1e-14)
 
     def test_self_adjoint(self, unit_ball):
@@ -174,8 +155,8 @@ class TestMiddleOperator:
         x = (3.0, 0.0, 0.0)
         for _ in range(20):
             h1, h2 = random_support(rule, rng), random_support(rule, rng)
-            lhs = support_inner(apply_near_multiplier(x, unit_ball, rule, h1), h2)
-            rhs = support_inner(h1, apply_near_multiplier(x, unit_ball, rule, h2))
+            lhs = support_inner(apply_multiplier("near", x, unit_ball, rule, h1), h2)
+            rhs = support_inner(h1, apply_multiplier("near", x, unit_ball, rule, h2))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-30)
 
     def test_sign_definite_bounds(self, unit_ball):
@@ -187,7 +168,7 @@ class TestMiddleOperator:
         rng = np.random.default_rng(17)
         for _ in range(50):
             h = random_support(rule, rng)
-            val = support_inner(apply_near_multiplier(x, unit_ball, rule, h), h)
+            val = support_inner(apply_multiplier("near", x, unit_ball, rule, h), h)
             assert abs(val.imag) <= 1e-14 * abs(val)
             ratio = abs(val) / support_norm(h) ** 2
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
@@ -243,8 +224,8 @@ class TestSandwich:
         rng = np.random.default_rng(23)
         for _ in range(100):
             g = random_freq(ball_dataset.grid, rng)
-            denom = support_norm(distance_analysis(x, rule, g)) ** 2
-            ratio = abs(near_quadratic_form(ball_dataset, 0, g)) / denom
+            denom = support_norm(analysis("near", x, rule, g)) ** 2
+            ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 
     def test_far_sandwich_unit_amplitude(self, far_ball_scenario, far_ball_dataset, unit_ball):
@@ -254,8 +235,8 @@ class TestSandwich:
         rng = np.random.default_rng(29)
         for _ in range(50):
             phi = random_freq(far_ball_dataset.grid, rng)
-            denom = support_norm(planewave_analysis(xhat, rule, phi)) ** 2
-            ratio = abs(far_quadratic_form(far_ball_dataset, 0, phi)) / denom
+            denom = support_norm(analysis("far", xhat, rule, phi)) ** 2
+            ratio = abs(quadratic_form(far_ball_dataset, 0, phi)) / denom
             assert ratio == pytest.approx(1.0, rel=1e-10)
 
     def test_far_sandwich_scaled_amplitude(self, far_ball_scenario):
@@ -266,6 +247,6 @@ class TestSandwich:
         xhat = scaled.measurement.array[0]
         rng = np.random.default_rng(31)
         phi = random_freq(data.grid, rng)
-        denom = support_norm(planewave_analysis(xhat, rule, phi)) ** 2
-        ratio = abs(far_quadratic_form(data, 0, phi)) / denom
+        denom = support_norm(analysis("far", xhat, rule, phi)) ** 2
+        ratio = abs(quadratic_form(data, 0, phi)) / denom
         assert ratio == pytest.approx(2.0, rel=1e-10)

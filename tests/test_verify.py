@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from dataclasses import replace
 
@@ -92,6 +93,17 @@ class TestCheckPsf:
         assert locs[3.0] > locs[5.0] > locs[10.0]
         for k_max, loc in locs.items():
             assert loc * k_max == pytest.approx(2 * math.pi, rel=1e-12)
+
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["left_endpoint", "midpoint"])
+    def test_other_node_conventions_fail(self, monkeypatch, offset):
+        # nodes (j - 1 + offset)*dk leave an O(dk) remainder after the
+        # right-endpoint rule's endpoint term
+        monkeypatch.setattr(FrequencyGrid, "nodes", property(
+            lambda self: (np.arange(self.count) + offset) * self.spacing))
+        report = check_psf(FrequencyGrid(k_max=11.0, count=11))
+        assert not report.passed
+        assert report.details["convergence_remainder_ratio"] > 1.1
 
 
 class TestCheckSymmetries:
