@@ -29,13 +29,7 @@ from .scenario import (
     scenario_hash,
     write_config,
 )
-from .verify import (
-    CHECK_NAMES,
-    check_coercivity,
-    check_factorization,
-    check_psf,
-    check_symmetries,
-)
+from .verify import check_coercivity, check_factorization, check_psf, check_symmetries
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,11 +54,17 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **updates) if updates else scenario
 
 
-def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
-    """Generate the scenario's dataset (noise applied per scenario) and write it."""
+def _scenario_data(scenario: Scenario) -> forward.MultiFreqDataset:
+    """The scenario's dataset, with its noise applied."""
     data = generate_dataset(scenario)
     if scenario.noise_level > 0:
         data = add_noise(data, scenario.noise_level, scenario.seed)
+    return data
+
+
+def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
+    """Generate the scenario's dataset (noise applied per scenario) and write it."""
+    data = _scenario_data(scenario)
     forward.write_dataset(data, out_path, scenario_hash(scenario))
     rms = data.row_rms()
     print(f"wrote {out_path}: kind={data.kind} L={len(data.sensors)} "
@@ -109,22 +109,22 @@ def run_image(dataset_path, scenario: Scenario, out_prefix, force: bool = False)
     return outputs
 
 
+# The certificates in report order, each as a function of (scenario, sensor).
+_CHECKS = {
+    "factorization": lambda s, sensor: check_factorization(s, sensor=sensor),
+    "coercivity": lambda s, sensor: check_coercivity(s, sensor=sensor),
+    "psf": lambda s, sensor: check_psf(s.frequencies),
+    "symmetries": lambda s, sensor: check_symmetries(_scenario_data(s)),
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
 def run_verify(scenario: Scenario, only: str | None = None, sensor: int = 0):
     """Run the certificate checks; returns (reports, all_passed)."""
     if only is not None and only not in CHECK_NAMES:
         raise ConfigError(f"--only: unknown check {only!r}; choose from {CHECK_NAMES}")
-    reports = []
-    if only in (None, "factorization"):
-        reports.append(check_factorization(scenario, sensor=sensor))
-    if only in (None, "coercivity"):
-        reports.append(check_coercivity(scenario, sensor=sensor))
-    if only in (None, "psf"):
-        reports.append(check_psf(scenario.frequencies))
-    if only in (None, "symmetries"):
-        data = generate_dataset(scenario)
-        if scenario.noise_level > 0:
-            data = add_noise(data, scenario.noise_level, scenario.seed)
-        reports.append(check_symmetries(data))
+    reports = [check(scenario, sensor) for name, check in _CHECKS.items()
+               if only in (None, name)]
     return reports, all(r.passed for r in reports)
 
 

@@ -10,6 +10,7 @@ negation (far), and optionally perturbed by seeded per-sample Gaussian noise.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -150,6 +151,8 @@ class MultiFreqDataset:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
         if self.kind != self.sensors.kind:
             raise ValueError("dataset kind does not match its measurement set")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("dataset values must be finite")
 
     def value(self, sensor: int, m: int) -> complex:
         return complex(self.values[sensor, self.grid.difference_index(m)])
@@ -238,69 +241,103 @@ def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDatas
     return replace(data, values=values, noise_level=level, seed=int(seed))
 
 
-def write_dataset(data: MultiFreqDataset, path, scenario_hash: str = "-") -> None:
-    """Write the text-header + binary dataset container (see README for the layout)."""
-    lines = [
-        DATASET_MAGIC,
-        f"scenario_hash: {scenario_hash}",
-        f"kind: {data.kind}",
-        f"sensors: {len(data.sensors)}",
-        f"frequencies: {data.grid.count}",
-        f"dk: {data.grid.spacing!r}",
-        f"k_max: {data.grid.k_max!r}",
-        f"noise_level: {data.noise_level!r}",
-        f"seed: {data.seed}",
-    ]
-    for p in data.sensors.points:
-        lines.append(f"sensor: {p[0]!r} {p[1]!r} {p[2]!r}")
-    lines.append("end_header")
-    payload = np.empty(data.values.shape + (2,))
-    payload[..., 0] = data.values.real
-    payload[..., 1] = data.values.imag
+class DatasetFormatError(ValueError):
+    """Raised when a dataset or field file is empty, truncated, or malformed."""
+
+
+# ---------------------------------------------------------------------------
+# header codec of the dataset, field and mask files: a magic line, `key: value`
+# lines and, with a payload, `end_header` and little-endian float64 samples
+
+def _format_floats(vals) -> str:
+    return " ".join(repr(float(v)) for v in vals)
+
+
+def _header_lines(fields) -> list[str]:
+    return [f"{key}: {value}" for key, value in fields]
+
+
+def _parse_header_lines(lines, repeated=()) -> dict:
+    """Stripped values of `key: value` lines; each key in `repeated` collects a list."""
+    meta: dict = {key: [] for key in repeated}
+    for line in lines:
+        key, sep, val = (part.strip() for part in line.partition(":"))
+        if not sep or (key in meta and key not in repeated):
+            raise DatasetFormatError(f"header line {line!r} is malformed or repeats its key")
+        if key in repeated:
+            meta[key].append(val)
+        else:
+            meta[key] = val
+    return meta
+
+
+def _write_container(path, magic: str, fields, payload: np.ndarray | None = None) -> None:
+    lines = [magic, *_header_lines(fields)] + (["end_header"] if payload is not None else [])
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(payload.astype("<f8").tobytes())
+        if payload is not None:
+            fh.write(np.asarray(payload, dtype="<f8").tobytes())
 
 
-class DatasetFormatError(ValueError):
-    """Raised when a dataset file is empty, truncated, or malformed."""
+@contextmanager
+def _reading(path, magic: str, repeated=()):
+    """Yield (header dict, payload bytes) of a file `_write_container` wrote with a payload.
+
+    A wrong magic line, a non-ASCII header, and any KeyError or ValueError the
+    block raises while it converts the header (a missing key, a bad value, a
+    payload of the wrong size) become a DatasetFormatError naming the file.
+    """
+    with open(path, "rb") as fh:
+        head, sep, payload = fh.read().partition(b"\nend_header\n")
+    try:
+        lines = head.decode("ascii").splitlines()
+        if not sep or lines[:1] != [magic]:
+            raise ValueError(f"not a {magic.split()[0]} file")
+        yield _parse_header_lines(lines[1:], repeated), payload
+    except KeyError as exc:
+        raise DatasetFormatError(f"{path}: header lacks {exc}") from exc
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def _samples(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    if min(shape) < 0 or len(payload) != 8 * math.prod(shape):
+        raise ValueError(f"payload size mismatch: {len(payload)} bytes for shape {shape}")
+    return np.frombuffer(payload, dtype="<f8").reshape(shape)
+
+
+def _numbers(text: str, count: int | None, number=float) -> tuple:
+    """The space-separated numbers of text, all finite; `count` of them unless count is None."""
+    values = tuple(number(v) for v in text.split())
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    if count is not None and len(values) != count:
+        raise ValueError(f"expected {count} numbers, got {text!r}")
+    return values
+
+
+def write_dataset(data: MultiFreqDataset, path, scenario_hash: str = "-") -> None:
+    """Write the text-header + binary dataset container (see README for the layout)."""
+    g = data.grid
+    fields = [("scenario_hash", scenario_hash), ("kind", data.kind), ("sensors", len(data.sensors)),
+              ("frequencies", g.count), ("dk", repr(g.spacing)), ("k_max", repr(g.k_max)),
+              ("noise_level", repr(data.noise_level)), ("seed", data.seed)]
+    fields += [("sensor", _format_floats(p)) for p in data.sensors.points]
+    _write_container(path, DATASET_MAGIC, fields,
+                     np.stack([data.values.real, data.values.imag], axis=-1))
 
 
 def read_dataset(path) -> tuple[MultiFreqDataset, dict]:
     """Read a dataset container; returns (dataset, header metadata)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    marker = b"end_header\n"
-    pos = blob.find(marker)
-    if not blob.startswith(DATASET_MAGIC.encode("ascii")) or pos < 0:
-        raise DatasetFormatError(f"{path}: not a dataset file")
-    header_lines = blob[:pos].decode("ascii").splitlines()[1:]
-    meta: dict = {"sensor_list": []}
-    for line in header_lines:
-        key, _, val = line.partition(":")
-        key, val = key.strip(), val.strip()
-        if key == "sensor":
-            meta["sensor_list"].append(tuple(float(c) for c in val.split()))
-        else:
-            meta[key] = val
-    try:
-        kind = meta["kind"]
-        L = int(meta["sensors"])
-        J = int(meta["frequencies"])
-        k_max = float(meta["k_max"])
-        noise_level = float(meta["noise_level"])
-        seed = int(meta["seed"])
-    except (KeyError, ValueError) as exc:
-        raise DatasetFormatError(f"{path}: malformed header ({exc})") from exc
-    if len(meta["sensor_list"]) != L:
-        raise DatasetFormatError(f"{path}: expected {L} sensor lines")
-    raw = np.frombuffer(blob[pos + len(marker):], dtype="<f8")
-    if raw.size != L * (2 * J + 1) * 2:
-        raise DatasetFormatError(f"{path}: payload size mismatch")
-    raw = raw.reshape(L, 2 * J + 1, 2)
-    values = raw[..., 0] + 1j * raw[..., 1]
-    grid = FrequencyGrid(k_max=k_max, count=J)
-    sensors = MeasurementSet(kind=kind, points=tuple(meta["sensor_list"]))
-    data = MultiFreqDataset(kind=kind, sensors=sensors, grid=grid, values=values,
-                            noise_level=noise_level, seed=seed)
+    with _reading(path, DATASET_MAGIC, repeated=("sensor",)) as (meta, payload):
+        L, J = int(meta["sensors"]), int(meta["frequencies"])
+        meta["sensor_list"] = [_numbers(p, 3) for p in meta.pop("sensor")]
+        if len(meta["sensor_list"]) != L:
+            raise ValueError(f"expected {L} sensor lines")
+        raw = _samples(payload, (L, 2 * J + 1, 2))
+        data = MultiFreqDataset(
+            kind=meta["kind"], sensors=MeasurementSet(meta["kind"], tuple(meta["sensor_list"])),
+            grid=FrequencyGrid(k_max=_numbers(meta["k_max"], 1)[0], count=J),
+            values=raw[..., 0] + 1j * raw[..., 1], noise_level=_numbers(meta["noise_level"], 1)[0],
+            seed=int(meta["seed"]))
     return data, meta

@@ -9,13 +9,23 @@ normalization, plane slicing, iso-thresholding, and file export.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .forward import FrequencyGrid, MultiFreqDataset, phase
-from .operators import FreqFunction
+from .forward import (
+    FrequencyGrid,
+    MultiFreqDataset,
+    _format_floats,
+    _numbers,
+    _reading,
+    _samples,
+    _write_container,
+    phase,
+)
+from .operators import FreqFunction, _toeplitz_block
 from .geometry import _points
 
 FIELD_MAGIC = "mfsampling-field v1"
@@ -124,17 +134,15 @@ def psf_discrete(t: float, grid: FrequencyGrid) -> complex:
     return complex(grid.spacing * np.sum(np.exp(1j * grid.nodes * t)))
 
 
-def _quadratic_form_map(values_row: np.ndarray, grid: FrequencyGrid,
+def _quadratic_form_map(toeplitz: np.ndarray, grid: FrequencyGrid,
                         phase_arg: np.ndarray) -> np.ndarray:
-    """|quadratic form| at every sampling point for one sensor.
+    """|quadratic form| at every sampling point for one sensor's Toeplitz block.
 
     phase_arg holds the sensor's phase map per voxel; the probe at voxel v
     is e^{i k_j phase_arg[v]}.
     """
-    J = grid.count
     dk = grid.spacing
-    idx = (np.arange(J)[:, None] - np.arange(J)[None, :]) + J
-    block = dk * dk * values_row[idx]
+    block = dk * dk * toeplitz
     E = np.exp(1j * np.outer(phase_arg, grid.nodes))
     tmp = np.einsum("vl,jl->vj", E, block)
     q = np.einsum("vj,vj->v", tmp, np.conj(E))
@@ -147,14 +155,16 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
         raise ValueError("empty sampling grid")
     centers = grid.centers()
     total = np.zeros(grid.size)
-    for x, row in zip(data.sensors.array, data.values):
+    for ell, x in enumerate(data.sensors.array):
         ph, _ = phase(data.kind, x, centers)
-        total += _quadratic_form_map(row, data.grid, ph)
+        total += _quadratic_form_map(_toeplitz_block(data, ell), data.grid, ph)
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 
 def normalize(field: IndicatorField) -> IndicatorField:
     """Scale so the maximum value is exactly 1."""
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("cannot normalize a non-finite indicator field")
     peak = float(field.values.max()) if field.grid.size else 0.0
     if peak <= 0.0:
         raise ValueError("cannot normalize an all-zero indicator field")
@@ -203,43 +213,24 @@ def threshold_mask(field: IndicatorField, iso: float) -> ThresholdMask:
 # ---------------------------------------------------------------------------
 # file export
 
-def _format_floats(vals) -> str:
-    return " ".join(repr(float(v)) for v in vals)
-
-
 def write_field(field: IndicatorField, path, scenario_hash: str = "-") -> None:
-    lo = [b[0] for b in field.grid.bounds]
-    hi = [b[1] for b in field.grid.bounds]
-    lines = [
-        FIELD_MAGIC,
-        f"scenario_hash: {scenario_hash}",
-        f"bounds: {_format_floats([lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]])}",
-        f"resolution: {field.grid.resolution[0]} {field.grid.resolution[1]} {field.grid.resolution[2]}",
-        f"normalized: {'true' if field.normalized else 'false'}",
-        "end_header",
+    fields = [
+        ("scenario_hash", scenario_hash),
+        ("bounds", _format_floats(v for b in field.grid.bounds for v in b)),
+        ("resolution", " ".join(str(n) for n in field.grid.resolution)),
+        ("normalized", "true" if field.normalized else "false"),
     ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        fh.write(field.values.astype("<f8").tobytes())
+    _write_container(path, FIELD_MAGIC, fields, field.values)
 
 
 def read_field(path) -> tuple[IndicatorField, dict]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    marker = b"end_header\n"
-    pos = blob.find(marker)
-    if not blob.startswith(FIELD_MAGIC.encode("ascii")) or pos < 0:
-        raise ValueError(f"{path}: not a field file")
-    meta: dict = {}
-    for line in blob[:pos].decode("ascii").splitlines()[1:]:
-        key, _, val = line.partition(":")
-        meta[key.strip()] = val.strip()
-    b = [float(v) for v in meta["bounds"].split()]
-    n = [int(v) for v in meta["resolution"].split()]
-    grid = SamplingGrid(bounds=((b[0], b[1]), (b[2], b[3]), (b[4], b[5])),
-                        resolution=(n[0], n[1], n[2]))
-    values = np.frombuffer(blob[pos + len(marker):], dtype="<f8").copy()
-    field = IndicatorField(grid=grid, values=values, normalized=meta["normalized"] == "true")
+    with _reading(path, FIELD_MAGIC) as (meta, payload):
+        b, n = _numbers(meta["bounds"], 6), _numbers(meta["resolution"], 3, int)
+        if meta["normalized"] not in ("true", "false"):
+            raise ValueError(f"normalized must be 'true' or 'false', got {meta['normalized']!r}")
+        field = IndicatorField(grid=SamplingGrid(bounds=(b[0:2], b[2:4], b[4:6]), resolution=n),
+                               values=_samples(payload, (math.prod(n),)).copy(),
+                               normalized=meta["normalized"] == "true")
     return field, meta
 
 
@@ -263,21 +254,18 @@ def write_cross_section(cs: CrossSection, path, scenario_hash: str = "-") -> Non
 
 def write_mask(mask: ThresholdMask, path, scenario_hash: str = "-") -> None:
     """Run-length encoded mask (runs of set voxels in row-major order) with summary lines."""
-    lines = [
-        MASK_MAGIC,
-        f"scenario_hash: {scenario_hash}",
-        f"iso: {mask.iso!r}",
-        f"resolution: {mask.grid.resolution[0]} {mask.grid.resolution[1]} {mask.grid.resolution[2]}",
-        f"count: {mask.count}",
-        f"centroid: {_format_floats(mask.centroid) if mask.centroid else '-'}",
-        f"bbox_min: {_format_floats(mask.bbox[0]) if mask.bbox else '-'}",
-        f"bbox_max: {_format_floats(mask.bbox[1]) if mask.bbox else '-'}",
-    ]
     padded = np.concatenate([[False], mask.mask, [False]]).astype(int)
     edges = np.diff(padded)
     starts = np.nonzero(edges == 1)[0]
     ends = np.nonzero(edges == -1)[0]
-    for s, e in zip(starts, ends):
-        lines.append(f"run: {s} {e - s}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fields = [
+        ("scenario_hash", scenario_hash),
+        ("iso", repr(mask.iso)),
+        ("resolution", " ".join(str(n) for n in mask.grid.resolution)),
+        ("count", mask.count),
+        ("centroid", _format_floats(mask.centroid) if mask.centroid else "-"),
+        ("bbox_min", _format_floats(mask.bbox[0]) if mask.bbox else "-"),
+        ("bbox_max", _format_floats(mask.bbox[1]) if mask.bbox else "-"),
+    ]
+    fields += [("run", f"{s} {e - s}") for s, e in zip(starts, ends)]
+    _write_container(path, MASK_MAGIC, fields)

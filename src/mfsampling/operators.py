@@ -10,12 +10,12 @@ are reproducible across platforms and thread counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .forward import FrequencyGrid, MultiFreqDataset, generate_dataset, phase
+from .forward import FrequencyGrid, MeasurementSet, MultiFreqDataset, generate_dataset, phase
 from .geometry import QuadratureRule, SourceSupport, quadrature
 
 if TYPE_CHECKING:
@@ -133,17 +133,28 @@ def apply_multiplier(kind: str, x, support: SourceSupport, rule: QuadratureRule,
     return SupportFunction(rule=rule, samples=h.samples * f / spreading)
 
 
+def _one_sensor(scenario: "Scenario", sensor: int) -> "Scenario":
+    """The scenario measured by sensor `sensor` alone (a far direction keeps its antipode).
+
+    Its dataset's row 0 equals row `sensor` of the full dataset bit for bit.
+    The operator certificates, which use it, hold for noiseless data only.
+    """
+    if scenario.noise_level != 0:
+        raise ValueError("operator certificates require a noiseless scenario")
+    x = [scenario.measurement.points[sensor]]
+    return replace(scenario, measurement=MeasurementSet.near_points(x) if scenario.kind == "near"
+                   else MeasurementSet.far_directions(x))
+
+
 def _dense_operator_pair(scenario: "Scenario", sensor: int):
     """Dense (data operator, factored product) matrices on matched quadrature."""
-    if scenario.noise_level != 0:
-        raise ValueError("factorization identity requires a noiseless scenario")
     grid = scenario.frequencies
     if grid.count > _DENSE_FREQ_LIMIT:
         raise ValueError(f"dense factorization check limited to {_DENSE_FREQ_LIMIT} frequencies")
-    data = generate_dataset(scenario)
+    data = generate_dataset(_one_sensor(scenario, sensor))
     rule = quadrature(scenario.support, scenario.h)
     dk = grid.spacing
-    N = dk * _toeplitz_block(data, sensor)
+    N = dk * _toeplitz_block(data, 0)
     f = scenario.support.amplitude_at(rule.nodes)
     ph, spreading = phase(scenario.kind, scenario.measurement.array[sensor], rule.nodes)
     E = np.exp(1j * np.outer(grid.nodes, ph))

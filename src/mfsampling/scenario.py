@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .geometry import Ball, Cube, LShape, Peanut, RoundedCylinder, SourceSupport, Union
-from .forward import FrequencyGrid, MeasurementSet
+from .forward import FrequencyGrid, MeasurementSet, _format_floats, _numbers
 from .imaging import SamplingGrid
 
 
@@ -83,32 +84,65 @@ def polar_sensor(phi_deg: float, theta_deg: float, r: float) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 # config text format
 
-_KNOWN_KEYS = {
-    "label", "kind", "shape", "center", "radius", "half_widths", "half_height",
-    "centers", "boxes", "amplitude", "h", "sensors", "sensors_polar", "directions",
-    "k_max", "num_freq", "noise", "seed", "grid_bounds", "grid_n", "zero_mode", "iso",
+class _Key(NamedTuple):
+    """A shape's config key: `count` groups of `size` numbers, separated by `;`.
+
+    Its value is a number (size 1), a tuple (one group) or a tuple of groups.
+    """
+
+    name: str
+    size: int
+    count: int = 1
+    default: str | None = None  # None when required
+    broadcast: bool = False  # one number may stand for the whole group
+
+
+class _Shape(NamedTuple):
+    build: Callable  # the support, from the keys' values in key order
+    keys: tuple[_Key, ...]  # in writing order
+    fields: Callable | None = None  # a support's key values; default: the same-named fields
+
+
+_CENTER = _Key("center", 3, default="0 0 0")
+_RADIUS = _Key("radius", 1)
+_AMPLITUDE = _Key("amplitude", 1, default="1.0", broadcast=True)
+
+_SHAPES = {
+    "ball": _Shape(Ball, (_CENTER, _RADIUS, _AMPLITUDE)),
+    "cube": _Shape(Cube, (_CENTER, _Key("half_widths", 3), _AMPLITUDE)),
+    "rounded_cylinder": _Shape(RoundedCylinder, (_RADIUS, _Key("half_height", 1), _AMPLITUDE)),
+    "peanut": _Shape(Peanut, (_Key("centers", 3, 2), _RADIUS, _AMPLITUDE)),
+    "lshape": _Shape(
+        lambda boxes, amplitude: LShape(*((b[:3], b[3:]) for b in boxes), amplitude),
+        (_Key("boxes", 6, 2), _AMPLITUDE),
+        fields=lambda s: ((s.box1[0] + s.box1[1], s.box2[0] + s.box2[1]), s.amplitude)),
+    "two_balls": _Shape(  # one radius; one amplitude for both balls, or one each
+        lambda centers, radius, amps: Union(tuple(Ball(c, radius, a)
+                                                  for c, a in zip(centers, amps))),
+        (_Key("centers", 3, 2), _RADIUS, _AMPLITUDE._replace(size=2)),
+        fields=lambda s: (tuple(p.center for p in s.parts), s.parts[0].radius,
+                          tuple(p.amplitude for p in s.parts))),
 }
 
-_SHAPES = ("ball", "cube", "rounded_cylinder", "peanut", "lshape", "two_balls")
+_KNOWN_KEYS = {
+    "label", "kind", "shape", "h", "sensors", "sensors_polar", "directions", "k_max",
+    "num_freq", "noise", "seed", "grid_bounds", "grid_n", "zero_mode", "iso",
+} | {key.name for spec in _SHAPES.values() for key in spec.keys}
 
 
-def _floats(key: str, raw: str, n: int | None = None) -> list[float]:
+def _floats(key: str, raw: str, n: int | None = None) -> tuple[float, ...]:
     try:
-        vals = [float(v) for v in raw.split()]
+        return _numbers(raw, n)
     except ValueError as exc:
-        raise ConfigError(f"key '{key}': expected numbers, got {raw!r}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"key '{key}': values must be finite, got {raw!r}")
-    if n is not None and len(vals) != n:
-        raise ConfigError(f"key '{key}': expected {n} numbers, got {len(vals)}")
-    return vals
+        raise ConfigError(f"key '{key}': {exc}") from exc
 
 
-def _groups(key: str, raw: str, size: int) -> list[list[float]]:
-    out = []
-    for part in raw.split(";"):
-        out.append(_floats(key, part.strip(), size))
-    return out
+def _groups(key: str, raw: str, size: int | None) -> list[tuple[float, ...]]:
+    return [_floats(key, part.strip(), size) for part in raw.split(";")]
+
+
+def _format_groups(groups) -> str:
+    return " ; ".join(_format_floats(g) for g in groups)
 
 
 def _int(key: str, raw: str) -> int:
@@ -118,62 +152,47 @@ def _int(key: str, raw: str) -> int:
         raise ConfigError(f"key '{key}': expected an integer, got {raw!r}") from exc
 
 
-def _build_support(kv: dict[str, str]) -> SourceSupport:
-    shape = kv.get("shape")
-    if shape is None:
-        raise ConfigError("key 'shape': missing (required)")
-    if shape not in _SHAPES:
-        raise ConfigError(f"key 'shape': unknown shape {shape!r}; choose from {_SHAPES}")
-    amps = _floats("amplitude", kv.get("amplitude", "1.0"))
-
-    def amp(i: int, n_parts: int) -> float:
-        if len(amps) == 1:
-            return amps[0]
-        if len(amps) != n_parts:
-            raise ConfigError(f"key 'amplitude': expected 1 or {n_parts} values")
-        return amps[i]
-
+def _build_shape(shape: str, kv: dict[str, str]) -> SourceSupport:
+    """The support that a shape's config keys describe."""
+    values = []
+    for key in _SHAPES[shape].keys:
+        raw = kv.get(key.name, key.default)
+        if raw is None:
+            raise ConfigError(f"key '{key.name}': missing (required for shape '{shape}')")
+        groups = _groups(key.name, raw, None if key.broadcast else key.size)
+        if len(groups) != key.count:
+            raise ConfigError(f"key '{key.name}': {shape} needs exactly "
+                              f"{('one', 'two')[key.count - 1]} {key.name}")
+        if key.broadcast:
+            if len(groups[0]) not in (1, key.size):
+                raise ConfigError(f"key '{key.name}': expected 1 or {key.size} values")
+            groups = [g * (key.size // len(g)) for g in groups]
+        value = [g[0] if key.size == 1 else g for g in groups]
+        values.append(value[0] if key.count == 1 else tuple(value))
     try:
-        if shape == "ball":
-            center = _floats("center", kv.get("center", "0 0 0"), 3)
-            return Ball(center=tuple(center), radius=_floats("radius", kv["radius"], 1)[0],
-                        amplitude=amp(0, 1))
-        if shape == "cube":
-            center = _floats("center", kv.get("center", "0 0 0"), 3)
-            hw = _floats("half_widths", kv["half_widths"], 3)
-            return Cube(center=tuple(center), half_widths=tuple(hw), amplitude=amp(0, 1))
-        if shape == "rounded_cylinder":
-            return RoundedCylinder(radius=_floats("radius", kv["radius"], 1)[0],
-                                   half_height=_floats("half_height", kv["half_height"], 1)[0],
-                                   amplitude=amp(0, 1))
-        if shape == "peanut":
-            cs = _groups("centers", kv["centers"], 3)
-            if len(cs) != 2:
-                raise ConfigError("key 'centers': peanut needs exactly two centers")
-            return Peanut(centers=(tuple(cs[0]), tuple(cs[1])),
-                          radius=_floats("radius", kv["radius"], 1)[0], amplitude=amp(0, 1))
-        if shape == "lshape":
-            boxes = _groups("boxes", kv["boxes"], 6)
-            if len(boxes) != 2:
-                raise ConfigError("key 'boxes': lshape needs exactly two boxes")
-            b1, b2 = boxes
-            return LShape(box1=(tuple(b1[:3]), tuple(b1[3:])),
-                          box2=(tuple(b2[:3]), tuple(b2[3:])), amplitude=amp(0, 1))
-        # two_balls
-        cs = _groups("centers", kv["centers"], 3)
-        if len(cs) != 2:
-            raise ConfigError("key 'centers': two_balls needs exactly two centers")
-        radius = _floats("radius", kv["radius"], 1)[0]
-        return Union(parts=(
-            Ball(center=tuple(cs[0]), radius=radius, amplitude=amp(0, 2)),
-            Ball(center=tuple(cs[1]), radius=radius, amplitude=amp(1, 2)),
-        ))
-    except KeyError as exc:
-        raise ConfigError(f"key {exc.args[0]!r}: missing (required for shape '{shape}')") from exc
+        return _SHAPES[shape].build(*values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"key 'shape': invalid geometry ({exc})") from exc
+
+
+def _key_text(key: _Key, value) -> str:
+    """Config text of a shape key's value, as `_build_shape` reads it."""
+    groups = [value] if key.count == 1 else value
+    return _format_groups([g] if key.size == 1 else g for g in groups)
+
+
+def _shape_lines(support: SourceSupport) -> list[str]:
+    """Config lines of a support: those of the first shape that parse back to it."""
+    for shape, spec in _SHAPES.items():
+        try:
+            values = (spec.fields(support) if spec.fields
+                      else [getattr(support, key.name) for key in spec.keys])
+            kv = {key.name: _key_text(key, value) for key, value in zip(spec.keys, values)}
+            if _build_shape(shape, kv) == support:
+                return [f"shape = {shape}"] + [f"{k} = {v}" for k, v in kv.items()]
+        except (AttributeError, ConfigError):
+            pass
+    raise ConfigError(f"support {type(support).__name__} is not representable in config text")
 
 
 def parse_config_text(text: str) -> Scenario:
@@ -195,7 +214,12 @@ def parse_config_text(text: str) -> Scenario:
     kind = kv.get("kind", "near")
     if kind not in ("near", "far"):
         raise ConfigError(f"key 'kind': must be 'near' or 'far', got {kind!r}")
-    support = _build_support(kv)
+    shape = kv.get("shape")
+    if shape is None:
+        raise ConfigError("key 'shape': missing (required)")
+    if shape not in _SHAPES:
+        raise ConfigError(f"key 'shape': unknown shape {shape!r}; choose from {tuple(_SHAPES)}")
+    support = _build_shape(shape, kv)
 
     if kind == "near":
         if "directions" in kv:
@@ -233,12 +257,10 @@ def parse_config_text(text: str) -> Scenario:
         gn = gn * 3
     if len(gn) != 3:
         raise ConfigError("key 'grid_n': expected 1 or 3 integers")
+    resolution = tuple(_int("grid_n", v) for v in gn)
     try:
-        sampling = SamplingGrid(bounds=((gb[0], gb[1]), (gb[2], gb[3]), (gb[4], gb[5])),
-                                resolution=tuple(_int("grid_n", v) for v in gn))
+        sampling = SamplingGrid(bounds=(gb[0:2], gb[2:4], gb[4:6]), resolution=resolution)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"key 'grid_bounds'/'grid_n': {exc}") from exc
 
     return Scenario(
@@ -264,64 +286,24 @@ def parse_config(path) -> Scenario:
     return parse_config_text(text)
 
 
-def _support_lines(support: SourceSupport) -> list[str]:
-    def fmt(vals) -> str:
-        return " ".join(repr(float(v)) for v in vals)
-
-    if isinstance(support, Ball):
-        return ["shape = ball", f"center = {fmt(support.center)}",
-                f"radius = {support.radius!r}", f"amplitude = {support.amplitude!r}"]
-    if isinstance(support, Cube):
-        return ["shape = cube", f"center = {fmt(support.center)}",
-                f"half_widths = {fmt(support.half_widths)}",
-                f"amplitude = {support.amplitude!r}"]
-    if isinstance(support, RoundedCylinder):
-        return ["shape = rounded_cylinder", f"radius = {support.radius!r}",
-                f"half_height = {support.half_height!r}",
-                f"amplitude = {support.amplitude!r}"]
-    if isinstance(support, Peanut):
-        return ["shape = peanut",
-                f"centers = {fmt(support.centers[0])} ; {fmt(support.centers[1])}",
-                f"radius = {support.radius!r}", f"amplitude = {support.amplitude!r}"]
-    if isinstance(support, LShape):
-        b1 = fmt(support.box1[0]) + " " + fmt(support.box1[1])
-        b2 = fmt(support.box2[0]) + " " + fmt(support.box2[1])
-        return ["shape = lshape", f"boxes = {b1} ; {b2}",
-                f"amplitude = {support.amplitude!r}"]
-    if isinstance(support, Union):
-        parts = tuple(support.components())
-        if (len(parts) == 2 and all(isinstance(p, Ball) for p in parts)
-                and parts[0].radius == parts[1].radius):
-            return ["shape = two_balls",
-                    f"centers = {fmt(parts[0].center)} ; {fmt(parts[1].center)}",
-                    f"radius = {parts[0].radius!r}",
-                    f"amplitude = {parts[0].amplitude!r} {parts[1].amplitude!r}"]
-    raise ConfigError(f"support {type(support).__name__} is not representable in config text")
-
-
 def write_config_text(s: Scenario) -> str:
-    lines = []
-    if s.label:
-        lines.append(f"label = {s.label}")
-    lines.append(f"kind = {s.kind}")
-    lines.extend(_support_lines(s.support))
-    lines.append(f"h = {s.h!r}")
-    fmt_groups = " ; ".join(" ".join(repr(c) for c in p) for p in s.measurement.points)
-    if s.kind == "near":
-        lines.append(f"sensors = {fmt_groups}")
-    else:
-        lines.append(f"directions = {fmt_groups}")
-    lines.append(f"k_max = {s.frequencies.k_max!r}")
-    lines.append(f"num_freq = {s.frequencies.count}")
-    lines.append(f"noise = {s.noise_level!r}")
-    lines.append(f"seed = {s.seed}")
-    gb = s.sampling.bounds
-    lines.append(f"grid_bounds = {gb[0][0]!r} {gb[0][1]!r} {gb[1][0]!r} {gb[1][1]!r} "
-                 f"{gb[2][0]!r} {gb[2][1]!r}")
-    lines.append(f"grid_n = {s.sampling.resolution[0]} {s.sampling.resolution[1]} "
-                 f"{s.sampling.resolution[2]}")
-    lines.append(f"zero_mode = {s.zero_mode}")
-    lines.append(f"iso = {' '.join(repr(v) for v in s.iso_values)}")
+    gb, n = s.sampling.bounds, s.sampling.resolution
+    lines = [f"label = {s.label}"] if s.label else []
+    lines += [
+        f"kind = {s.kind}",
+        *_shape_lines(s.support),
+        f"h = {s.h!r}",
+        f"{'sensors' if s.kind == 'near' else 'directions'} = "
+        f"{_format_groups(s.measurement.points)}",
+        f"k_max = {s.frequencies.k_max!r}",
+        f"num_freq = {s.frequencies.count}",
+        f"noise = {s.noise_level!r}",
+        f"seed = {s.seed}",
+        f"grid_bounds = {_format_groups([gb[0] + gb[1] + gb[2]])}",
+        f"grid_n = {n[0]} {n[1]} {n[2]}",
+        f"zero_mode = {s.zero_mode}",
+        f"iso = {_format_groups([s.iso_values])}",
+    ]
     return "\n".join(lines) + "\n"
 
 

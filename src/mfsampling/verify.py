@@ -17,11 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .forward import FrequencyGrid, MultiFreqDataset, generate_dataset, mirror
+from .forward import (
+    FrequencyGrid,
+    MultiFreqDataset,
+    _header_lines,
+    _parse_header_lines,
+    generate_dataset,
+    mirror,
+)
 from .geometry import annulus_radii, quadrature
 from .imaging import psf_closed_form, psf_discrete
 from .operators import (
     FreqFunction,
+    _one_sensor,
     analysis,
     factorization_residual,
     quadratic_form,
@@ -31,8 +39,6 @@ from .operators import (
 _COERCIVITY_SALT = 0x51D3
 _PSF_FINE_COUNT = 4000
 _PSF_CONVERGENCE_TS = (0.5, 1.0, 5.0)
-
-CHECK_NAMES = ("factorization", "coercivity", "psf", "symmetries")
 
 
 @dataclass
@@ -46,56 +52,45 @@ class VerificationReport:
     details: dict[str, float] = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [
-            f"check: {self.check}",
-            f"scenario: {self.scenario}",
-            f"measured: {self.measured!r}",
-            f"tolerance: {self.tolerance!r}",
-            f"pass: {'true' if self.passed else 'false'}",
-            f"runtime_s: {self.runtime_s!r}",
-        ]
-        for key in sorted(self.details):
-            lines.append(f"detail.{key}: {self.details[key]!r}")
+        lines = _header_lines([
+            ("check", self.check),
+            ("scenario", self.scenario),
+            ("measured", repr(self.measured)),
+            ("tolerance", repr(self.tolerance)),
+            ("pass", "true" if self.passed else "false"),
+            ("runtime_s", repr(self.runtime_s)),
+        ] + [(f"detail.{key}", repr(self.details[key])) for key in sorted(self.details)])
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, block: str) -> "VerificationReport":
-        fields: dict[str, str] = {}
-        details: dict[str, float] = {}
-        for line in block.strip().splitlines():
-            key, _, val = line.partition(":")
-            key, val = key.strip(), val.strip()
-            if key.startswith("detail."):
-                details[key[len("detail."):]] = float(val)
-            else:
-                fields[key] = val
+        fields = _parse_header_lines(block.strip().splitlines())
         return cls(
-            check=fields["check"],
-            scenario=fields["scenario"],
-            measured=float(fields["measured"]),
-            tolerance=float(fields["tolerance"]),
-            passed=fields["pass"] == "true",
-            runtime_s=float(fields["runtime_s"]),
-            details=details,
+            check=fields.pop("check"),
+            scenario=fields.pop("scenario"),
+            measured=float(fields.pop("measured")),
+            tolerance=float(fields.pop("tolerance")),
+            passed=fields.pop("pass") == "true",
+            runtime_s=float(fields.pop("runtime_s")),
+            details={key.removeprefix("detail."): float(val) for key, val in fields.items()},
         )
+
+
+def _report(check: str, scenario: str, measured: float, tol: float, t0: float,
+            details: dict[str, float] | None = None) -> VerificationReport:
+    """The certificate `measured <= tol`, timed from t0."""
+    return VerificationReport(check=check, scenario=scenario, measured=measured, tolerance=tol,
+                              passed=measured <= tol, runtime_s=time.perf_counter() - t0,
+                              details=details or {})
 
 
 def check_factorization(scenario, sensor: int = 0, trials: int = 20,
                         tol: float = 1e-10) -> VerificationReport:
     """Certify the exact operator factorization on noiseless matched-quadrature data."""
-    if scenario.noise_level != 0:
-        raise ValueError("factorization check requires a noiseless scenario")
     t0 = time.perf_counter()
     residual = factorization_residual(scenario, sensor=sensor, trials=trials)
-    return VerificationReport(
-        check="factorization",
-        scenario=scenario.summary(),
-        measured=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        runtime_s=time.perf_counter() - t0,
-        details={"trials": float(trials), "sensor": float(sensor)},
-    )
+    return _report("factorization", scenario.summary(), residual, tol, t0,
+                   {"trials": float(trials), "sensor": float(sensor)})
 
 
 def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
@@ -106,10 +101,8 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
     [c_f / (4 pi r2), C_f / (4 pi r1)], with r1, r2 the sensor's exact
     distance bounds to the support.  Far kind: the interval is [c_f, C_f].
     """
-    if scenario.noise_level != 0:
-        raise ValueError("coercivity check requires a noiseless scenario")
     t0 = time.perf_counter()
-    data = generate_dataset(scenario)
+    data = generate_dataset(_one_sensor(scenario, sensor))
     rule = quadrature(scenario.support, scenario.h)
     grid = scenario.frequencies
     c_f, C_f = scenario.support.amplitude_bounds()
@@ -130,20 +123,13 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
             denom = support_norm(analysis(scenario.kind, x, rule, g)) ** 2
             if denom > 1e-30:
                 break
-        ratio = abs(quadratic_form(data, sensor, g)) / denom
+        ratio = abs(quadratic_form(data, 0, g)) / denom
         ratio_min, ratio_max = min(ratio_min, ratio), max(ratio_max, ratio)
         violation = max((lower - ratio) / lower, (ratio - upper) / upper, 0.0)
         worst = max(worst, violation)
-    return VerificationReport(
-        check="coercivity",
-        scenario=scenario.summary(),
-        measured=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        runtime_s=time.perf_counter() - t0,
-        details={"ratio_min": ratio_min, "ratio_max": ratio_max,
-                 "lower_bound": lower, "upper_bound": upper, "trials": float(trials)},
-    )
+    return _report("coercivity", scenario.summary(), worst, tol, t0,
+                   {"ratio_min": ratio_min, "ratio_max": ratio_max,
+                    "lower_bound": lower, "upper_bound": upper, "trials": float(trials)})
 
 
 def check_psf(grid: FrequencyGrid, t_samples=None) -> VerificationReport:
@@ -198,19 +184,16 @@ def check_psf(grid: FrequencyGrid, t_samples=None) -> VerificationReport:
     worst = max(ratios.values())
     details = {name: v for name, (v, _) in subchecks.items()}
     details["first_zero_location"] = zero_loc
-    return VerificationReport(
-        check="psf",
-        scenario=f"k_max={k_max!r} J={grid.count}",
-        measured=worst,
-        tolerance=1.0,
-        passed=worst <= 1.0,
-        runtime_s=time.perf_counter() - t0,
-        details=details,
-    )
+    return _report("psf", f"k_max={k_max!r} J={grid.count}", worst, 1.0, t0, details)
 
 
 def symmetry_violation(data: MultiFreqDataset) -> float:
-    """Worst per-row relative deviation of the negative columns from the mirror rule."""
+    """Worst per-row relative deviation of the negative columns from the mirror rule.
+
+    Data holding a non-finite sample violate it without bound.
+    """
+    if not np.all(np.isfinite(data.values)):
+        return math.inf
     J = data.grid.count
     scale = np.abs(data.values).max(axis=1)
     dev = np.abs(data.values[:, J - 1::-1] - mirror(data.sensors, data.values[:, J + 1:]))
@@ -222,12 +205,5 @@ def check_symmetries(data: MultiFreqDataset, tol: float = 1e-14) -> Verification
     """Certify conjugate symmetry (near) or antipodal symmetry (far) of the data."""
     t0 = time.perf_counter()
     violation = symmetry_violation(data)
-    return VerificationReport(
-        check="symmetries",
-        scenario=f"kind={data.kind} L={len(data.sensors)} J={data.grid.count} "
-                 f"noise={data.noise_level!r}",
-        measured=violation,
-        tolerance=tol,
-        passed=violation <= tol,
-        runtime_s=time.perf_counter() - t0,
-    )
+    return _report("symmetries", f"kind={data.kind} L={len(data.sensors)} J={data.grid.count} "
+                   f"noise={data.noise_level!r}", violation, tol, t0)

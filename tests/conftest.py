@@ -4,6 +4,16 @@ from dataclasses import replace
 
 import mfsampling as mf
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without Hypothesis
+    pass
+else:
+    # Derandomized, so tier-1 runs the same examples every time; no example database.
+    settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                              max_examples=60)
+    settings.load_profile("tier1")
+
 
 @pytest.fixture(scope="session")
 def unit_ball():

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -6,7 +9,14 @@ import mfsampling as mf
 from mfsampling import (
     Ball,
     ConfigError,
+    Cube,
+    DatasetFormatError,
+    LShape,
+    MeasurementSet,
+    Peanut,
     PRESETS,
+    RoundedCylinder,
+    Union,
     polar_sensor,
     read_dataset,
     scenario_hash,
@@ -65,6 +75,42 @@ class TestConfigRoundTrip:
         path = tmp_path / "scenario.cfg"
         write_config(PRESETS["two_balls_pt14"], path)
         assert mf.parse_config(path) == PRESETS["two_balls_pt14"]
+
+    # every shape off the origin, with amplitudes other than the default
+    SHAPES = {
+        "ball": Ball(center=(0.3, -0.2, 0.1), radius=0.8, amplitude=2.5),
+        "cube": Cube(center=(-0.4, 0.2, 0.1), half_widths=(0.5, 0.7, 0.3), amplitude=-1.5),
+        "rounded_cylinder": RoundedCylinder(radius=0.6, half_height=0.9, amplitude=0.5),
+        "peanut": Peanut(centers=((0.1, -0.4, 0.3), (0.7, 0.2, 0.1)), radius=0.6, amplitude=3.0),
+        "lshape": LShape(box1=((-0.7, -0.3, -0.2), (0.1, 1.2, 0.3)),
+                         box2=((0.1, -0.3, -0.2), (1.1, 0.4, 0.3)), amplitude=2.0),
+        "two_balls": Union(parts=(Ball(center=(-1.1, 0.3, 0.0), radius=0.45, amplitude=2.0),
+                                  Ball(center=(0.9, -0.2, 0.4), radius=0.45, amplitude=3.0))),
+    }
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_round_trip(self, shape, kind):
+        s = replace(PRESETS["ball_pt14"], support=self.SHAPES[shape], label=f"{shape}_{kind}")
+        if kind == "far":
+            s = replace(s, measurement=MeasurementSet.far_directions([(0.6, 0.0, 0.8),
+                                                                      (0.0, 1.0, 0.0)]))
+        text = write_config_text(s)
+        assert f"shape = {shape}\n" in text
+        back = parse_config_text(text)
+        assert back == s
+        assert write_config_text(back) == text
+
+    @pytest.mark.parametrize("support", [
+        Union(parts=(Ball(center=(-1.0, 0.0, 0.0), radius=0.5),
+                     Ball(center=(1.0, 0.0, 0.0), radius=0.4))),
+        Union(parts=tuple(Ball(center=(c, 0.0, 0.0), radius=0.3) for c in (-1.0, 0.0, 1.0))),
+        Union(parts=(Cube(center=(-1.0, 0.0, 0.0), half_widths=(0.3, 0.3, 0.3)),
+                     Cube(center=(1.0, 0.0, 0.0), half_widths=(0.3, 0.3, 0.3)))),
+    ], ids=["unequal_radii", "three_balls", "two_cubes"])
+    def test_unrepresentable_support(self, support):
+        with pytest.raises(ConfigError, match="not representable"):
+            write_config_text(replace(PRESETS["ball_pt14"], support=support))
 
 
 class TestParseConfig:
@@ -292,3 +338,45 @@ class TestMainExitCodes:
         assert rc == 0
         data, meta = read_dataset(out)
         assert data.noise_level == 0.0
+
+
+def _with_line(blob: bytes, prefix: bytes, line: bytes) -> bytes:
+    """blob with its first line starting with prefix replaced by line."""
+    start = blob.index(prefix)
+    return blob[:start] + line + blob[blob.index(b"\n", start):]
+
+
+class TestCorruptFiles:
+    DATASETS = {
+        "non_ascii_header": lambda b: b.replace(b"scenario_hash: ", b"scenario_hash: \xc3\xa9", 1),
+        "bad_kind": lambda b: _with_line(b, b"kind: ", b"kind: middle"),
+        "malformed_sensor": lambda b: _with_line(b, b"sensor: ", b"sensor: 3.0 zero 0.0"),
+        "truncated_payload": lambda b: b[:-16],
+        "nan_sample": lambda b: b[:-8] + struct.pack("<d", math.nan),
+    }
+    FIELDS = {
+        "missing_normalized": lambda b: b.replace(b"normalized: true\n", b"", 1),
+        "truncated_payload": lambda b: b[:-8],
+    }
+    ARGS = ["--config", "ball_pt1", "--noise", "0", "--grid", "8"]
+
+    @pytest.mark.parametrize("corrupt", sorted(DATASETS))
+    def test_dataset_exit_three(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "d.mfd"
+        assert main(["simulate", *self.ARGS, "--out", str(path)]) == 0
+        path.write_bytes(self.DATASETS[corrupt](path.read_bytes()))
+        capsys.readouterr()
+        rc = main(["image", *self.ARGS, "--data", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    @pytest.mark.parametrize("corrupt", sorted(FIELDS))
+    def test_field_format_error(self, tmp_path, corrupt):
+        path = tmp_path / "d.mfd"
+        assert main(["simulate", *self.ARGS, "--out", str(path)]) == 0
+        assert main(["image", *self.ARGS, "--data", str(path), "--out", str(tmp_path / "r")]) == 0
+        field = tmp_path / "r.field"
+        mf.imaging.read_field(field)
+        field.write_bytes(self.FIELDS[corrupt](field.read_bytes()))
+        with pytest.raises(DatasetFormatError):
+            mf.imaging.read_field(field)

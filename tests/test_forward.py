@@ -305,6 +305,12 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="payload"):
             read_dataset(path)
 
+    def test_non_finite_values_rejected(self, ball_dataset):
+        values = ball_dataset.values.copy()
+        values[0, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            replace(ball_dataset, values=values)
+
     def test_far_round_trip(self, far_ball_dataset, tmp_path):
         path = tmp_path / "far.mfd"
         write_dataset(far_ball_dataset, path)

@@ -239,6 +239,10 @@ class TestNormalize:
         with pytest.raises(ValueError, match="all-zero"):
             normalize(self._field([0.0, 0.0]))
 
+    def test_non_finite_field_errors(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize(self._field([1.0, math.nan, 2.0]))
+
 
 @pytest.fixture(scope="module")
 def ball_field(ball_dataset):

@@ -25,6 +25,7 @@ from mfsampling import (
     support_norm,
     synthesis,
 )
+from mfsampling.operators import _one_sensor
 
 
 def random_freq(grid, rng):
@@ -214,6 +215,21 @@ class TestFactorization:
         a = factorization_residual(ball_scenario, trials=5)
         b = factorization_residual(ball_scenario, trials=5)
         assert a == b
+
+
+@pytest.mark.parametrize("kind", ["near", "far"])
+def test_one_sensor_rows_match_full_dataset(kind):
+    # the certificates regenerate one sensor's row instead of all L
+    s = mf.Scenario(
+        support=Ball(center=(1.2, 0.4, 0.0), radius=0.5), h=0.2,
+        measurement=(MeasurementSet.near_points([(3.0, 0.0, 0.0), (0.0, -3.0, 0.5),
+                                                 (-2.0, 1.0, 2.0)]) if kind == "near"
+                     else MeasurementSet.far_directions([(1.0, 0.0, 0.0), (0.0, 0.6, 0.8)])),
+        frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1)
+    full = mf.generate_dataset(s)
+    for sensor in range(len(s.measurement)):
+        one = mf.generate_dataset(_one_sensor(s, sensor))
+        assert np.array_equal(one.values[0], full.values[sensor])
 
 
 class TestSandwich:

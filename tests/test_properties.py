@@ -1,0 +1,153 @@
+"""Property tests: config text and the dataset/field containers round-trip exactly."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+import mfsampling as mf
+from mfsampling.scenario import parse_config_text, write_config_text
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+positive = st.floats(0.05, 1.5, allow_nan=False)
+amplitude = st.floats(0.1, 10.0, allow_nan=False)
+point = st.tuples(coord, coord, coord)
+extent = st.tuples(positive, positive, positive)
+
+
+@st.composite
+def boxes(draw):
+    lo = draw(point)
+    return lo, tuple(a + w for a, w in zip(lo, draw(extent)))
+
+
+@st.composite
+def two_balls(draw):
+    radius = draw(positive)
+    return mf.Union(parts=tuple(mf.Ball(center=draw(point), radius=radius,
+                                        amplitude=draw(amplitude)) for _ in range(2)))
+
+
+supports = st.one_of(
+    st.builds(mf.Ball, center=point, radius=positive, amplitude=amplitude),
+    st.builds(mf.Cube, center=point, half_widths=extent, amplitude=st.floats(-10.0, -0.1)),
+    st.builds(mf.RoundedCylinder, radius=positive, half_height=positive, amplitude=amplitude),
+    st.builds(mf.Peanut, centers=st.tuples(point, point), radius=positive, amplitude=amplitude),
+    st.builds(mf.LShape, box1=boxes(), box2=boxes(), amplitude=amplitude),
+    two_balls(),
+)
+
+
+@st.composite
+def unit_vectors(draw):
+    v = np.array(draw(st.tuples(coord, coord, coord).filter(
+        lambda p: math.hypot(*p) > 0.1)))
+    return tuple(v / np.linalg.norm(v))
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(["near", "far"]))
+    directions = draw(st.lists(unit_vectors(), min_size=1, max_size=4))
+    if kind == "near":  # outside every support the strategy draws
+        measurement = mf.MeasurementSet.near_points([tuple(9.0 * c for c in d)
+                                                     for d in directions])
+    else:
+        measurement = mf.MeasurementSet.far_directions(directions)
+    lo = draw(st.tuples(coord, coord, coord))
+    return mf.Scenario(
+        support=draw(supports), h=draw(positive), measurement=measurement,
+        frequencies=mf.FrequencyGrid(k_max=draw(st.floats(0.5, 50.0)),
+                                     count=draw(st.integers(2, 64))),
+        noise_level=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 2**31)),
+        sampling=mf.SamplingGrid(bounds=tuple((a, a + w) for a, w in zip(lo, draw(extent))),
+                                 resolution=draw(st.tuples(*[st.integers(1, 64)] * 3))),
+        zero_mode=draw(st.sampled_from(["extend", "drop"])),
+        iso_values=tuple(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3))),
+        label=draw(st.from_regex(r"[a-z0-9_]{0,12}", fullmatch=True)),
+    )
+
+
+@given(scenarios())
+def test_config_text_round_trip(s):
+    text = write_config_text(s)
+    back = parse_config_text(text)
+    assert back == s
+    assert write_config_text(back) == text
+    assert mf.scenario_hash(back) == mf.scenario_hash(s)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    J = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        sensors = mf.MeasurementSet.near_points(draw(st.lists(st.tuples(finite, finite, finite),
+                                                              min_size=1, max_size=3)))
+    else:
+        sensors = mf.MeasurementSet.far_directions(draw(st.lists(unit_vectors(), min_size=1,
+                                                                 max_size=2)))
+    parts = draw(st.lists(finite, min_size=2 * len(sensors) * (2 * J + 1),
+                          max_size=2 * len(sensors) * (2 * J + 1)))
+    raw = np.array(parts).reshape(len(sensors), 2 * J + 1, 2)
+    return mf.MultiFreqDataset(
+        kind=sensors.kind, sensors=sensors,
+        grid=mf.FrequencyGrid(k_max=draw(st.floats(0.5, 50.0)), count=J),
+        values=raw[..., 0] + 1j * raw[..., 1], noise_level=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**31)))
+
+
+def _rewrite(write, read, obj, tag):
+    """Bytes of obj, and of obj read back and written again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a", Path(tmp) / "b"
+        write(obj, first, tag)
+        back, meta = read(first)
+        write(back, second, meta["scenario_hash"])
+        return first.read_bytes(), second.read_bytes(), back
+
+
+hashes = st.from_regex(r"[0-9a-f]{16}|-", fullmatch=True)
+
+
+@given(datasets(), hashes)
+def test_dataset_byte_round_trip(data, tag):
+    first, second, back = _rewrite(mf.write_dataset, mf.read_dataset, data, tag)
+    assert first == second
+    assert np.array_equal(back.values, data.values)
+    assert back.sensors == data.sensors and back.grid == data.grid
+
+
+@given(datasets(), st.data())
+def test_truncated_dataset_is_format_error(data, draw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.mfd"
+        mf.write_dataset(data, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:draw.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(mf.DatasetFormatError):
+            mf.read_dataset(path)
+
+
+@st.composite
+def fields(draw):
+    lo = draw(point)
+    grid = mf.SamplingGrid(bounds=tuple((a, a + w) for a, w in zip(lo, draw(extent))),
+                           resolution=draw(st.tuples(*[st.integers(1, 4)] * 3)))
+    values = draw(st.lists(finite, min_size=grid.size, max_size=grid.size))
+    return mf.IndicatorField(grid=grid, values=np.array(values), normalized=draw(st.booleans()))
+
+
+@given(fields(), hashes)
+def test_field_byte_round_trip(field, tag):
+    first, second, back = _rewrite(mf.imaging.write_field, mf.imaging.read_field, field, tag)
+    assert first == second
+    assert np.array_equal(back.values, field.values)
+    assert back.grid == field.grid and back.normalized == field.normalized

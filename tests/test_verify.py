@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import mfsampling as mf
 from mfsampling import (
     Ball,
     FrequencyGrid,
@@ -115,6 +116,13 @@ class TestCheckSymmetries:
     def test_clean_far_passes(self, far_ball_dataset):
         report = check_symmetries(far_ball_dataset)
         assert report.passed
+
+    def test_nan_sample_fails(self):
+        data = mf.generate_dataset(replace(mf.PRESETS["ball_pt3"], noise_level=0.0, h=0.2))
+        data.values[1, 3] = np.nan
+        report = check_symmetries(data)
+        assert not report.passed
+        assert report.measured == math.inf
 
     def test_noisy_fails_at_noise_scale(self, ball_dataset):
         noisy = add_noise(ball_dataset, 0.05, 1)
