@@ -37,7 +37,6 @@ from .operators import (
     factorization_residual,
     far_quadratic_form,
     freq_inner,
-    freq_norm,
     near_quadratic_form,
     quadratic_form,
     support_inner,

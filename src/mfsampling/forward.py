@@ -54,11 +54,6 @@ class FrequencyGrid:
         """Difference grid m*dk, m = -count..count."""
         return np.arange(-self.count, self.count + 1) * self.spacing
 
-    def difference_index(self, m: int) -> int:
-        if not -self.count <= m <= self.count:
-            raise ValueError(f"difference index {m} outside [-{self.count}, {self.count}]")
-        return m + self.count
-
 
 @dataclass(frozen=True)
 class MeasurementSet:
@@ -134,6 +129,12 @@ def phase(kind: str, x, points) -> tuple[np.ndarray, np.ndarray | float]:
     return -(points @ xp), 1.0
 
 
+def _kernel(kind: str, x, points, k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Band kernel e^{i k phase(y)}, rows k by columns points, with the phase map's spreading."""
+    ph, spreading = phase(kind, x, points)
+    return np.exp(1j * np.multiply.outer(k, ph)), spreading
+
+
 @dataclass
 class MultiFreqDataset:
     """Complex field samples over (sensor, difference frequency m = -J..J)."""
@@ -154,9 +155,6 @@ class MultiFreqDataset:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("dataset values must be finite")
 
-    def value(self, sensor: int, m: int) -> complex:
-        return complex(self.values[sensor, self.grid.difference_index(m)])
-
     def row_rms(self) -> np.ndarray:
         return np.sqrt((np.abs(self.values) ** 2).mean(axis=1))
 
@@ -170,17 +168,18 @@ def fundamental_solution(k: float, x, y) -> complex:
 
 
 def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
-                   k: float) -> complex:
+                   k: float | np.ndarray) -> complex | np.ndarray:
     """Field at sensor x (near) or pattern in direction x (far) at wavenumber k.
 
     Quadrature of w * f * e^{i k phase} / spreading over the support; the
     near kernel is the outgoing point source, the far kernel e^{-i k xhat.y}.
+    A scalar k gives a complex, an array of wavenumbers an array of samples.
     """
     if kind == "near" and contains(support, _point(x)):
         raise GeometryError("near-field evaluation point lies inside the source support")
-    ph, spreading = phase(kind, x, rule.nodes)
-    f = support.amplitude_at(rule.nodes)
-    return complex(np.sum(rule.weights * f * np.exp(1j * k * ph) / spreading))
+    E, spreading = _kernel(kind, x, rule.nodes, k)
+    u = np.sum(rule.weights * support.amplitude_at(rule.nodes) * E / spreading, axis=-1)
+    return complex(u) if np.ndim(k) == 0 else u
 
 
 def mirror(sensors: MeasurementSet, positive: np.ndarray) -> np.ndarray:
@@ -204,11 +203,10 @@ def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
     support, grid, sensors = scenario.support, scenario.frequencies, scenario.measurement
     rule = quadrature(support, scenario.h)
     J = grid.count
-    dk = grid.spacing
+    ks = np.arange(J + 1) * grid.spacing
     values = np.zeros((len(sensors), 2 * J + 1), dtype=complex)
     for ell, x in enumerate(sensors.array):
-        for m in range(0, J + 1):
-            values[ell, J + m] = radiated_field(sensors.kind, support, rule, x, m * dk)
+        values[ell, J:] = radiated_field(sensors.kind, support, rule, x, ks)
     values[:, J - 1::-1] = mirror(sensors, values[:, J + 1:])
     if scenario.zero_mode == "drop":
         values[:, J] = 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,16 +84,76 @@ class SourceSupport(ABC):
             raise ValueError("all component amplitudes must share the same sign")
 
 
-def _box_signed_bounds(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Signed inf and sup of |x - y| over a closed axis-aligned box."""
-    gap = np.maximum(lo - x, x - hi)
-    if np.all(gap < 0):
-        r1 = float(gap.max())  # negative: inside
-    else:
-        r1 = float(np.sqrt((np.maximum(gap, 0.0) ** 2).sum()))
-    far = np.maximum(np.abs(x - lo), np.abs(x - hi))
-    r2 = float(np.sqrt((far**2).sum()))
-    return r1, r2
+class _Parts(SourceSupport):
+    """A support whose region is the union of its parts: membership, box and bounds follow."""
+
+    @abstractmethod
+    def _parts(self) -> tuple:
+        """The parts, each with contains_points, bounding_box and signed_distance_bounds."""
+
+    def contains_points(self, points):
+        pts = _points(points)
+        return np.logical_or.reduce([part.contains_points(pts) for part in self._parts()])
+
+    def bounding_box(self):
+        boxes = [part.bounding_box() for part in self._parts()]
+        return np.minimum.reduce([b[0] for b in boxes]), np.maximum.reduce([b[1] for b in boxes])
+
+    def signed_distance_bounds(self, x):
+        bounds = [part.signed_distance_bounds(x) for part in self._parts()]
+        return min(b[0] for b in bounds), max(b[1] for b in bounds)
+
+
+class _Box(NamedTuple):
+    """Open axis-aligned box between the corners lo and hi: a part of Cube and LShape."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def contains_points(self, points):
+        pts = _points(points)
+        return np.all((pts > self.lo) & (pts < self.hi), axis=1)
+
+    def bounding_box(self):
+        return self.lo, self.hi
+
+    def signed_distance_bounds(self, x):
+        """Signed inf and sup of |x - y| over the closed box."""
+        x = _point(x)
+        gap = np.maximum(self.lo - x, x - self.hi)
+        if np.all(gap < 0):
+            r1 = float(gap.max())  # negative: inside
+        else:
+            r1 = float(np.sqrt((np.maximum(gap, 0.0) ** 2).sum()))
+        far = np.maximum(np.abs(x - self.lo), np.abs(x - self.hi))
+        r2 = float(np.sqrt((far**2).sum()))
+        return r1, r2
+
+
+class _Cylinder(NamedTuple):
+    """Open vertical cylinder rho < radius, |x3| < half_height: the body of RoundedCylinder."""
+
+    radius: float
+    half_height: float
+
+    def contains_points(self, points):
+        pts = _points(points)
+        rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+        return (rho2 < self.radius**2) & (np.abs(pts[:, 2]) < self.half_height)
+
+    def bounding_box(self):
+        r, h = self.radius, self.half_height
+        return np.array([-r, -r, -h]), np.array([r, r, h])
+
+    def signed_distance_bounds(self, x):
+        p = _point(x)
+        rho = float(np.hypot(p[0], p[1]))
+        dr, dz = rho - self.radius, abs(p[2]) - self.half_height
+        if dr <= 0 and dz <= 0:
+            r1 = max(dr, dz)
+        else:
+            r1 = float(np.hypot(max(dr, 0.0), max(dz, 0.0)))
+        return r1, float(np.hypot(rho + self.radius, abs(p[2]) + self.half_height))
 
 
 @dataclass(frozen=True)
@@ -125,7 +185,7 @@ class Ball(SourceSupport):
 
 
 @dataclass(frozen=True)
-class Cube(SourceSupport):
+class Cube(_Parts):
     """Axis-aligned box given by center and per-axis half-widths."""
 
     center: tuple[float, float, float]
@@ -140,25 +200,13 @@ class Cube(SourceSupport):
             raise ValueError("cube half-widths must be positive")
         self._check_amplitudes()
 
-    def _corners(self):
+    def _parts(self):
         c, w = np.asarray(self.center), np.asarray(self.half_widths)
-        return c - w, c + w
-
-    def contains_points(self, points):
-        pts = _points(points)
-        lo, hi = self._corners()
-        return np.all((pts > lo) & (pts < hi), axis=1)
-
-    def bounding_box(self):
-        return self._corners()
-
-    def signed_distance_bounds(self, x):
-        lo, hi = self._corners()
-        return _box_signed_bounds(lo, hi, _point(x))
+        return (_Box(c - w, c + w),)
 
 
 @dataclass(frozen=True)
-class RoundedCylinder(SourceSupport):
+class RoundedCylinder(_Parts):
     """Vertical cylinder |x3| < half_height of the given radius, capped by hemispheres."""
 
     radius: float
@@ -173,41 +221,13 @@ class RoundedCylinder(SourceSupport):
             raise ValueError("rounded cylinder radius and half-height must be positive")
         self._check_amplitudes()
 
-    def _cap_centers(self):
-        return np.array([0.0, 0.0, self.half_height]), np.array([0.0, 0.0, -self.half_height])
-
-    def contains_points(self, points):
-        pts = _points(points)
-        rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        in_cyl = (rho2 < self.radius**2) & (np.abs(pts[:, 2]) < self.half_height)
-        top, bot = self._cap_centers()
-        in_top = ((pts - top) ** 2).sum(axis=1) < self.radius**2
-        in_bot = ((pts - bot) ** 2).sum(axis=1) < self.radius**2
-        return in_cyl | in_top | in_bot
-
-    def bounding_box(self):
-        r, h = self.radius, self.half_height
-        return np.array([-r, -r, -(h + r)]), np.array([r, r, h + r])
-
-    def signed_distance_bounds(self, x):
-        p = _point(x)
-        rho = float(np.hypot(p[0], p[1]))
-        dr, dz = rho - self.radius, abs(p[2]) - self.half_height
-        if dr <= 0 and dz <= 0:
-            cyl_inf = max(dr, dz)
-        else:
-            cyl_inf = float(np.hypot(max(dr, 0.0), max(dz, 0.0)))
-        cyl_sup = float(np.hypot(rho + self.radius, abs(p[2]) + self.half_height))
-        r1, r2 = cyl_inf, cyl_sup
-        for c in self._cap_centers():
-            d = float(np.linalg.norm(p - c))
-            r1 = min(r1, d - self.radius)
-            r2 = max(r2, d + self.radius)
-        return r1, r2
+    def _parts(self):
+        r, h, a = self.radius, self.half_height, self.amplitude
+        return (_Cylinder(r, h), Ball((0.0, 0.0, h), r, a), Ball((0.0, 0.0, -h), r, a))
 
 
 @dataclass(frozen=True)
-class Peanut(SourceSupport):
+class Peanut(_Parts):
     """Union of two overlapping balls of a common radius, treated as one component."""
 
     centers: tuple[tuple[float, float, float], tuple[float, float, float]]
@@ -223,25 +243,12 @@ class Peanut(SourceSupport):
             raise ValueError("peanut radius must be positive")
         self._check_amplitudes()
 
-    def contains_points(self, points):
-        pts = _points(points)
-        hit = np.zeros(len(pts), dtype=bool)
-        for c in self.centers:
-            hit |= ((pts - np.asarray(c)) ** 2).sum(axis=1) < self.radius**2
-        return hit
-
-    def bounding_box(self):
-        cs = np.asarray(self.centers)
-        return cs.min(axis=0) - self.radius, cs.max(axis=0) + self.radius
-
-    def signed_distance_bounds(self, x):
-        p = _point(x)
-        ds = [float(np.linalg.norm(p - np.asarray(c))) for c in self.centers]
-        return min(d - self.radius for d in ds), max(d + self.radius for d in ds)
+    def _parts(self):
+        return tuple(Ball(c, self.radius, self.amplitude) for c in self.centers)
 
 
 @dataclass(frozen=True)
-class LShape(SourceSupport):
+class LShape(_Parts):
     """Union of two axis-aligned boxes, each given as (min corner, max corner)."""
 
     box1: tuple[tuple[float, float, float], tuple[float, float, float]]
@@ -258,33 +265,12 @@ class LShape(SourceSupport):
         object.__setattr__(self, "amplitude", float(self.amplitude))
         self._check_amplitudes()
 
-    def _boxes(self):
-        return (
-            (np.asarray(self.box1[0]), np.asarray(self.box1[1])),
-            (np.asarray(self.box2[0]), np.asarray(self.box2[1])),
-        )
-
-    def contains_points(self, points):
-        pts = _points(points)
-        hit = np.zeros(len(pts), dtype=bool)
-        for lo, hi in self._boxes():
-            hit |= np.all((pts > lo) & (pts < hi), axis=1)
-        return hit
-
-    def bounding_box(self):
-        boxes = self._boxes()
-        lo = np.minimum(boxes[0][0], boxes[1][0])
-        hi = np.maximum(boxes[0][1], boxes[1][1])
-        return lo, hi
-
-    def signed_distance_bounds(self, x):
-        p = _point(x)
-        bounds = [_box_signed_bounds(lo, hi, p) for lo, hi in self._boxes()]
-        return min(b[0] for b in bounds), max(b[1] for b in bounds)
+    def _parts(self):
+        return tuple(_Box(np.asarray(lo), np.asarray(hi)) for lo, hi in (self.box1, self.box2))
 
 
 @dataclass(frozen=True)
-class Union(SourceSupport):
+class Union(_Parts):
     parts: tuple[SourceSupport, ...]
 
     def __post_init__(self):
@@ -297,22 +283,8 @@ class Union(SourceSupport):
         for part in self.parts:
             yield from part.components()
 
-    def contains_points(self, points):
-        pts = _points(points)
-        hit = np.zeros(len(pts), dtype=bool)
-        for part in self.parts:
-            hit |= part.contains_points(pts)
-        return hit
-
-    def bounding_box(self):
-        boxes = [part.bounding_box() for part in self.parts]
-        lo = np.minimum.reduce([b[0] for b in boxes])
-        hi = np.maximum.reduce([b[1] for b in boxes])
-        return lo, hi
-
-    def signed_distance_bounds(self, x):
-        bounds = [part.signed_distance_bounds(x) for part in self.parts]
-        return min(b[0] for b in bounds), max(b[1] for b in bounds)
+    def _parts(self):
+        return self.parts
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .forward import (
     FrequencyGrid,
     MultiFreqDataset,
     _format_floats,
+    _kernel,
     _numbers,
     _reading,
     _samples,
@@ -113,8 +114,8 @@ class ThresholdMask:
 
 def probe(kind: str, x, z, grid: FrequencyGrid) -> FreqFunction:
     """Unimodular probe e^{i k_j phase(z)} of sensor x at sampling point z."""
-    ph, _ = phase(kind, x, _points(z))
-    return FreqFunction(grid=grid, samples=np.exp(1j * grid.nodes * float(ph[0])))
+    E, _ = _kernel(kind, x, _points(z), grid.nodes)
+    return FreqFunction(grid=grid, samples=E[:, 0])
 
 
 # Former per-kind names, still called by the benchmark's oracle.
@@ -122,11 +123,12 @@ near_test_function = partial(probe, "near")
 far_test_function = partial(probe, "far")
 
 
-def psf_closed_form(t: float, k_max: float) -> complex:
-    """Band-limited point spread profile: integral of e^{i s t} over s in (0, k_max]."""
-    if t == 0.0:
-        return complex(k_max)
-    return complex((np.exp(1j * t * k_max) - 1.0) / (1j * t))
+def psf_closed_form(t, k_max: float) -> complex | np.ndarray:
+    """Band-limited point spread profile: integral of e^{i s t} over s in (0, k_max], per t."""
+    t = np.asarray(t, dtype=float)
+    safe = np.where(t == 0.0, 1.0, t)
+    val = np.where(t == 0.0, k_max, (np.exp(1j * safe * k_max) - 1.0) / (1j * safe))
+    return complex(val) if val.ndim == 0 else val
 
 
 def psf_discrete(t: float, grid: FrequencyGrid) -> complex:

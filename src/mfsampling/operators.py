@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .forward import FrequencyGrid, MeasurementSet, MultiFreqDataset, generate_dataset, phase
+from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _kernel, generate_dataset,
+                      phase)
 from .geometry import QuadratureRule, SourceSupport, quadrature
 
 if TYPE_CHECKING:
@@ -63,9 +64,6 @@ def freq_inner(a: FreqFunction, b: FreqFunction) -> complex:
         raise ValueError("frequency grid mismatch")
     return complex(a.grid.spacing * np.sum(a.samples * np.conj(b.samples)))
 
-def freq_norm(a: FreqFunction) -> float:
-    return math.sqrt(abs(freq_inner(a, a)))
-
 def support_inner(u: SupportFunction, v: SupportFunction) -> complex:
     """Discrete support inner product sum w * u conj(v)."""
     if u.rule is not v.rule and len(u.rule) != len(v.rule):
@@ -111,17 +109,15 @@ near_quadratic_form = far_quadratic_form = quadratic_form
 def synthesis(kind: str, x, rule: QuadratureRule, psi: SupportFunction,
               grid: FrequencyGrid) -> FreqFunction:
     """Support -> band map with kernel e^{i t phase(y)} (outer factor of the data operator)."""
-    ph, _ = phase(kind, x, rule.nodes)
-    phases = np.exp(1j * np.outer(grid.nodes, ph))
-    out = np.einsum("jq,q->j", phases, rule.weights * psi.samples)
+    E, _ = _kernel(kind, x, rule.nodes, grid.nodes)
+    out = np.einsum("jq,q->j", E, rule.weights * psi.samples)
     return FreqFunction(grid=grid, samples=out)
 
 
 def analysis(kind: str, x, rule: QuadratureRule, phi: FreqFunction) -> SupportFunction:
     """Band -> support adjoint with kernel e^{-i s phase(y)}."""
-    ph, _ = phase(kind, x, rule.nodes)
-    phases = np.exp(-1j * np.outer(phi.grid.nodes, ph))
-    out = phi.grid.spacing * np.einsum("jq,j->q", phases, phi.samples)
+    E, _ = _kernel(kind, x, rule.nodes, -phi.grid.nodes)
+    out = phi.grid.spacing * np.einsum("jq,j->q", E, phi.samples)
     return SupportFunction(rule=rule, samples=out)
 
 
@@ -156,8 +152,8 @@ def _dense_operator_pair(scenario: "Scenario", sensor: int):
     dk = grid.spacing
     N = dk * _toeplitz_block(data, 0)
     f = scenario.support.amplitude_at(rule.nodes)
-    ph, spreading = phase(scenario.kind, scenario.measurement.array[sensor], rule.nodes)
-    E = np.exp(1j * np.outer(grid.nodes, ph))
+    E, spreading = _kernel(scenario.kind, scenario.measurement.array[sensor], rule.nodes,
+                           grid.nodes)
     mid = rule.weights * f / spreading
     M = dk * np.einsum("jq,q,lq->jl", E, mid, np.conj(E))
     return N, M

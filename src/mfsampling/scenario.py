@@ -45,10 +45,10 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        if self.h <= 0:
-            raise ConfigError("key 'h': quadrature spacing must be positive")
-        if self.noise_level < 0:
-            raise ConfigError("key 'noise': noise level must be nonnegative")
+        if not 0 < self.h < math.inf:
+            raise ConfigError("key 'h': quadrature spacing must be positive and finite")
+        if not 0 <= self.noise_level < math.inf:
+            raise ConfigError("key 'noise': noise level must be nonnegative and finite")
         if self.seed < 0:
             raise ConfigError("key 'seed': seed must be a nonnegative integer")
         if self.zero_mode not in ("extend", "drop"):
@@ -124,10 +124,11 @@ _SHAPES = {
                           tuple(p.amplitude for p in s.parts))),
 }
 
+_SHAPE_KEYS = {key.name for spec in _SHAPES.values() for key in spec.keys}
 _KNOWN_KEYS = {
     "label", "kind", "shape", "h", "sensors", "sensors_polar", "directions", "k_max",
     "num_freq", "noise", "seed", "grid_bounds", "grid_n", "zero_mode", "iso",
-} | {key.name for spec in _SHAPES.values() for key in spec.keys}
+} | _SHAPE_KEYS
 
 
 def _floats(key: str, raw: str, n: int | None = None) -> tuple[float, ...]:
@@ -153,7 +154,11 @@ def _int(key: str, raw: str) -> int:
 
 
 def _build_shape(shape: str, kv: dict[str, str]) -> SourceSupport:
-    """The support that a shape's config keys describe."""
+    """The support that a shape's config keys describe; another shape's keys are refused."""
+    foreign = _SHAPE_KEYS - {key.name for key in _SHAPES[shape].keys}
+    for name in kv:
+        if name in foreign:
+            raise ConfigError(f"key '{name}': not a key of shape '{shape}'")
     values = []
     for key in _SHAPES[shape].keys:
         raw = kv.get(key.name, key.default)

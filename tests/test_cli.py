@@ -168,6 +168,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key 'noise'"):
             parse_config_text("shape = ball\nradius = 1\nsensors = 3 0 0\nnoise = -0.5\n")
 
+    @pytest.mark.parametrize("shape_lines, key", [
+        ("shape = ball\nradius = 1\nhalf_widths = 1 1 1\n", "half_widths"),
+        ("shape = cube\nhalf_widths = 1 1 1\nradius = 1\n", "radius"),
+        ("shape = peanut\ncenters = -0.5 0 0 ; 0.5 0 0\nradius = 1\nboxes = 0 0 0 1 1 1 ; "
+         "0 0 0 1 1 1\n", "boxes"),
+    ], ids=["ball", "cube", "peanut"])
+    def test_other_shape_key_named(self, shape_lines, key):
+        shape = shape_lines.split("\n")[0].split(" = ")[1]
+        with pytest.raises(ConfigError, match=f"key '{key}': not a key of shape '{shape}'"):
+            parse_config_text(shape_lines + "sensors = 3 0 0\n")
+
     def test_bad_iso(self):
         with pytest.raises(ConfigError, match="key 'iso'"):
             parse_config_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso = 1.5\n")
@@ -323,6 +334,28 @@ class TestMainExitCodes:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d.mfd")])
         assert rc == 2
         assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_override_exit_two(self, tmp_path, capsys, value):
+        out = tmp_path / "d.mfd"
+        rc = main(["simulate", "--config", "ball_pt1", "--noise", value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: key 'noise'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("h", math.nan), ("h", math.inf),
+                                            ("noise_level", math.nan), ("noise_level", math.inf)])
+    def test_non_finite_scenario_field_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key.removesuffix('_level')}'"):
+            replace(PRESETS["ball_pt1"], **{key: value})
+
+    def test_other_shape_key_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(write_config_text(PRESETS["ball_pt1"]) + "half_widths = 1 1 1\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d.mfd")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: key 'half_widths': not a key of shape 'ball'" in err
 
     def test_image_missing_data_exit_three(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -87,6 +87,12 @@ class TestPsfClosedForm:
     def test_large_argument_decay(self):
         assert abs(psf_closed_form(1e6, 11.0)) <= 2e-6
 
+    def test_array_matches_scalar_calls(self):
+        t = np.concatenate([np.linspace(-40, 40, 2001), [1e-8, -1e6]])
+        vals = psf_closed_form(t, 11.0)
+        assert vals.shape == t.shape
+        assert vals.tobytes() == np.array([psf_closed_form(float(s), 11.0) for s in t]).tobytes()
+
 
 class TestPsfDiscrete:
     def test_zero_argument(self):

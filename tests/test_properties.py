@@ -1,4 +1,5 @@
-"""Property tests: config text and the dataset/field containers round-trip exactly."""
+"""Property tests: config text and the dataset/field containers round-trip exactly;
+the forward data and the factorization hold over drawn supports and sensors."""
 
 import math
 import tempfile
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import mfsampling as mf
 from mfsampling.scenario import parse_config_text, write_config_text
@@ -151,3 +152,43 @@ def test_field_byte_round_trip(field, tag):
     assert first == second
     assert np.array_equal(back.values, field.values)
     assert back.grid == field.grid and back.normalized == field.normalized
+
+
+@st.composite
+def one_sensor_scenarios(draw):
+    """A noiseless scenario with one drawn sensor, at a spacing of 1/12 of the support's box.
+
+    The rule then has at most 12^3 nodes; a support it misses entirely is rejected.
+    """
+    support = draw(supports)
+    lo, hi = support.bounding_box()
+    h = float((hi - lo).max()) / 12
+    try:
+        mf.quadrature(support, h)
+    except mf.GeometryError:
+        assume(False)
+    d = draw(unit_vectors())
+    if draw(st.booleans()):  # outside every support the strategy draws
+        measurement = mf.MeasurementSet.near_points([tuple(9.0 * c for c in d)])
+    else:
+        measurement = mf.MeasurementSet.far_directions([d])
+    return mf.Scenario(
+        support=support, h=h, measurement=measurement,
+        frequencies=mf.FrequencyGrid(k_max=draw(st.floats(0.5, 20.0)),
+                                     count=draw(st.integers(2, 16))),
+        noise_level=0.0, seed=draw(st.integers(0, 2**31)))
+
+
+@given(one_sensor_scenarios(), st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+def test_radiated_field_batch_equals_scalar_calls(s, ks):
+    rule = mf.quadrature(s.support, s.h)
+    x = s.measurement.points[0]
+    batch = mf.radiated_field(s.kind, s.support, rule, x, np.array(ks))
+    scalar = np.array([mf.radiated_field(s.kind, s.support, rule, x, k) for k in ks])
+    assert batch.shape == scalar.shape
+    assert batch.tobytes() == scalar.tobytes()
+
+
+@given(one_sensor_scenarios())
+def test_factorization_residual_small(s):
+    assert mf.factorization_residual(s) <= 1e-10
