@@ -29,10 +29,9 @@ from .forward import (
     write_dataset,
 )
 from .operators import (
+    Factorization,
     FreqFunction,
     SupportFunction,
-    analysis,
-    apply_multiplier,
     apply_operator,
     factorization_residual,
     far_quadratic_form,
@@ -41,7 +40,6 @@ from .operators import (
     quadratic_form,
     support_inner,
     support_norm,
-    synthesis,
 )
 from .imaging import (
     CrossSection,

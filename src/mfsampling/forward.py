@@ -225,8 +225,8 @@ def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDatas
     (seed, sensor, column) — independent of evaluation schedule.
     """
     level = float(level)
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= level < math.inf:
+        raise ValueError(f"noise level must be nonnegative and finite, got {level!r}")
     if seed < 0:
         raise ValueError("noise seed must be nonnegative")
     values = data.values.copy()
@@ -333,9 +333,12 @@ def read_dataset(path) -> tuple[MultiFreqDataset, dict]:
         if len(meta["sensor_list"]) != L:
             raise ValueError(f"expected {L} sensor lines")
         raw = _samples(payload, (L, 2 * J + 1, 2))
+        grid = FrequencyGrid(k_max=_numbers(meta["k_max"], 1)[0], count=J)
+        if _numbers(meta["dk"], 1)[0] != grid.spacing:
+            raise ValueError(f"dk {meta['dk']} is not k_max / frequencies = {grid.spacing!r}")
         data = MultiFreqDataset(
             kind=meta["kind"], sensors=MeasurementSet(meta["kind"], tuple(meta["sensor_list"])),
-            grid=FrequencyGrid(k_max=_numbers(meta["k_max"], 1)[0], count=J),
+            grid=grid,
             values=raw[..., 0] + 1j * raw[..., 1], noise_level=_numbers(meta["noise_level"], 1)[0],
             seed=int(meta["seed"]))
     return data, meta

@@ -9,20 +9,19 @@ are reproducible across platforms and thread counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _kernel, generate_dataset,
-                      phase)
+from .forward import FrequencyGrid, MeasurementSet, MultiFreqDataset, _kernel, generate_dataset
 from .geometry import QuadratureRule, SourceSupport, quadrature
 
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-_DENSE_FREQ_LIMIT = 64
 _FACTORIZATION_SALT = 0x8F1E
 
 
@@ -106,70 +105,68 @@ def quadratic_form(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> comp
 near_quadratic_form = far_quadratic_form = quadratic_form
 
 
-def synthesis(kind: str, x, rule: QuadratureRule, psi: SupportFunction,
-              grid: FrequencyGrid) -> FreqFunction:
-    """Support -> band map with kernel e^{i t phase(y)} (outer factor of the data operator)."""
-    E, _ = _kernel(kind, x, rule.nodes, grid.nodes)
-    out = np.einsum("jq,q->j", E, rule.weights * psi.samples)
-    return FreqFunction(grid=grid, samples=out)
+class Factorization:
+    """One sensor's factors of its data operator, N = P T P* on matched quadrature.
+
+    P (`synthesis`) maps support to band with kernel e^{i k phase(y)}, T
+    (`apply_multiplier`) multiplies by f(y) / spreading(y), and P* (`analysis`)
+    is P's adjoint, with the conjugate kernel.  The J x Q kernel and the
+    multiplier are built once, when the factorization is.
+    """
+
+    def __init__(self, kind: str, x, support: SourceSupport, rule: QuadratureRule,
+                 grid: FrequencyGrid):
+        self.rule, self.grid = rule, grid
+        self.kernel, spreading = _kernel(kind, x, rule.nodes, grid.nodes)
+        self.multiplier = support.amplitude_at(rule.nodes) / spreading
+
+    def synthesis(self, psi: SupportFunction) -> FreqFunction:
+        out = np.einsum("jq,q->j", self.kernel, self.rule.weights * psi.samples)
+        return FreqFunction(grid=self.grid, samples=out)
+
+    def apply_multiplier(self, h: SupportFunction) -> SupportFunction:
+        return SupportFunction(rule=self.rule, samples=h.samples * self.multiplier)
+
+    def analysis(self, phi: FreqFunction) -> SupportFunction:
+        out = phi.grid.spacing * np.einsum("jq,j->q", np.conj(self.kernel), phi.samples)
+        return SupportFunction(rule=self.rule, samples=out)
 
 
-def analysis(kind: str, x, rule: QuadratureRule, phi: FreqFunction) -> SupportFunction:
-    """Band -> support adjoint with kernel e^{-i s phase(y)}."""
-    E, _ = _kernel(kind, x, rule.nodes, -phi.grid.nodes)
-    out = phi.grid.spacing * np.einsum("jq,j->q", E, phi.samples)
-    return SupportFunction(rule=rule, samples=out)
+def _sensor_trials(scenario: "Scenario", sensor: int, salt: int):
+    """(data, factorization, test functions) of sensor `sensor` measuring alone.
 
-
-def apply_multiplier(kind: str, x, support: SourceSupport, rule: QuadratureRule,
-                     h: SupportFunction) -> SupportFunction:
-    """Middle operator of the factorization: multiply by f(y) / spreading(y)."""
-    _, spreading = phase(kind, x, rule.nodes)
-    f = support.amplitude_at(rule.nodes)
-    return SupportFunction(rule=rule, samples=h.samples * f / spreading)
-
-
-def _one_sensor(scenario: "Scenario", sensor: int) -> "Scenario":
-    """The scenario measured by sensor `sensor` alone (a far direction keeps its antipode).
-
-    Its dataset's row 0 equals row `sensor` of the full dataset bit for bit.
-    The operator certificates, which use it, hold for noiseless data only.
+    Row 0 of the noiseless data equals row `sensor` of the full dataset bit
+    for bit (a far direction keeps its antipode).  The test functions are
+    an endless seeded draw of (N(0,1) + i N(0,1)) / sqrt 2 per frequency.
+    The operator certificates, which use them, hold for noiseless data only.
     """
     if scenario.noise_level != 0:
         raise ValueError("operator certificates require a noiseless scenario")
-    x = [scenario.measurement.points[sensor]]
-    return replace(scenario, measurement=MeasurementSet.near_points(x) if scenario.kind == "near"
-                   else MeasurementSet.far_directions(x))
-
-
-def _dense_operator_pair(scenario: "Scenario", sensor: int):
-    """Dense (data operator, factored product) matrices on matched quadrature."""
+    x = scenario.measurement.points[sensor]
+    alone = replace(scenario, measurement=MeasurementSet.near_points([x]) if scenario.kind == "near"
+                    else MeasurementSet.far_directions([x]))
     grid = scenario.frequencies
-    if grid.count > _DENSE_FREQ_LIMIT:
-        raise ValueError(f"dense factorization check limited to {_DENSE_FREQ_LIMIT} frequencies")
-    data = generate_dataset(_one_sensor(scenario, sensor))
-    rule = quadrature(scenario.support, scenario.h)
-    dk = grid.spacing
-    N = dk * _toeplitz_block(data, 0)
-    f = scenario.support.amplitude_at(rule.nodes)
-    E, spreading = _kernel(scenario.kind, scenario.measurement.array[sensor], rule.nodes,
-                           grid.nodes)
-    mid = rule.weights * f / spreading
-    M = dk * np.einsum("jq,q,lq->jl", E, mid, np.conj(E))
-    return N, M
+    fac = Factorization(scenario.kind, x, scenario.support, quadrature(scenario.support, scenario.h),
+                        grid)
+    rng = np.random.default_rng([scenario.seed, sensor, salt])
+
+    def draws():
+        while True:
+            yield FreqFunction(grid, (rng.standard_normal(grid.count)
+                                      + 1j * rng.standard_normal(grid.count)) / math.sqrt(2))
+
+    return generate_dataset(alone), fac, draws()
 
 
 def factorization_residual(scenario: "Scenario", sensor: int = 0, trials: int = 20) -> float:
     """Max over random test functions of ||(N - PTP*) g|| / ||N g|| on matched quadrature."""
-    N, M = _dense_operator_pair(scenario, sensor)
-    J = scenario.frequencies.count
-    rng = np.random.default_rng([scenario.seed, sensor, _FACTORIZATION_SALT])
+    data, fac, draws = _sensor_trials(scenario, sensor, _FACTORIZATION_SALT)
     worst = 0.0
-    for _ in range(trials):
-        g = (rng.standard_normal(J) + 1j * rng.standard_normal(J)) / math.sqrt(2)
-        num = np.linalg.norm(np.einsum("jl,l->j", N - M, g))
-        den = np.linalg.norm(np.einsum("jl,l->j", N, g))
+    for g in itertools.islice(draws, trials):
+        Ng = apply_operator(data, 0, g).samples
+        den = np.linalg.norm(Ng)
         if den == 0.0:
             raise ValueError("degenerate scenario: data operator annihilates a random test function")
+        num = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g))).samples)
         worst = max(worst, float(num / den))
     return worst

@@ -17,24 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .forward import (
-    FrequencyGrid,
-    MultiFreqDataset,
-    _header_lines,
-    _parse_header_lines,
-    generate_dataset,
-    mirror,
-)
-from .geometry import annulus_radii, quadrature
+from .forward import FrequencyGrid, MultiFreqDataset, _header_lines, _parse_header_lines, mirror
+from .geometry import annulus_radii
 from .imaging import psf_closed_form, psf_discrete
-from .operators import (
-    FreqFunction,
-    _one_sensor,
-    analysis,
-    factorization_residual,
-    quadratic_form,
-    support_norm,
-)
+from .operators import _sensor_trials, factorization_residual, quadratic_form, support_norm
 
 _COERCIVITY_SALT = 0x51D3
 _PSF_FINE_COUNT = 4000
@@ -102,9 +88,7 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
     distance bounds to the support.  Far kind: the interval is [c_f, C_f].
     """
     t0 = time.perf_counter()
-    data = generate_dataset(_one_sensor(scenario, sensor))
-    rule = quadrature(scenario.support, scenario.h)
-    grid = scenario.frequencies
+    data, fac, draws = _sensor_trials(scenario, sensor, _COERCIVITY_SALT)
     c_f, C_f = scenario.support.amplitude_bounds()
     x = scenario.measurement.array[sensor]
     if scenario.kind == "near":
@@ -112,15 +96,11 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
         lower, upper = c_f / (4 * math.pi * r2), C_f / (4 * math.pi * r1)
     else:
         lower, upper = c_f, C_f
-    rng = np.random.default_rng([scenario.seed, sensor, _COERCIVITY_SALT])
-    J = grid.count
     worst = 0.0
     ratio_min, ratio_max = math.inf, -math.inf
     for _ in range(trials):
-        while True:
-            g = FreqFunction(grid, (rng.standard_normal(J) + 1j * rng.standard_normal(J))
-                             / math.sqrt(2))
-            denom = support_norm(analysis(scenario.kind, x, rule, g)) ** 2
+        for g in draws:
+            denom = support_norm(fac.analysis(g)) ** 2
             if denom > 1e-30:
                 break
         ratio = abs(quadratic_form(data, 0, g)) / denom

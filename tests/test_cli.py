@@ -386,6 +386,8 @@ class TestCorruptFiles:
         "malformed_sensor": lambda b: _with_line(b, b"sensor: ", b"sensor: 3.0 zero 0.0"),
         "truncated_payload": lambda b: b[:-16],
         "nan_sample": lambda b: b[:-8] + struct.pack("<d", math.nan),
+        "nan_dk": lambda b: _with_line(b, b"dk: ", b"dk: nan"),
+        "inconsistent_dk": lambda b: _with_line(b, b"dk: ", b"dk: 7.5"),
     }
     FIELDS = {
         "missing_normalized": lambda b: b.replace(b"normalized: true\n", b"", 1),

@@ -252,9 +252,10 @@ class TestAddNoise:
         add_noise(ball_dataset, 0.3, 1)
         assert np.array_equal(ball_dataset.values, before)
 
-    def test_negative_level_errors(self, ball_dataset):
-        with pytest.raises(ValueError, match="nonnegative"):
-            add_noise(ball_dataset, -0.1, 1)
+    @pytest.mark.parametrize("level", [-0.1, math.nan, math.inf])
+    def test_negative_level_errors(self, ball_dataset, level):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            add_noise(ball_dataset, level, 1)
 
     def test_metadata_recorded(self, ball_dataset):
         out = add_noise(ball_dataset, 0.05, 9)

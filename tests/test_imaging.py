@@ -157,13 +157,14 @@ class TestIndicatorNear:
         assert dev <= 0.02
 
     def test_sandwich_at_probe_lattice(self, ball_scenario, ball_dataset, unit_ball):
-        from mfsampling import analysis, quadrature, support_norm
-        rule = quadrature(unit_ball, ball_scenario.h)
+        from mfsampling import Factorization, quadrature, support_norm
         x = (3.0, 0.0, 0.0)
+        fac = Factorization("near", x, unit_ball, quadrature(unit_ball, ball_scenario.h),
+                            ball_dataset.grid)
         lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
         for z in [(0, 0, 0), (0.5, 0.5, 0), (-1, 0.2, 0.8), (2, 2, 2), (-2.5, 0, 1)]:
             g = probe("near", x, z, ball_dataset.grid)
-            denom = support_norm(analysis("near", x, rule, g)) ** 2
+            denom = support_norm(fac.analysis(g)) ** 2
             ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 

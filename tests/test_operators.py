@@ -7,14 +7,13 @@ from dataclasses import replace
 import mfsampling as mf
 from mfsampling import (
     Ball,
+    Factorization,
     FreqFunction,
     FrequencyGrid,
     MeasurementSet,
     MultiFreqDataset,
     QuadratureRule,
     SupportFunction,
-    analysis,
-    apply_multiplier,
     apply_operator,
     factorization_residual,
     freq_inner,
@@ -23,9 +22,10 @@ from mfsampling import (
     quadrature,
     support_inner,
     support_norm,
-    synthesis,
 )
-from mfsampling.operators import _one_sensor
+from mfsampling.operators import _sensor_trials
+
+_GRID = FrequencyGrid(k_max=11.0, count=11)
 
 
 def random_freq(grid, rng):
@@ -117,12 +117,13 @@ class TestAdjointness:
     def test_synthesis_analysis_pair(self, unit_ball, ball_scenario, kind, x, seed):
         rule = quadrature(unit_ball, 0.2)
         grid = ball_scenario.frequencies
+        fac = Factorization(kind, x, unit_ball, rule, grid)
         rng = np.random.default_rng(seed)
         for _ in range(100):
             psi = random_support(rule, rng)
             phi = random_freq(grid, rng)
-            lhs = freq_inner(synthesis(kind, x, rule, psi, grid), phi)
-            rhs = support_inner(psi, analysis(kind, x, rule, phi))
+            lhs = freq_inner(fac.synthesis(psi), phi)
+            rhs = support_inner(psi, fac.analysis(phi))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) / scale < 1e-12
 
@@ -131,7 +132,8 @@ class TestAdjointness:
                               weights=np.array([0.125]), spacing=0.5)
         psi = SupportFunction(rule, np.array([1.0 + 0j]))
         grid = ball_scenario.frequencies
-        out = synthesis("near", (3.0, 0.0, 0.0), rule, psi, grid)
+        out = Factorization("near", (3.0, 0.0, 0.0), Ball(center=(0.0, 0.0, 0.0), radius=0.5),
+                            rule, grid).synthesis(psi)
         assert np.allclose(out.samples, 0.125 * np.exp(1j * grid.nodes * 3.0), rtol=1e-15)
 
 
@@ -139,7 +141,8 @@ class TestMiddleOperator:
     def test_zero(self, unit_ball):
         rule = quadrature(unit_ball, 0.25)
         h = SupportFunction(rule, np.zeros(len(rule), dtype=complex))
-        out = apply_multiplier("near", (3.0, 0.0, 0.0), unit_ball, rule, h)
+        out = Factorization("near", (3.0, 0.0, 0.0), unit_ball, rule,
+                            _GRID).apply_multiplier(h)
         assert np.all(out.samples == 0)
 
     def test_single_node_multiplier(self):
@@ -147,17 +150,18 @@ class TestMiddleOperator:
         rule = QuadratureRule(nodes=np.array([[2.0, 0.0, 0.0]]),
                               weights=np.array([1e-3]), spacing=0.1)
         h = SupportFunction(rule, np.array([1.0 + 0j]))
-        out = apply_multiplier("near", (0.0, 0.0, 0.0), ball, rule, h)
+        out = Factorization("near", (0.0, 0.0, 0.0), ball, rule,
+                            _GRID).apply_multiplier(h)
         assert out.samples[0] == pytest.approx(1 / (8 * math.pi), rel=1e-14)
 
     def test_self_adjoint(self, unit_ball):
         rule = quadrature(unit_ball, 0.2)
         rng = np.random.default_rng(13)
-        x = (3.0, 0.0, 0.0)
+        fac = Factorization("near", (3.0, 0.0, 0.0), unit_ball, rule, _GRID)
         for _ in range(20):
             h1, h2 = random_support(rule, rng), random_support(rule, rng)
-            lhs = support_inner(apply_multiplier("near", x, unit_ball, rule, h1), h2)
-            rhs = support_inner(h1, apply_multiplier("near", x, unit_ball, rule, h2))
+            lhs = support_inner(fac.apply_multiplier(h1), h2)
+            rhs = support_inner(h1, fac.apply_multiplier(h2))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-30)
 
     def test_sign_definite_bounds(self, unit_ball):
@@ -166,10 +170,11 @@ class TestMiddleOperator:
         x = (3.0, 0.0, 0.0)
         r1, r2 = mf.annulus_radii(unit_ball, x)
         lo, hi = 1 / (4 * math.pi * r2), 1 / (4 * math.pi * r1)
+        fac = Factorization("near", x, unit_ball, rule, _GRID)
         rng = np.random.default_rng(17)
         for _ in range(50):
             h = random_support(rule, rng)
-            val = support_inner(apply_multiplier("near", x, unit_ball, rule, h), h)
+            val = support_inner(fac.apply_multiplier(h), h)
             assert abs(val.imag) <= 1e-14 * abs(val)
             ratio = abs(val) / support_norm(h) ** 2
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
@@ -199,10 +204,21 @@ class TestFactorization:
         with pytest.raises(ValueError, match="noiseless"):
             factorization_residual(noisy)
 
-    def test_large_grid_rejected(self, ball_scenario):
-        big = replace(ball_scenario, frequencies=FrequencyGrid(k_max=11.0, count=65))
-        with pytest.raises(ValueError, match="limited"):
-            factorization_residual(big)
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_unconjugated_analysis_caught(self, ball_scenario, far_ball_scenario, monkeypatch,
+                                          kind):
+        # the certificate runs the exported factors, so an analysis that keeps
+        # the synthesis kernel instead of its conjugate fails it
+        s = (ball_scenario if kind == "near" else
+             replace(far_ball_scenario, support=Ball(center=(0.6, -0.3, 0.2), radius=0.5)))
+        assert factorization_residual(s) <= 1e-10
+
+        def analysis(self, phi):
+            out = phi.grid.spacing * np.einsum("jq,j->q", self.kernel, phi.samples)
+            return SupportFunction(rule=self.rule, samples=out)
+
+        monkeypatch.setattr(Factorization, "analysis", analysis)
+        assert factorization_residual(s) > 1e-3
 
     def test_zero_mode_drop_breaks_identity(self, ball_scenario):
         # without the zero-frequency column the diagonal is missing: large residual
@@ -228,7 +244,7 @@ def test_one_sensor_rows_match_full_dataset(kind):
         frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1)
     full = mf.generate_dataset(s)
     for sensor in range(len(s.measurement)):
-        one = mf.generate_dataset(_one_sensor(s, sensor))
+        one, _, _ = _sensor_trials(s, sensor, 0)
         assert np.array_equal(one.values[0], full.values[sensor])
 
 
@@ -237,21 +253,23 @@ class TestSandwich:
         rule = quadrature(unit_ball, ball_scenario.h)
         x = (3.0, 0.0, 0.0)
         lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
+        fac = Factorization("near", x, unit_ball, rule, ball_dataset.grid)
         rng = np.random.default_rng(23)
         for _ in range(100):
             g = random_freq(ball_dataset.grid, rng)
-            denom = support_norm(analysis("near", x, rule, g)) ** 2
+            denom = support_norm(fac.analysis(g)) ** 2
             ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 
     def test_far_sandwich_unit_amplitude(self, far_ball_scenario, far_ball_dataset, unit_ball):
         # with f = 1 the far ratio collapses to exactly 1
         rule = quadrature(unit_ball, far_ball_scenario.h)
-        xhat = far_ball_scenario.measurement.array[0]
+        fac = Factorization("far", far_ball_scenario.measurement.array[0], unit_ball, rule,
+                            far_ball_dataset.grid)
         rng = np.random.default_rng(29)
         for _ in range(50):
             phi = random_freq(far_ball_dataset.grid, rng)
-            denom = support_norm(analysis("far", xhat, rule, phi)) ** 2
+            denom = support_norm(fac.analysis(phi)) ** 2
             ratio = abs(quadratic_form(far_ball_dataset, 0, phi)) / denom
             assert ratio == pytest.approx(1.0, rel=1e-10)
 
@@ -260,9 +278,9 @@ class TestSandwich:
                          support=Ball(center=(0.0, 0.0, 0.0), radius=1.0, amplitude=2.0))
         data = mf.generate_dataset(scaled)
         rule = quadrature(scaled.support, scaled.h)
-        xhat = scaled.measurement.array[0]
+        fac = Factorization("far", scaled.measurement.array[0], scaled.support, rule, data.grid)
         rng = np.random.default_rng(31)
         phi = random_freq(data.grid, rng)
-        denom = support_norm(analysis("far", xhat, rule, phi)) ** 2
+        denom = support_norm(fac.analysis(phi)) ** 2
         ratio = abs(quadratic_form(data, 0, phi)) / denom
         assert ratio == pytest.approx(2.0, rel=1e-10)

@@ -66,6 +66,23 @@ class TestCheckCoercivity:
         with pytest.raises(ValueError, match="noiseless"):
             check_coercivity(replace(ball_scenario, noise_level=0.01))
 
+    def test_kernel_calls_independent_of_trials(self, ball_scenario, monkeypatch):
+        # the analysis kernel is built once per check, not once per trial
+        kernel, calls = mf.forward._kernel, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(mf.forward, "_kernel", counted)
+        monkeypatch.setattr(mf.operators, "_kernel", counted)
+        counts = []
+        for trials in (5, 100):
+            calls.clear()
+            check_coercivity(ball_scenario, trials=trials)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_deterministic(self, ball_scenario):
         a = check_coercivity(ball_scenario, trials=20)
         b = check_coercivity(ball_scenario, trials=20)
