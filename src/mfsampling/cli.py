@@ -75,7 +75,8 @@ def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
 
 
 def run_image(dataset_path, scenario: Scenario, out_prefix, force: bool = False) -> dict:
-    """Compute the normalized indicator and write field, mid-plane slices, and masks."""
+    """Compute the normalized indicator and write field, masks and slices through the grid's
+    mid-plane on each axis."""
     data, meta = forward.read_dataset(dataset_path)
     shash = scenario_hash(scenario)
     if meta.get("scenario_hash", "-") not in ("-", shash) and not force:
@@ -91,7 +92,8 @@ def run_image(dataset_path, scenario: Scenario, out_prefix, force: bool = False)
     imaging.write_field(field, field_path, shash)
     outputs["field"] = field_path
     for axis, tag in ((3, "x1x2"), (2, "x1x3"), (1, "x2x3")):
-        cs = cross_section(field, axis, 0.0)
+        lo, hi = field.grid.bounds[axis - 1]
+        cs = cross_section(field, axis, (lo + hi) / 2)
         path = f"{out_prefix}_slice_{tag}.csv"
         imaging.write_cross_section(cs, path, shash)
         outputs[f"slice_{tag}"] = path

@@ -49,11 +49,6 @@ class FrequencyGrid:
         """Positive nodes k_j = j*dk, j = 1..count."""
         return np.arange(1, self.count + 1) * self.spacing
 
-    @property
-    def difference_nodes(self) -> np.ndarray:
-        """Difference grid m*dk, m = -count..count."""
-        return np.arange(-self.count, self.count + 1) * self.spacing
-
 
 @dataclass(frozen=True)
 class MeasurementSet:
@@ -132,7 +127,8 @@ def phase(kind: str, x, points) -> tuple[np.ndarray, np.ndarray | float]:
 def _kernel(kind: str, x, points, k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Band kernel e^{i k phase(y)}, rows k by columns points, with the phase map's spreading."""
     ph, spreading = phase(kind, x, points)
-    return np.exp(1j * np.multiply.outer(k, ph)), spreading
+    E = 1j * np.multiply.outer(k, ph)
+    return np.exp(E, out=E), spreading
 
 
 @dataclass
@@ -178,7 +174,9 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     if kind == "near" and contains(support, _point(x)):
         raise GeometryError("near-field evaluation point lies inside the source support")
     E, spreading = _kernel(kind, x, rule.nodes, k)
-    u = np.sum(rule.weights * support.amplitude_at(rule.nodes) * E / spreading, axis=-1)
+    E *= rule.weights * support.amplitude_at(rule.nodes)  # in place: no J x Q temporaries
+    E /= spreading
+    u = np.sum(E, axis=-1)
     return complex(u) if np.ndim(k) == 0 else u
 
 

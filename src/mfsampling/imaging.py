@@ -1,10 +1,12 @@
 """Indicator-field imaging over a voxel sampling grid.
 
 For every sampling point the dataset's quadratic form is evaluated at a
-unimodular probe built from the sensor's phase map (distance for near-field
+unimodular probe built from the sensor's phase map t (distance for near-field
 sensors, negated projection for far-field directions) and the moduli are
-summed over sensors.  Includes the band-limited point spread profile, field
-normalization, plane slicing, iso-thresholding, and file export.
+summed over sensors.  At that probe the form is the Fejer-weighted polynomial
+dk^2 sum_{|m|<J} (J - |m|) u_m w^m in w = e^{-i dk t}, evaluated by Horner's
+rule with one exponential per voxel.  Includes the band-limited point spread
+profile, field normalization, plane slicing, iso-thresholding, and file export.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .forward import (
     _reading,
     _samples,
     _write_container,
-    phase,
 )
-from .operators import FreqFunction, _toeplitz_block
+from .operators import FreqFunction
 from .geometry import _points
 
 FIELD_MAGIC = "mfsampling-field v1"
@@ -136,30 +137,31 @@ def psf_discrete(t: float, grid: FrequencyGrid) -> complex:
     return complex(grid.spacing * np.sum(np.exp(1j * grid.nodes * t)))
 
 
-def _quadratic_form_map(toeplitz: np.ndarray, grid: FrequencyGrid,
-                        phase_arg: np.ndarray) -> np.ndarray:
-    """|quadratic form| at every sampling point for one sensor's Toeplitz block.
-
-    phase_arg holds the sensor's phase map per voxel; the probe at voxel v
-    is e^{i k_j phase_arg[v]}.
-    """
-    dk = grid.spacing
-    block = dk * dk * toeplitz
-    E = np.exp(1j * np.outer(phase_arg, grid.nodes))
-    tmp = np.einsum("vl,jl->vj", E, block)
-    q = np.einsum("vj,vj->v", tmp, np.conj(E))
-    return np.abs(q)
+def _fejer(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{|m|<J} coeffs[m + J - 1] w^m for unimodular w, by Horner's rule in w over
+    m >= 0 and in conj(w) over m < 0, in place and in a fixed order of operations."""
+    J = (len(coeffs) + 1) // 2
+    pos, neg = np.full_like(w, coeffs[-1]), np.full_like(w, coeffs[0])
+    for c in coeffs[-2:J - 2:-1]:  # m = J-2 .. 0
+        pos *= w
+        pos += c
+    w = np.conj(w)
+    for c in coeffs[1:J - 1]:  # m = 2-J .. -1
+        neg *= w
+        neg += c
+    return pos + neg * w
 
 
 def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorField:
-    """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel."""
-    if grid.size == 0:
-        raise ValueError("empty sampling grid")
+    """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the Fejer
+    polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m."""
+    J, dk = data.grid.count, data.grid.spacing
+    weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     centers = grid.centers()
     total = np.zeros(grid.size)
-    for ell, x in enumerate(data.sensors.array):
-        ph, _ = phase(data.kind, x, centers)
-        total += _quadratic_form_map(_toeplitz_block(data, ell), data.grid, ph)
+    for x, row in zip(data.sensors.array, data.values):
+        w, _ = _kernel(data.kind, x, centers, -dk)
+        total += np.abs(_fejer(weights * row[1:-1], w))
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 
@@ -167,7 +169,7 @@ def normalize(field: IndicatorField) -> IndicatorField:
     """Scale so the maximum value is exactly 1."""
     if not np.all(np.isfinite(field.values)):
         raise ValueError("cannot normalize a non-finite indicator field")
-    peak = float(field.values.max()) if field.grid.size else 0.0
+    peak = float(field.values.max())
     if peak <= 0.0:
         raise ValueError("cannot normalize an all-zero indicator field")
     return replace(field, values=field.values / peak, normalized=True)

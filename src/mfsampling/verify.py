@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .forward import FrequencyGrid, MultiFreqDataset, _header_lines, _parse_header_lines, mirror
 from .geometry import annulus_radii
@@ -133,9 +132,9 @@ def check_psf(grid: FrequencyGrid, t_samples=None) -> VerificationReport:
     bound_violation = float(np.max((mag - envelope) / envelope, initial=0.0))
     strict_violation = float(np.max(mag - k_max * (1 - 1e-15), initial=0.0))
 
+    # one Newton step on Re psf = sin(k_max t) / t, whose slope at 2 pi / k_max is k_max / t
     t_zero = 2 * math.pi / k_max
-    zero_loc = brentq(lambda t: psf_closed_form(t, k_max).real,
-                      0.75 * t_zero, 1.25 * t_zero, xtol=1e-15)
+    zero_loc = t_zero - psf_closed_form(t_zero, k_max).real * t_zero / k_max
     zero_err = abs(zero_loc - t_zero)
 
     # psf_discrete on nodes j*dk is the right-endpoint rectangle rule, whose

@@ -1,5 +1,9 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +367,31 @@ class TestMainExitCodes:
         rc = main(["image", "--config", str(cfg), "--data", str(tmp_path / "none.mfd"),
                    "--out", str(tmp_path / "r")])
         assert rc == 3
+
+    def test_image_slices_mid_plane_of_grid_off_origin(self, tmp_path, capsys):
+        # axis 1 spans [0.5, 3]: its mid-plane is 1.75, and the origin lies outside the grid
+        lines = [line for line in write_config_text(replace(PRESETS["ball_pt1"], h=0.2))
+                 .splitlines() if not line.startswith(("grid_bounds =", "grid_n ="))]
+        cfg = tmp_path / "shifted.cfg"
+        cfg.write_text("\n".join(lines + ["grid_bounds = 0.5 3 -3 3 -3 3", "grid_n = 8"]) + "\n")
+        data = tmp_path / "d.mfd"
+        assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+        assert main(["image", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "r")]) == 0
+        slices = sorted(p.name for p in tmp_path.glob("r_slice_*.csv"))
+        assert slices == ["r_slice_x1x2.csv", "r_slice_x1x3.csv", "r_slice_x2x3.csv"]
+        header = (tmp_path / "r_slice_x2x3.csv").read_text().splitlines()[0]
+        coordinate = float(header.rpartition("coordinate=")[2])
+        assert abs(coordinate - 1.75) <= 0.5 * 2.5 / 8
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(mf.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c",
+                              "import sys, mfsampling.cli; print('scipy' in sys.modules)"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
     def test_overrides(self, tmp_path):
         out = tmp_path / "d.mfd"

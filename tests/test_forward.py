@@ -152,15 +152,6 @@ class TestFrequencyGrid:
         g = FrequencyGrid(k_max=11.0, count=11)
         assert g.spacing == 1.0
         assert g.nodes.tolist() == list(range(1, 12))
-        assert g.difference_nodes.tolist() == list(range(-11, 12))
-
-    def test_difference_closure(self):
-        g = FrequencyGrid(k_max=7.0, count=5)
-        nodes = g.nodes
-        diffs = g.difference_nodes
-        for a in nodes:
-            for b in nodes:
-                assert np.any(np.isclose(a - b, diffs, atol=1e-12))
 
     def test_validation(self):
         with pytest.raises(ValueError):

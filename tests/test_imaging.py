@@ -118,14 +118,30 @@ class TestPsfDiscrete:
         assert errs[4000] <= errs[400] / 8
 
 
+# an asymmetric peanut off the origin, seen by three sensors over an asymmetric grid
+_DIRECTIONS = ((0.6, 0.0, 0.8), (0.0, -1.0, 0.0), (-0.48, 0.6, 0.64))
+
+
+def _offcentre_scenario(kind, zero_mode="extend", resolution=(5, 4, 6)):
+    measurement = (MeasurementSet.near_points([tuple(3.0 * c for c in d) for d in _DIRECTIONS])
+                   if kind == "near" else MeasurementSet.far_directions(_DIRECTIONS))
+    return mf.Scenario(
+        support=mf.Peanut(centers=((0.1, -0.4, 0.3), (0.7, 0.2, 0.1)), radius=0.6), h=0.2,
+        measurement=measurement, frequencies=FrequencyGrid(k_max=11.0, count=11),
+        noise_level=0.0, seed=3, zero_mode=zero_mode,
+        sampling=SamplingGrid(bounds=((-2.5, 3.0), (-1.0, 2.0), (-3.0, 1.5)),
+                              resolution=resolution))
+
+
 class TestIndicatorNear:
-    def test_matches_scalar_quadratic_forms(self, ball_dataset):
-        grid = SamplingGrid(bounds=((-3, 3), (-3, 3), (-3, 3)), resolution=(6, 6, 6))
-        field = compute_indicator(ball_dataset, grid)
-        x = ball_dataset.sensors.array[0]
-        for v, z in enumerate(grid.centers()):
-            g = probe("near", x, z, ball_dataset.grid)
-            ref = abs(quadratic_form(ball_dataset, 0, g))
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_matches_scalar_quadratic_forms(self, kind):
+        scenario = _offcentre_scenario(kind)
+        data = add_noise(generate_dataset(scenario), 0.05, 3)
+        field = compute_indicator(data, scenario.sampling)
+        for v, z in enumerate(scenario.sampling.centers()):
+            ref = sum(abs(quadratic_form(data, ell, probe(kind, x, z, data.grid)))
+                      for ell, x in enumerate(data.sensors.array))
             assert abs(field.values[v] - ref) <= 1e-12 * max(ref, 1e-30)
 
     def test_nonnegative(self, ball_dataset):
@@ -220,6 +236,32 @@ class TestIndicatorFar:
         for i in np.nonzero(np.abs(ax1) < 1.0)[0]:
             layer = cube[i]
             assert layer.std() / layer.mean() < 0.05
+
+
+class TestIndicatorPsfIdentity:
+    """On noiseless data the form is a sum over the rule of the Fejer kernel |P(r_q - t)|^2.
+
+    I(z) = sum_l | sum_q c_q (|psf_discrete(r_q - t)|^2 - [drop] dk^2 J) |, with
+    c_q = w_q f(y_q) / spreading(y_q), r_q = phase_l(y_q) and t = phase_l(z).
+    """
+
+    @pytest.mark.parametrize("zero_mode", ["extend", "drop"])
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_psf_weighted_sum(self, kind, zero_mode):
+        s = _offcentre_scenario(kind, zero_mode, resolution=(3, 3, 4))
+        field = compute_indicator(generate_dataset(s), s.sampling)
+        rule = mf.quadrature(s.support, s.h)
+        dk, J = s.frequencies.spacing, s.frequencies.count
+        drop = dk * dk * J if zero_mode == "drop" else 0.0
+        expected = np.zeros(s.sampling.size)
+        for x in s.measurement.array:
+            r, spreading = mf.phase(kind, x, rule.nodes)
+            c = rule.weights * s.support.amplitude_at(rule.nodes) / spreading
+            t, _ = mf.phase(kind, x, s.sampling.centers())
+            for v, tv in enumerate(t):
+                fejer = np.array([abs(psf_discrete(rq - tv, s.frequencies)) ** 2 for rq in r])
+                expected[v] += abs(np.sum(c * (fejer - drop)))
+        assert np.all(np.abs(field.values - expected) <= 1e-12 * expected)
 
 
 class TestNormalize:

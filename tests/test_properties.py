@@ -1,5 +1,6 @@
 """Property tests: config text and the dataset/field containers round-trip exactly;
-the forward data and the factorization hold over drawn supports and sensors."""
+the forward data and the factorization hold over drawn supports and sensors; the
+indicator's Fejer polynomial equals the dense quadratic form over drawn data."""
 
 import math
 import tempfile
@@ -192,3 +193,39 @@ def test_radiated_field_batch_equals_scalar_calls(s, ks):
 @given(one_sensor_scenarios())
 def test_factorization_residual_small(s):
     assert mf.factorization_residual(s) <= 1e-10
+
+
+# Below 1e-150 a sample times the Fejer weights can leave the normal range, where no
+# relative bound holds; such samples are drawn as 0.
+sample = st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-150 else 0.0)
+
+
+@st.composite
+def fejer_cases(draw):
+    """Drawn rows of a far direction pair, and a line of voxels along it whose phases
+    reach up to 4 pi / dk on either side of 0."""
+    J = draw(st.integers(2, 64))
+    grid = mf.FrequencyGrid(k_max=draw(st.floats(0.5, 50.0)), count=J)
+    parts = draw(st.lists(sample, min_size=4 * (2 * J + 1), max_size=4 * (2 * J + 1)))
+    raw = np.array(parts).reshape(2, 2 * J + 1, 2)
+    data = mf.MultiFreqDataset(kind="far", sensors=mf.MeasurementSet.far_directions([(1, 0, 0)]),
+                               grid=grid, values=raw[..., 0] + 1j * raw[..., 1])
+    reach = 4 * math.pi / grid.spacing
+    lo, hi = sorted(reach * draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    assume(lo < hi)
+    sampling = mf.SamplingGrid(bounds=((lo, hi), (0.0, 1.0), (0.0, 1.0)),
+                               resolution=(draw(st.integers(1, 8)), 1, 1))
+    return data, sampling
+
+
+@given(fejer_cases())
+def test_fejer_indicator_equals_quadratic_form(case):
+    data, sampling = case
+    J, dk = data.grid.count, data.grid.spacing
+    field = mf.compute_indicator(data, sampling)
+    weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
+    bound = sum(1e-12 * np.sum(weights * np.abs(row[1:-1])) for row in data.values)
+    for v, z in enumerate(sampling.centers()):
+        dense = sum(abs(mf.quadratic_form(data, ell, mf.probe("far", x, z, data.grid)))
+                    for ell, x in enumerate(data.sensors.array))
+        assert abs(field.values[v] - dense) <= bound

@@ -112,6 +112,15 @@ class TestCheckPsf:
         for k_max, loc in locs.items():
             assert loc * k_max == pytest.approx(2 * math.pi, rel=1e-12)
 
+    def test_shifted_profile_misses_first_zero(self, monkeypatch):
+        # a profile evaluated at t (1 + 1e-9) has its first zero 1e-9 * 2 pi / k_max early
+        closed = mf.verify.psf_closed_form
+        monkeypatch.setattr(mf.verify, "psf_closed_form",
+                            lambda t, k_max: closed(np.asarray(t) * (1 + 1e-9), k_max))
+        report = check_psf(FrequencyGrid(k_max=11.0, count=11))
+        assert report.details["first_zero_error"] > 1e-12
+        assert not report.passed
+
 
     @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["left_endpoint", "midpoint"])
     def test_other_node_conventions_fail(self, monkeypatch, offset):
