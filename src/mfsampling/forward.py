@@ -5,6 +5,11 @@ representations (outgoing point-source kernel for near-field sensors, a
 plane-wave kernel for far-field directions), both written through one phase
 map, extended to negative frequencies by conjugation (near) or direction
 negation (far), and optionally perturbed by seeded per-sample Gaussian noise.
+
+The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
+are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
+(`_band`).  Arbitrary wavenumbers take one exponential per sample
+(`_kernel`, used by `radiated_field`, the probe and the indicator).
 """
 
 from __future__ import annotations
@@ -125,10 +130,26 @@ def phase(kind: str, x, points) -> tuple[np.ndarray, np.ndarray | float]:
 
 
 def _kernel(kind: str, x, points, k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """Band kernel e^{i k phase(y)}, rows k by columns points, with the phase map's spreading."""
+    """Kernel e^{i k phase(y)} at arbitrary wavenumbers, rows k by columns points,
+    with the phase map's spreading."""
     ph, spreading = phase(kind, x, points)
     E = 1j * np.multiply.outer(k, ph)
     return np.exp(E, out=E), spreading
+
+
+def _band(kind: str, x, points, dk: float, J: int) -> tuple[np.ndarray, np.ndarray | float]:
+    """Band rows m = 0..J of e^{i m dk phase(y)}, with the phase map's spreading.
+
+    Row m is z^m for z = e^{i dk phase}: one exponential per point, then each
+    row is the one before it times row 1, elementwise and in row order.
+    """
+    ph, spreading = phase(kind, x, points)
+    E = np.empty((J + 1, len(ph)), dtype=complex)
+    E[0] = 1.0
+    np.exp(1j * (dk * ph), out=E[1])
+    for m in range(2, J + 1):
+        np.multiply(E[m - 1], E[1], out=E[m])
+    return E, spreading
 
 
 @dataclass
@@ -143,6 +164,11 @@ class MultiFreqDataset:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.noise_level < math.inf:
+            raise ValueError(
+                f"noise level must be nonnegative and finite, got {self.noise_level!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         expected = (len(self.sensors), 2 * self.grid.count + 1)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
@@ -194,17 +220,21 @@ def mirror(sensors: MeasurementSet, positive: np.ndarray) -> np.ndarray:
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
     """Noiseless multi-frequency dataset for a scenario.
 
-    Columns m = 0..J are evaluated directly at k = m*dk; negative columns
-    are filled by the mirror rule.  zero_mode='drop' zeroes the m = 0
-    column instead of using the continuous zero-frequency extension.
+    Columns m = 0..J are the quadrature of the sensor's band rows at
+    k = m*dk (see `_band`); negative columns are filled by the mirror rule.
+    zero_mode='drop' zeroes the m = 0 column instead of using the
+    continuous zero-frequency extension.
     """
     support, grid, sensors = scenario.support, scenario.frequencies, scenario.measurement
     rule = quadrature(support, scenario.h)
     J = grid.count
-    ks = np.arange(J + 1) * grid.spacing
+    weighted = rule.weights * support.amplitude_at(rule.nodes)
     values = np.zeros((len(sensors), 2 * J + 1), dtype=complex)
     for ell, x in enumerate(sensors.array):
-        values[ell, J:] = radiated_field(sensors.kind, support, rule, x, ks)
+        E, spreading = _band(sensors.kind, x, rule.nodes, grid.spacing, J)
+        E *= weighted  # in place: no J x Q temporaries
+        E /= spreading
+        values[ell, J:] = np.sum(E, axis=-1)
     values[:, J - 1::-1] = mirror(sensors, values[:, J + 1:])
     if scenario.zero_mode == "drop":
         values[:, J] = 0.0
@@ -220,21 +250,19 @@ def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDatas
     Each entry receives level * sigma_l * (xi1 + i xi2) / sqrt(2), where
     sigma_l is the RMS magnitude of sensor l's input row and the xi are
     standard normal draws from a counter-based generator keyed by
-    (seed, sensor, column) — independent of evaluation schedule.
+    (seed, sensor, column) — independent of evaluation schedule.  The
+    dataset refuses a negative or non-finite level and a negative seed.
     """
     level = float(level)
-    if not 0 <= level < math.inf:
-        raise ValueError(f"noise level must be nonnegative and finite, got {level!r}")
-    if seed < 0:
-        raise ValueError("noise seed must be nonnegative")
-    values = data.values.copy()
+    noisy = replace(data, values=data.values.copy(), noise_level=level, seed=int(seed))
+    values = noisy.values
     if level > 0:
         sigma = data.row_rms()
         for ell in range(values.shape[0]):
             for col in range(values.shape[1]):
                 xi = np.random.default_rng([seed, ell, col]).standard_normal(2)
                 values[ell, col] += level * sigma[ell] * (xi[0] + 1j * xi[1]) / math.sqrt(2)
-    return replace(data, values=values, noise_level=level, seed=int(seed))
+    return noisy
 
 
 class DatasetFormatError(ValueError):

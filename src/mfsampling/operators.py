@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .forward import FrequencyGrid, MeasurementSet, MultiFreqDataset, _kernel, generate_dataset
+from .forward import FrequencyGrid, MeasurementSet, MultiFreqDataset, _band, generate_dataset
 from .geometry import QuadratureRule, SourceSupport, quadrature
 
 if TYPE_CHECKING:
@@ -110,14 +110,17 @@ class Factorization:
 
     P (`synthesis`) maps support to band with kernel e^{i k phase(y)}, T
     (`apply_multiplier`) multiplies by f(y) / spreading(y), and P* (`analysis`)
-    is P's adjoint, with the conjugate kernel.  The J x Q kernel and the
-    multiplier are built once, when the factorization is.
+    is P's adjoint, with the conjugate kernel.  The J x Q kernel is rows 1..J
+    of the sensor's `_band`, the rows its data are summed from, so data and
+    factors agree bit for bit; it and the multiplier are built once, when
+    the factorization is.
     """
 
     def __init__(self, kind: str, x, support: SourceSupport, rule: QuadratureRule,
                  grid: FrequencyGrid):
         self.rule, self.grid = rule, grid
-        self.kernel, spreading = _kernel(kind, x, rule.nodes, grid.nodes)
+        band, spreading = _band(kind, x, rule.nodes, grid.spacing, grid.count)
+        self.kernel = band[1:]
         self.multiplier = support.amplitude_at(rule.nodes) / spreading
 
     def synthesis(self, psi: SupportFunction) -> FreqFunction:
@@ -128,7 +131,8 @@ class Factorization:
         return SupportFunction(rule=self.rule, samples=h.samples * self.multiplier)
 
     def analysis(self, phi: FreqFunction) -> SupportFunction:
-        out = phi.grid.spacing * np.einsum("jq,j->q", np.conj(self.kernel), phi.samples)
+        # conj(K)^T phi as conj(K^T conj(phi)): the same bits, without a conjugate J x Q copy
+        out = phi.grid.spacing * np.conj(np.einsum("jq,j->q", self.kernel, np.conj(phi.samples)))
         return SupportFunction(rule=self.rule, samples=out)
 
 

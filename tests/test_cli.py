@@ -417,6 +417,8 @@ class TestCorruptFiles:
         "nan_sample": lambda b: b[:-8] + struct.pack("<d", math.nan),
         "nan_dk": lambda b: _with_line(b, b"dk: ", b"dk: nan"),
         "inconsistent_dk": lambda b: _with_line(b, b"dk: ", b"dk: 7.5"),
+        "negative_noise_level": lambda b: _with_line(b, b"noise_level: ", b"noise_level: -0.5"),
+        "negative_seed": lambda b: _with_line(b, b"\nseed: ", b"\nseed: -4"),
     }
     FIELDS = {
         "missing_normalized": lambda b: b.replace(b"normalized: true\n", b"", 1),

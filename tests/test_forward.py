@@ -6,6 +6,7 @@ from dataclasses import replace
 from scipy import integrate
 
 import mfsampling as mf
+from conftest import band_error_bound
 from mfsampling import (
     Ball,
     DatasetFormatError,
@@ -222,6 +223,60 @@ class TestGenerateDataset:
         assert np.all(data.values[:, J + 1] != 0.0)
 
 
+def offcentre_scenario(kind):
+    """An asymmetric peanut away from the origin, two near sensors or a far direction pair."""
+    support = mf.Peanut(centers=((0.9, 0.4, -0.5), (1.7, -0.1, 0.2)), radius=0.6, amplitude=2.5)
+    if kind == "near":
+        measurement = MeasurementSet.near_points([(4.5, -2.5, 1.5), (-3.0, 3.5, -2.0)])
+    else:
+        measurement = MeasurementSet.far_directions([(0.6, -0.48, 0.64)])
+    return mf.Scenario(support=support, h=0.1, measurement=measurement,
+                       frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0, seed=1,
+                       sampling=mf.SamplingGrid.cube(3.0, 8))
+
+
+class TestBand:
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_rows_match_radiated_field(self, kind):
+        # each band column against exact per-wavenumber exponentials
+        s = offcentre_scenario(kind)
+        data = generate_dataset(s)
+        rule = quadrature(s.support, s.h)
+        J, dk = data.grid.count, data.grid.spacing
+        for ell, x in enumerate(s.measurement.array):
+            exact = np.array([radiated_field(kind, s.support, rule, x, m * dk)
+                              for m in range(J + 1)])
+            bound = band_error_bound(kind, x, s.support, rule, dk, J)
+            assert np.all(np.abs(data.values[ell, J:] - exact) <= bound)
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_factor_kernel_is_data_band(self, kind):
+        # the factorization's kernel rows sum to the data's columns m = 1..J, bit for bit
+        s = offcentre_scenario(kind)
+        data = generate_dataset(s)
+        rule = quadrature(s.support, s.h)
+        J = data.grid.count
+        for ell, x in enumerate(s.measurement.array):
+            fac = mf.Factorization(kind, x, s.support, rule, data.grid)
+            weighted = rule.weights * s.support.amplitude_at(rule.nodes)
+            _, spreading = mf.phase(kind, x, rule.nodes)
+            assert fac.kernel.shape == (J, len(rule))
+            cols = np.sum(fac.kernel * weighted / spreading, axis=-1)
+            assert cols.tobytes() == data.values[ell, J + 1:].tobytes()
+
+    def test_data_and_factors_skip_exact_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact per-wavenumber kernel called")
+
+        monkeypatch.setattr(mf.forward, "_kernel", refuse)
+        monkeypatch.setattr(mf.forward, "radiated_field", refuse)
+        for kind in ("near", "far"):
+            s = offcentre_scenario(kind)
+            generate_dataset(s)
+            mf.Factorization(kind, s.measurement.points[0], s.support,
+                             quadrature(s.support, s.h), s.frequencies)
+
+
 class TestAddNoise:
     def test_zero_level_identity(self, ball_dataset):
         out = add_noise(ball_dataset, 0.0, 7)
@@ -247,6 +302,10 @@ class TestAddNoise:
     def test_negative_level_errors(self, ball_dataset, level):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             add_noise(ball_dataset, level, 1)
+
+    def test_negative_seed_errors(self, ball_dataset):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            add_noise(ball_dataset, 0.05, -1)
 
     def test_metadata_recorded(self, ball_dataset):
         out = add_noise(ball_dataset, 0.05, 9)
@@ -302,6 +361,23 @@ class TestDatasetIO:
         values[0, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             replace(ball_dataset, values=values)
+
+    @pytest.mark.parametrize("field", [{"noise_level": -0.5}, {"noise_level": math.nan},
+                                       {"noise_level": math.inf}, {"seed": -4}])
+    def test_negative_noise_metadata_rejected(self, ball_dataset, field):
+        with pytest.raises(ValueError, match="nonnegative"):
+            replace(ball_dataset, **field)
+
+    @pytest.mark.parametrize("line", [b"noise_level: -0.5", b"seed: -4"])
+    def test_negative_noise_metadata_is_format_error(self, ball_dataset, tmp_path, line):
+        path = tmp_path / "data.mfd"
+        write_dataset(add_noise(ball_dataset, 0.05, 3), path)
+        key = line.split(b":")[0]
+        blob = path.read_bytes()
+        start = blob.index(b"\n" + key + b": ") + 1
+        path.write_bytes(blob[:start] + line + blob[blob.index(b"\n", start):])
+        with pytest.raises(DatasetFormatError, match="nonnegative"):
+            read_dataset(path)
 
     def test_far_round_trip(self, far_ball_dataset, tmp_path):
         path = tmp_path / "far.mfd"

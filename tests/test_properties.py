@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 import mfsampling as mf
+from conftest import band_error_bound
 from mfsampling.scenario import parse_config_text, write_config_text
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
@@ -188,6 +189,18 @@ def test_radiated_field_batch_equals_scalar_calls(s, ks):
     scalar = np.array([mf.radiated_field(s.kind, s.support, rule, x, k) for k in ks])
     assert batch.shape == scalar.shape
     assert batch.tobytes() == scalar.tobytes()
+
+
+@given(one_sensor_scenarios(), st.integers(1, 256))
+def test_band_rows_match_exact_kernel(s, J):
+    # rows m = 0..J built by products from one exponential, against e^{i m dk phase} directly
+    rule = mf.quadrature(s.support, s.h)
+    x, dk = s.measurement.points[0], s.frequencies.spacing
+    band, spreading = mf.forward._band(s.kind, x, rule.nodes, dk, J)
+    exact, exact_spreading = mf.forward._kernel(s.kind, x, rule.nodes, np.arange(J + 1) * dk)
+    assert np.array_equal(spreading, exact_spreading)
+    c = np.abs(rule.weights * s.support.amplitude_at(rule.nodes) / spreading)
+    assert np.all(np.abs(band - exact) @ c <= band_error_bound(s.kind, x, s.support, rule, dk, J))
 
 
 @given(one_sensor_scenarios())

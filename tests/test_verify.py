@@ -68,14 +68,14 @@ class TestCheckCoercivity:
 
     def test_kernel_calls_independent_of_trials(self, ball_scenario, monkeypatch):
         # the analysis kernel is built once per check, not once per trial
-        kernel, calls = mf.forward._kernel, []
+        band, calls = mf.forward._band, []
 
         def counted(*args):
             calls.append(args)
-            return kernel(*args)
+            return band(*args)
 
-        monkeypatch.setattr(mf.forward, "_kernel", counted)
-        monkeypatch.setattr(mf.operators, "_kernel", counted)
+        monkeypatch.setattr(mf.forward, "_band", counted)
+        monkeypatch.setattr(mf.operators, "_band", counted)
         counts = []
         for trials in (5, 100):
             calls.clear()
