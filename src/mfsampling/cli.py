@@ -111,21 +111,21 @@ def run_image(dataset_path, scenario: Scenario, out_prefix, force: bool = False)
     return outputs
 
 
-# The certificates in report order, each as a function of (scenario, sensor).
+# The certificates in report order, each as a function of the scenario.
 _CHECKS = {
-    "factorization": lambda s, sensor: check_factorization(s, sensor=sensor),
-    "coercivity": lambda s, sensor: check_coercivity(s, sensor=sensor),
-    "psf": lambda s, sensor: check_psf(s.frequencies),
-    "symmetries": lambda s, sensor: check_symmetries(_scenario_data(s)),
+    "factorization": check_factorization,
+    "coercivity": check_coercivity,
+    "psf": lambda s: check_psf(s.frequencies),
+    "symmetries": lambda s: check_symmetries(_scenario_data(s)),
 }
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_verify(scenario: Scenario, only: str | None = None, sensor: int = 0):
+def run_verify(scenario: Scenario, only: str | None = None):
     """Run the certificate checks; returns (reports, all_passed)."""
     if only is not None and only not in CHECK_NAMES:
         raise ConfigError(f"--only: unknown check {only!r}; choose from {CHECK_NAMES}")
-    reports = [check(scenario, sensor) for name, check in _CHECKS.items()
+    reports = [check(scenario) for name, check in _CHECKS.items()
                if only in (None, name)]
     return reports, all(r.passed for r in reports)
 

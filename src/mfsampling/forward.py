@@ -40,8 +40,8 @@ class FrequencyGrid:
     def __post_init__(self):
         object.__setattr__(self, "k_max", float(self.k_max))
         object.__setattr__(self, "count", int(self.count))
-        if self.k_max <= 0:
-            raise ValueError("k_max must be positive")
+        if not 0 < self.k_max < math.inf:
+            raise ValueError(f"k_max must be positive and finite, got {self.k_max!r}")
         if self.count < 2:
             raise ValueError("frequency count must be at least 2")
 
@@ -69,6 +69,8 @@ class MeasurementSet:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("measurement set must contain at least one sensor")
+        if not all(math.isfinite(c) for p in pts for c in p):
+            raise ValueError(f"measurement points must be finite, got {pts!r}")
         if self.kind == "far":
             arr = self.array
             norms = np.linalg.norm(arr, axis=1)
@@ -220,20 +222,20 @@ def mirror(sensors: MeasurementSet, positive: np.ndarray) -> np.ndarray:
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
     """Noiseless multi-frequency dataset for a scenario.
 
-    Columns m = 0..J are the quadrature of the sensor's band rows at
-    k = m*dk (see `_band`); negative columns are filled by the mirror rule.
+    Columns m = 0..J are P(T 1): the sensor's band rows at k = m*dk (see
+    `_band`) summed against one real vector, the quadrature weights times
+    T 1 = f / spreading.  Negative columns are filled by the mirror rule.
     zero_mode='drop' zeroes the m = 0 column instead of using the
     continuous zero-frequency extension.
     """
     support, grid, sensors = scenario.support, scenario.frequencies, scenario.measurement
     rule = quadrature(support, scenario.h)
     J = grid.count
-    weighted = rule.weights * support.amplitude_at(rule.nodes)
+    amplitude = support.amplitude_at(rule.nodes)
     values = np.zeros((len(sensors), 2 * J + 1), dtype=complex)
     for ell, x in enumerate(sensors.array):
         E, spreading = _band(sensors.kind, x, rule.nodes, grid.spacing, J)
-        E *= weighted  # in place: no J x Q temporaries
-        E /= spreading
+        E *= rule.weights * (amplitude / spreading)  # in place: no J x Q temporaries
         values[ell, J:] = np.sum(E, axis=-1)
     values[:, J - 1::-1] = mirror(sensors, values[:, J + 1:])
     if scenario.zero_mode == "drop":

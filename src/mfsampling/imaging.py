@@ -3,10 +3,11 @@
 For every sampling point the dataset's quadratic form is evaluated at a
 unimodular probe built from the sensor's phase map t (distance for near-field
 sensors, negated projection for far-field directions) and the moduli are
-summed over sensors.  At that probe the form is the Fejer-weighted polynomial
-dk^2 sum_{|m|<J} (J - |m|) u_m w^m in w = e^{-i dk t}, evaluated by Horner's
-rule with one exponential per voxel.  Includes the band-limited point spread
-profile, field normalization, plane slicing, iso-thresholding, and file export.
+summed over sensors.  At that probe the form is w^{1-J} times the polynomial
+dk^2 sum_{|m|<J} (J - |m|) u_m w^{m+J-1} in w = e^{-i dk t}; as |w| = 1, one
+Horner pass gives its modulus from one exponential per voxel.  Includes the
+band-limited point spread profile, field normalization, plane slicing,
+iso-thresholding, and file export.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class SamplingGrid:
         n = tuple(int(v) for v in self.resolution)
         object.__setattr__(self, "bounds", b)
         object.__setattr__(self, "resolution", n)
-        if any(lo >= hi for lo, hi in b):
-            raise ValueError("grid bounds must satisfy min < max per axis")
+        if not all(-math.inf < lo < hi < math.inf for lo, hi in b):
+            raise ValueError(f"grid bounds must be finite with min < max per axis, got {b!r}")
         if any(v < 1 for v in n):
             raise ValueError("grid resolution must be at least 1 per axis")
 
@@ -138,30 +139,26 @@ def psf_discrete(t: float, grid: FrequencyGrid) -> complex:
 
 
 def _fejer(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_{|m|<J} coeffs[m + J - 1] w^m for unimodular w, by Horner's rule in w over
-    m >= 0 and in conj(w) over m < 0, in place and in a fixed order of operations."""
-    J = (len(coeffs) + 1) // 2
-    pos, neg = np.full_like(w, coeffs[-1]), np.full_like(w, coeffs[0])
-    for c in coeffs[-2:J - 2:-1]:  # m = J-2 .. 0
-        pos *= w
-        pos += c
-    w = np.conj(w)
-    for c in coeffs[1:J - 1]:  # m = 2-J .. -1
-        neg *= w
-        neg += c
-    return pos + neg * w
+    """|sum_n coeffs[n] w^n| by Horner's rule in w, in place and in a fixed order of
+    operations.  For unimodular w and coeffs[m + J - 1] the Laurent coefficient of
+    w^m, |m| < J, this is the modulus of the Laurent sum, since |w^{J-1}| = 1."""
+    acc = np.full_like(w, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= w
+        acc += c
+    return np.abs(acc)
 
 
 def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorField:
-    """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the Fejer
-    polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m."""
+    """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the modulus of
+    the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     centers = grid.centers()
     total = np.zeros(grid.size)
     for x, row in zip(data.sensors.array, data.values):
         w, _ = _kernel(data.kind, x, centers, -dk)
-        total += np.abs(_fejer(weights * row[1:-1], w))
+        total += _fejer(weights * row[1:-1], w)
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 

@@ -111,9 +111,9 @@ class Factorization:
     P (`synthesis`) maps support to band with kernel e^{i k phase(y)}, T
     (`apply_multiplier`) multiplies by f(y) / spreading(y), and P* (`analysis`)
     is P's adjoint, with the conjugate kernel.  The J x Q kernel is rows 1..J
-    of the sensor's `_band`, the rows its data are summed from, so data and
-    factors agree bit for bit; it and the multiplier are built once, when
-    the factorization is.
+    of the sensor's `_band`, and the sensor's data columns m = 1..J are
+    P(T 1) with this kernel and multiplier, so data and factors agree bit for
+    bit; both are built once, when the factorization is.
     """
 
     def __init__(self, kind: str, x, support: SourceSupport, rule: QuadratureRule,

@@ -24,6 +24,7 @@ from .operators import _sensor_trials, factorization_residual, quadratic_form, s
 _COERCIVITY_SALT = 0x51D3
 _PSF_FINE_COUNT = 4000
 _PSF_CONVERGENCE_TS = (0.5, 1.0, 5.0)
+_PSF_ENVELOPE_TS = np.linspace(-100.0, 100.0, 10_000)  # an even count: t = 0 is not a sample
 
 
 @dataclass
@@ -111,7 +112,7 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
                     "lower_bound": lower, "upper_bound": upper, "trials": float(trials)})
 
 
-def check_psf(grid: FrequencyGrid, t_samples=None) -> VerificationReport:
+def check_psf(grid: FrequencyGrid) -> VerificationReport:
     """Certify the point spread profile: peak value, envelope bounds, first zero,
     and convergence of the grid analogue to the closed form.
 
@@ -120,15 +121,10 @@ def check_psf(grid: FrequencyGrid, t_samples=None) -> VerificationReport:
     """
     t0 = time.perf_counter()
     k_max = grid.k_max
-    if t_samples is None:
-        t_samples = np.linspace(-100.0, 100.0, 10_000)
-    t_samples = np.asarray(t_samples, dtype=float)
-
     peak_err = abs(abs(psf_closed_form(0.0, k_max)) - k_max)
 
-    t_off = t_samples[t_samples != 0.0]
-    mag = np.abs(psf_closed_form(t_off, k_max))
-    envelope = np.minimum(k_max, 2.0 / np.abs(t_off))
+    mag = np.abs(psf_closed_form(_PSF_ENVELOPE_TS, k_max))
+    envelope = np.minimum(k_max, 2.0 / np.abs(_PSF_ENVELOPE_TS))
     bound_violation = float(np.max((mag - envelope) / envelope, initial=0.0))
     strict_violation = float(np.max(mag - k_max * (1 - 1e-15), initial=0.0))
 

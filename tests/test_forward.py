@@ -160,6 +160,12 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(k_max=1.0, count=1)
 
+    @pytest.mark.parametrize("k_max", [math.nan, math.inf])
+    def test_non_finite_k_max_rejected(self, k_max):
+        # nan <= 0 is False, so a sign test alone lets NaN through
+        with pytest.raises(ValueError, match="k_max must be positive and finite"):
+            FrequencyGrid(k_max=k_max, count=5)
+
 
 class TestMeasurementSet:
     def test_far_closure(self):
@@ -181,6 +187,15 @@ class TestMeasurementSet:
     def test_far_closure_required_on_direct_construction(self):
         with pytest.raises(ValueError, match="negation"):
             MeasurementSet(kind="far", points=((1.0, 0.0, 0.0),))
+
+    @pytest.mark.parametrize("kind, points", [
+        ("near", ((4.0, 0.5, -1.0), (math.nan, 0.0, 0.0))),
+        ("near", ((math.inf, 0.0, 0.0),)),
+        ("far", ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (math.nan, 0.0, 0.0))),
+    ])
+    def test_non_finite_point_rejected(self, kind, points):
+        with pytest.raises(ValueError, match="measurement points must be finite"):
+            MeasurementSet(kind=kind, points=points)
 
 
 class TestGenerateDataset:
@@ -251,17 +266,16 @@ class TestBand:
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_factor_kernel_is_data_band(self, kind):
-        # the factorization's kernel rows sum to the data's columns m = 1..J, bit for bit
+        # the data's columns m = 1..J are P(T 1): the factorization's kernel rows summed
+        # against the weights times its multiplier, bit for bit
         s = offcentre_scenario(kind)
         data = generate_dataset(s)
         rule = quadrature(s.support, s.h)
         J = data.grid.count
         for ell, x in enumerate(s.measurement.array):
             fac = mf.Factorization(kind, x, s.support, rule, data.grid)
-            weighted = rule.weights * s.support.amplitude_at(rule.nodes)
-            _, spreading = mf.phase(kind, x, rule.nodes)
             assert fac.kernel.shape == (J, len(rule))
-            cols = np.sum(fac.kernel * weighted / spreading, axis=-1)
+            cols = np.sum(fac.kernel * (rule.weights * fac.multiplier), axis=-1)
             assert cols.tobytes() == data.values[ell, J + 1:].tobytes()
 
     def test_data_and_factors_skip_exact_kernel(self, monkeypatch):

@@ -25,6 +25,18 @@ from mfsampling import (
 from conftest import radial_profile_deviation
 
 
+class TestSamplingGrid:
+    @pytest.mark.parametrize("bounds", [
+        ((math.nan, 3.0), (-3.0, 3.0), (-3.0, 3.0)),
+        ((-3.0, 3.0), (-3.0, math.nan), (-3.0, 3.0)),
+        ((-3.0, 3.0), (-3.0, 3.0), (-math.inf, 3.0)),
+    ])
+    def test_non_finite_bound_rejected(self, bounds):
+        # nan >= hi is False, so the ordering test alone lets NaN through
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            SamplingGrid(bounds=bounds, resolution=(4, 4, 4))
+
+
 class TestTestFunctions:
     def test_near_probe_at_sensor(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
