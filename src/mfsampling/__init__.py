@@ -20,6 +20,7 @@ from .forward import (
     MeasurementSet,
     MultiFreqDataset,
     add_noise,
+    band_error_bound,
     fundamental_solution,
     generate_dataset,
     mirror,
@@ -33,7 +34,6 @@ from .operators import (
     FreqFunction,
     SupportFunction,
     apply_operator,
-    factorization_residual,
     far_quadratic_form,
     freq_inner,
     near_quadratic_form,

@@ -54,17 +54,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, **updates) if updates else scenario
 
 
-def _scenario_data(scenario: Scenario) -> forward.MultiFreqDataset:
-    """The scenario's dataset, with its noise applied."""
+def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
+    """Generate the scenario's dataset (noise applied per scenario) and write it."""
     data = generate_dataset(scenario)
     if scenario.noise_level > 0:
         data = add_noise(data, scenario.noise_level, scenario.seed)
-    return data
-
-
-def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
-    """Generate the scenario's dataset (noise applied per scenario) and write it."""
-    data = _scenario_data(scenario)
     forward.write_dataset(data, out_path, scenario_hash(scenario))
     rms = data.row_rms()
     print(f"wrote {out_path}: kind={data.kind} L={len(data.sensors)} "
@@ -116,7 +110,7 @@ _CHECKS = {
     "factorization": check_factorization,
     "coercivity": check_coercivity,
     "psf": lambda s: check_psf(s.frequencies),
-    "symmetries": lambda s: check_symmetries(_scenario_data(s)),
+    "symmetries": check_symmetries,
 }
 CHECK_NAMES = tuple(_CHECKS)
 

@@ -154,6 +154,21 @@ def _band(kind: str, x, points, dk: float, J: int) -> tuple[np.ndarray, np.ndarr
     return E, spreading
 
 
+def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule, dk: float,
+                     J: int) -> np.ndarray:
+    """Per-column bound on a band row's rounding against exact exponentials, m = 0..J.
+
+    Row m of `_band` is z^m, reached by m products from z = e^{i dk phase}; each
+    product adds a few ulps, and the phase error of z grows m-fold.  So column m
+    may drift by 1e-15 (m+1)(1 + m dk max|phase|) sum|c_q|, with
+    c_q = w_q f_q / spreading_q the column's quadrature coefficients.
+    """
+    ph, spreading = phase(kind, x, rule.nodes)
+    c = np.sum(np.abs(rule.weights * support.amplitude_at(rule.nodes) / spreading))
+    m = np.arange(J + 1)
+    return 1e-15 * (m + 1) * (1 + m * dk * np.abs(ph).max()) * c
+
+
 @dataclass
 class MultiFreqDataset:
     """Complex field samples over (sensor, difference frequency m = -J..J)."""

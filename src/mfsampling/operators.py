@@ -3,26 +3,19 @@
 The data-driven operator convolves a sensor's multi-frequency samples
 against a frequency function over the band; it factors exactly (on
 matched quadrature) into an outer synthesis/analysis pair and a middle
-multiplication operator.  All reductions run in a fixed order so results
-are reproducible across platforms and thread counts.
+multiplication operator; `verify` certifies that.  All reductions run in a
+fixed order so results are reproducible across platforms and thread counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import FrequencyGrid, MeasurementSet, MultiFreqDataset, _band, generate_dataset
-from .geometry import QuadratureRule, SourceSupport, quadrature
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
-
-_FACTORIZATION_SALT = 0x8F1E
+from .forward import FrequencyGrid, MultiFreqDataset, _band
+from .geometry import QuadratureRule, SourceSupport
 
 
 @dataclass(frozen=True)
@@ -134,43 +127,3 @@ class Factorization:
         # conj(K)^T phi as conj(K^T conj(phi)): the same bits, without a conjugate J x Q copy
         out = phi.grid.spacing * np.conj(np.einsum("jq,j->q", self.kernel, np.conj(phi.samples)))
         return SupportFunction(rule=self.rule, samples=out)
-
-
-def _sensor_trials(scenario: "Scenario", sensor: int, salt: int):
-    """(data, factorization, test functions) of sensor `sensor` measuring alone.
-
-    Row 0 of the noiseless data equals row `sensor` of the full dataset bit
-    for bit (a far direction keeps its antipode).  The test functions are
-    an endless seeded draw of (N(0,1) + i N(0,1)) / sqrt 2 per frequency.
-    The operator certificates, which use them, hold for noiseless data only.
-    """
-    if scenario.noise_level != 0:
-        raise ValueError("operator certificates require a noiseless scenario")
-    x = scenario.measurement.points[sensor]
-    alone = replace(scenario, measurement=MeasurementSet.near_points([x]) if scenario.kind == "near"
-                    else MeasurementSet.far_directions([x]))
-    grid = scenario.frequencies
-    fac = Factorization(scenario.kind, x, scenario.support, quadrature(scenario.support, scenario.h),
-                        grid)
-    rng = np.random.default_rng([scenario.seed, sensor, salt])
-
-    def draws():
-        while True:
-            yield FreqFunction(grid, (rng.standard_normal(grid.count)
-                                      + 1j * rng.standard_normal(grid.count)) / math.sqrt(2))
-
-    return generate_dataset(alone), fac, draws()
-
-
-def factorization_residual(scenario: "Scenario", sensor: int = 0, trials: int = 20) -> float:
-    """Max over random test functions of ||(N - PTP*) g|| / ||N g|| on matched quadrature."""
-    data, fac, draws = _sensor_trials(scenario, sensor, _FACTORIZATION_SALT)
-    worst = 0.0
-    for g in itertools.islice(draws, trials):
-        Ng = apply_operator(data, 0, g).samples
-        den = np.linalg.norm(Ng)
-        if den == 0.0:
-            raise ValueError("degenerate scenario: data operator annihilates a random test function")
-        num = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g))).samples)
-        worst = max(worst, float(num / den))
-    return worst

@@ -206,6 +206,8 @@ def parse_config_text(text: str) -> Scenario:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        if not line.isascii():  # config text, hash and written configs are ASCII
+            raise ConfigError(f"line {lineno}: non-ASCII character in {raw_line!r}")
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, val = line.partition("=")

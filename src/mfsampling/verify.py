@@ -1,26 +1,30 @@
 """Numerical certificates: factorization identity, coercivity sandwich,
 point-spread-profile bounds, and data symmetries.
 
-Every check reduces to a single `measured <= tolerance` comparison.
-Composite checks normalize each subcheck by its own tolerance and report
-the worst ratio against an overall tolerance of 1.  Checks are
-deterministic given (scenario, seed).
+Every check reduces to a single `measured <= tolerance` comparison;
+composite checks report the worst subcheck over its own tolerance, against 1.
+Checks are deterministic given (scenario, seed).  The scenario certificates
+build the noiseless data of one sensor alone (with its antipode for a far
+direction), never all `L` rows.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forward import FrequencyGrid, MultiFreqDataset, _header_lines, _parse_header_lines, mirror
-from .geometry import annulus_radii
+from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_lines,
+                      band_error_bound, generate_dataset, mirror, radiated_field)
+from .geometry import annulus_radii, quadrature
 from .imaging import psf_closed_form, psf_discrete
-from .operators import _sensor_trials, factorization_residual, quadratic_form, support_norm
+from .operators import Factorization, FreqFunction, apply_operator, quadratic_form, support_norm
 
+_FACTORIZATION_SALT = 0x8F1E
 _COERCIVITY_SALT = 0x51D3
 _PSF_FINE_COUNT = 4000
 _PSF_CONVERGENCE_TS = (0.5, 1.0, 5.0)
@@ -48,19 +52,6 @@ class VerificationReport:
         ] + [(f"detail.{key}", repr(self.details[key])) for key in sorted(self.details)])
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, block: str) -> "VerificationReport":
-        fields = _parse_header_lines(block.strip().splitlines())
-        return cls(
-            check=fields.pop("check"),
-            scenario=fields.pop("scenario"),
-            measured=float(fields.pop("measured")),
-            tolerance=float(fields.pop("tolerance")),
-            passed=fields.pop("pass") == "true",
-            runtime_s=float(fields.pop("runtime_s")),
-            details={key.removeprefix("detail."): float(val) for key, val in fields.items()},
-        )
-
 
 def _report(check: str, scenario: str, measured: float, tol: float, t0: float,
             details: dict[str, float] | None = None) -> VerificationReport:
@@ -70,11 +61,45 @@ def _report(check: str, scenario: str, measured: float, tol: float, t0: float,
                               details=details or {})
 
 
+def _sensor_trials(scenario, sensor: int, salt: int):
+    """(data, quadrature rule, test functions) of sensor `sensor` measuring alone.
+
+    Row 0 of the noiseless data equals row `sensor` of the full dataset bit
+    for bit (a far direction keeps its antipode).  The test functions are
+    an endless seeded draw of (N(0,1) + i N(0,1)) / sqrt 2 per frequency.
+    The scenario certificates, which use them, hold for noiseless data only.
+    """
+    if scenario.noise_level != 0:
+        raise ValueError("scenario certificates require a noiseless scenario")
+    x = scenario.measurement.points[sensor]
+    alone = replace(scenario, measurement=MeasurementSet.near_points([x])
+                    if scenario.kind == "near" else MeasurementSet.far_directions([x]))
+    grid = scenario.frequencies
+    rng = np.random.default_rng([scenario.seed, sensor, salt])
+
+    def draws():
+        while True:
+            yield FreqFunction(grid, (rng.standard_normal(grid.count)
+                                      + 1j * rng.standard_normal(grid.count)) / math.sqrt(2))
+
+    return generate_dataset(alone), quadrature(scenario.support, scenario.h), draws()
+
+
 def check_factorization(scenario, sensor: int = 0, trials: int = 20,
                         tol: float = 1e-10) -> VerificationReport:
-    """Certify the exact operator factorization on noiseless matched-quadrature data."""
+    """Certify N = P T P* on matched quadrature: max over random g of ||(N - PTP*)g|| / ||Ng||."""
     t0 = time.perf_counter()
-    residual = factorization_residual(scenario, sensor=sensor, trials=trials)
+    data, rule, draws = _sensor_trials(scenario, sensor, _FACTORIZATION_SALT)
+    fac = Factorization(scenario.kind, scenario.measurement.points[sensor], scenario.support, rule,
+                        scenario.frequencies)
+    residual = 0.0
+    for g in itertools.islice(draws, trials):
+        Ng = apply_operator(data, 0, g).samples
+        den = np.linalg.norm(Ng)
+        if den == 0.0:
+            raise ValueError("degenerate scenario: data operator annihilates a random test function")
+        num = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g))).samples)
+        residual = max(residual, float(num / den))
     return _report("factorization", scenario.summary(), residual, tol, t0,
                    {"trials": float(trials), "sensor": float(sensor)})
 
@@ -88,9 +113,10 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
     distance bounds to the support.  Far kind: the interval is [c_f, C_f].
     """
     t0 = time.perf_counter()
-    data, fac, draws = _sensor_trials(scenario, sensor, _COERCIVITY_SALT)
-    c_f, C_f = scenario.support.amplitude_bounds()
+    data, rule, draws = _sensor_trials(scenario, sensor, _COERCIVITY_SALT)
     x = scenario.measurement.array[sensor]
+    fac = Factorization(scenario.kind, x, scenario.support, rule, scenario.frequencies)
+    c_f, C_f = scenario.support.amplitude_bounds()
     if scenario.kind == "near":
         r1, r2 = annulus_radii(scenario.support, x)
         lower, upper = c_f / (4 * math.pi * r2), C_f / (4 * math.pi * r1)
@@ -172,9 +198,18 @@ def symmetry_violation(data: MultiFreqDataset) -> float:
     return float(ratios.max(initial=0.0))
 
 
-def check_symmetries(data: MultiFreqDataset, tol: float = 1e-14) -> VerificationReport:
-    """Certify conjugate symmetry (near) or antipodal symmetry (far) of the data."""
+def check_symmetries(scenario) -> VerificationReport:
+    """Certify the columns m = -1..-J that `mirror` writes into sensor 0's data (the
+    conjugate near, the antipode's row far) against `radiated_field` at k = m dk.
+
+    Each column is over the band error bound of column |m|; the zero column,
+    which `zero_mode` sets, is left out.
+    """
     t0 = time.perf_counter()
-    violation = symmetry_violation(data)
-    return _report("symmetries", f"kind={data.kind} L={len(data.sensors)} J={data.grid.count} "
-                   f"noise={data.noise_level!r}", violation, tol, t0)
+    data, rule, _ = _sensor_trials(scenario, 0, salt=0)
+    kind, x, grid = scenario.kind, scenario.measurement.points[0], data.grid
+    exact = radiated_field(kind, scenario.support, rule, x, -grid.nodes)
+    J = grid.count
+    bound = band_error_bound(kind, x, scenario.support, rule, grid.spacing, J)[1:]
+    ratio = float(np.max(np.abs(data.values[0, J - 1::-1] - exact) / bound))
+    return _report("symmetries", scenario.summary(), ratio, 1.0, t0)

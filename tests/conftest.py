@@ -82,16 +82,3 @@ def radial_profile_deviation(field, x, bin_width):
     profile = np.interp(d, centers_d[valid], sums[valid] / cnts[valid])
     return float(np.abs(field.values - profile).max())
 
-
-def band_error_bound(kind, x, support, rule, dk, J):
-    """Per-column bound on a band row's rounding against exact exponentials, m = 0..J.
-
-    Row m of the band is z^m, reached by m products from z = e^{i dk phase}; each
-    product adds a few ulps, and the phase error of z grows m-fold.  So column m
-    may drift by 1e-15 (m+1)(1 + m dk max|phase|) sum_q |c_q|, with
-    c_q = w_q f_q / spreading_q the column's quadrature coefficients.
-    """
-    ph, spreading = mf.phase(kind, x, rule.nodes)
-    c = np.sum(np.abs(rule.weights * support.amplitude_at(rule.nodes) / spreading))
-    m = np.arange(J + 1)
-    return 1e-15 * (m + 1) * (1 + m * dk * np.abs(ph).max()) * c

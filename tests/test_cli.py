@@ -191,6 +191,11 @@ class TestParseConfig:
         s = parse_config_text("# experiment\nshape = ball  # unit\nradius = 1\nsensors = 3 0 0\n")
         assert isinstance(s.support, Ball)
 
+    def test_non_ascii_comment_parses(self):
+        s = parse_config_text("# caf\u00e9\nshape = ball  # r\u00e9f\u00e9rence\nradius = 1\n"
+                              "sensors = 3 0 0\n")
+        assert isinstance(s.support, Ball)
+
     def test_two_balls_amplitudes(self):
         s = parse_config_text(
             "shape = two_balls\ncenters = -1 0 0 ; 1 0 0\nradius = 0.5\n"
@@ -352,6 +357,17 @@ class TestMainExitCodes:
     def test_non_finite_scenario_field_refused(self, key, value):
         with pytest.raises(ConfigError, match=f"key '{key.removesuffix('_level')}'"):
             replace(PRESETS["ball_pt1"], **{key: value})
+
+    @pytest.mark.parametrize("command", ["simulate", "write-config"])
+    def test_non_ascii_config_value_exit_two(self, tmp_path, capsys, command):
+        cfg, out = tmp_path / "c.cfg", tmp_path / "out"
+        cfg.write_text("shape = ball\nradius = 1\nsensors = 3 0 0\nlabel = caf\u00e9\n",
+                       encoding="utf-8")
+        argv = (["simulate", "--config", str(cfg)] if command == "simulate"
+                else ["write-config", str(cfg)])
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 4: non-ASCII character")
+        assert not out.exists()
 
     def test_other_shape_key_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -6,12 +6,12 @@ from dataclasses import replace
 from scipy import integrate
 
 import mfsampling as mf
-from conftest import band_error_bound
 from mfsampling import (
     Ball,
     DatasetFormatError,
     FrequencyGrid,
     GeometryError,
+    band_error_bound,
     MeasurementSet,
     add_noise,
     fundamental_solution,

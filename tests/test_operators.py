@@ -15,7 +15,7 @@ from mfsampling import (
     QuadratureRule,
     SupportFunction,
     apply_operator,
-    factorization_residual,
+    check_factorization,
     freq_inner,
     probe,
     quadratic_form,
@@ -23,7 +23,7 @@ from mfsampling import (
     support_inner,
     support_norm,
 )
-from mfsampling.operators import _sensor_trials
+from mfsampling.verify import _sensor_trials
 
 _GRID = FrequencyGrid(k_max=11.0, count=11)
 
@@ -182,10 +182,10 @@ class TestMiddleOperator:
 
 class TestFactorization:
     def test_near_identity(self, ball_scenario):
-        assert factorization_residual(ball_scenario, sensor=0, trials=20) <= 1e-10
+        assert check_factorization(ball_scenario, sensor=0, trials=20).measured <= 1e-10
 
     def test_far_identity(self, far_ball_scenario):
-        assert factorization_residual(far_ball_scenario, sensor=0, trials=20) <= 1e-10
+        assert check_factorization(far_ball_scenario, sensor=0, trials=20).measured <= 1e-10
 
     def test_single_node_two_frequencies(self):
         # one interior voxel, two frequencies: the identity is hand-checkable
@@ -197,12 +197,12 @@ class TestFactorization:
             noise_level=0.0, seed=1, sampling=mf.SamplingGrid.cube(1.0, 2),
         )
         assert len(quadrature(tiny, 0.05)) == 1
-        assert factorization_residual(scenario, trials=5) <= 1e-13
+        assert check_factorization(scenario, trials=5).measured <= 1e-13
 
     def test_noisy_scenario_rejected(self, ball_scenario):
         noisy = replace(ball_scenario, noise_level=0.05)
         with pytest.raises(ValueError, match="noiseless"):
-            factorization_residual(noisy)
+            check_factorization(noisy)
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_unconjugated_analysis_caught(self, ball_scenario, far_ball_scenario, monkeypatch,
@@ -211,25 +211,26 @@ class TestFactorization:
         # the synthesis kernel instead of its conjugate fails it
         s = (ball_scenario if kind == "near" else
              replace(far_ball_scenario, support=Ball(center=(0.6, -0.3, 0.2), radius=0.5)))
-        assert factorization_residual(s) <= 1e-10
+        assert check_factorization(s).measured <= 1e-10
 
         def analysis(self, phi):
             out = phi.grid.spacing * np.einsum("jq,j->q", self.kernel, phi.samples)
             return SupportFunction(rule=self.rule, samples=out)
 
         monkeypatch.setattr(Factorization, "analysis", analysis)
-        assert factorization_residual(s) > 1e-3
+        assert check_factorization(s).measured > 1e-3
 
     def test_zero_mode_drop_breaks_identity(self, ball_scenario):
         # without the zero-frequency column the diagonal is missing: large residual
-        res_ext = factorization_residual(ball_scenario, trials=10)
-        res_drop = factorization_residual(replace(ball_scenario, zero_mode="drop"), trials=10)
+        res_ext = check_factorization(ball_scenario, trials=10).measured
+        res_drop = check_factorization(replace(ball_scenario, zero_mode="drop"),
+                                       trials=10).measured
         assert res_drop > 1e3 * max(res_ext, 1e-16)
         assert 0.05 <= res_drop <= 5.0
 
     def test_residual_deterministic(self, ball_scenario):
-        a = factorization_residual(ball_scenario, trials=5)
-        b = factorization_residual(ball_scenario, trials=5)
+        a = check_factorization(ball_scenario, trials=5).measured
+        b = check_factorization(ball_scenario, trials=5).measured
         assert a == b
 
 

@@ -13,7 +13,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 import mfsampling as mf
-from conftest import band_error_bound
 from mfsampling.scenario import parse_config_text, write_config_text
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
@@ -200,12 +199,13 @@ def test_band_rows_match_exact_kernel(s, J):
     exact, exact_spreading = mf.forward._kernel(s.kind, x, rule.nodes, np.arange(J + 1) * dk)
     assert np.array_equal(spreading, exact_spreading)
     c = np.abs(rule.weights * s.support.amplitude_at(rule.nodes) / spreading)
-    assert np.all(np.abs(band - exact) @ c <= band_error_bound(s.kind, x, s.support, rule, dk, J))
+    bound = mf.band_error_bound(s.kind, x, s.support, rule, dk, J)
+    assert np.all(np.abs(band - exact) @ c <= bound)
 
 
 @given(one_sensor_scenarios())
 def test_factorization_residual_small(s):
-    assert mf.factorization_residual(s) <= 1e-10
+    assert mf.check_factorization(s).measured <= 1e-10
 
 
 # Below 1e-150 a sample times the Fejer weights can leave the normal range, where no
