@@ -23,6 +23,7 @@ from .forward import (
     band_error_bound,
     fundamental_solution,
     generate_dataset,
+    grid_phases,
     mirror,
     phase,
     radiated_field,

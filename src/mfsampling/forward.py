@@ -9,7 +9,8 @@ negation (far), and optionally perturbed by seeded per-sample Gaussian noise.
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
 are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
 (`_band`).  Arbitrary wavenumbers take one exponential per sample
-(`_kernel`, used by `radiated_field`, the probe and the indicator).
+(`_cis`: through `_kernel` for `radiated_field` and the probe, and on
+`grid_phases` for the indicator).
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .geometry import GeometryError, QuadratureRule, SourceSupport, contains, quadrature, _point
+from .geometry import (GeometryError, QuadratureRule, SourceSupport, contains, quadrature, _point,
+                       _points)
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -131,12 +133,45 @@ def phase(kind: str, x, points) -> tuple[np.ndarray, np.ndarray | float]:
     return -(points @ xp), 1.0
 
 
+def _grid_points(axes) -> np.ndarray:
+    """Points of the tensor grid axes[0] x axes[1] x axes[2] as (n, 3), in row-major order."""
+    points = np.empty(tuple(len(a) for a in axes) + (3,))
+    points[..., 0] = axes[0][:, None, None]
+    points[..., 1] = axes[1][:, None]
+    points[..., 2] = axes[2]
+    return points.reshape(-1, 3)
+
+
+def grid_phases(kind: str, sensors, axes) -> Iterator[np.ndarray]:
+    """`phase` of each sensor in turn over the tensor grid of three axis vectors, bit
+    for bit, shaped (len(axes[0]), len(axes[1]), len(axes[2])).
+
+    Near, the squared axis offsets are added in the norm's order, so a sensor's
+    distances cost three short vectors and one broadcast sum.  Far, the grid's
+    points are built once and projected on each direction.
+    """
+    xs, axes = _points(sensors), [np.asarray(a, dtype=float) for a in axes]
+    if kind == "near":
+        for x in xs:
+            d0, d1, d2 = ((c - a) ** 2 for c, a in zip(x, axes))
+            yield np.sqrt(d0[:, None, None] + d1[None, :, None] + d2[None, None, :])
+        return
+    points, shape = _grid_points(axes), tuple(len(a) for a in axes)
+    for x in xs:
+        yield phase(kind, x, points)[0].reshape(shape)
+
+
 def _kernel(kind: str, x, points, k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Kernel e^{i k phase(y)} at arbitrary wavenumbers, rows k by columns points,
     with the phase map's spreading."""
     ph, spreading = phase(kind, x, points)
+    return _cis(k, ph), spreading
+
+
+def _cis(k: float | np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """e^{i k ph}, rows k by columns ph."""
     E = 1j * np.multiply.outer(k, ph)
-    return np.exp(E, out=E), spreading
+    return np.exp(E, out=E)
 
 
 def _band(kind: str, x, points, dk: float, J: int) -> tuple[np.ndarray, np.ndarray | float]:

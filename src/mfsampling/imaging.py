@@ -21,12 +21,15 @@ import numpy as np
 from .forward import (
     FrequencyGrid,
     MultiFreqDataset,
+    _cis,
     _format_floats,
+    _grid_points,
     _kernel,
     _numbers,
     _reading,
     _samples,
     _write_container,
+    grid_phases,
 )
 from .operators import FreqFunction
 from .geometry import _points
@@ -69,9 +72,7 @@ class SamplingGrid:
 
     def centers(self) -> np.ndarray:
         """All voxel centers as an (n1*n2*n3, 3) array in row-major order."""
-        ax = [self.axis_centers(a) for a in range(3)]
-        X, Y, Z = np.meshgrid(*ax, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+        return _grid_points([self.axis_centers(a) for a in range(3)])
 
     @property
     def size(self) -> int:
@@ -149,16 +150,29 @@ def _fejer(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.abs(acc)
 
 
+# Voxels per slab of whole axis-0 layers: small enough that a slab's w and Horner
+# accumulator stay in cache, large enough that per-call overhead stays small.
+_SLAB_VOXELS = 16384
+
+
 def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorField:
     """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the modulus of
-    the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m."""
+    the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m.
+
+    The grid is taken one slab of axis-0 layers at a time, with the phase from the
+    grid's axes; each voxel sums its sensors in sensor order."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
-    centers = grid.centers()
+    coeffs = [weights * row[1:-1] for row in data.values]
+    a0, a1, a2 = (grid.axis_centers(a) for a in range(3))
+    layer = a1.size * a2.size
+    step = max(1, _SLAB_VOXELS // layer)
     total = np.zeros(grid.size)
-    for x, row in zip(data.sensors.array, data.values):
-        w, _ = _kernel(data.kind, x, centers, -dk)
-        total += _fejer(weights * row[1:-1], w)
+    for lo in range(0, a0.size, step):
+        slab = total[lo * layer:(lo + step) * layer]
+        phases = grid_phases(data.kind, data.sensors.array, (a0[lo:lo + step], a1, a2))
+        for t, c in zip(phases, coeffs):
+            slab += _fejer(c, _cis(-dk, t.ravel()))
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 
@@ -204,7 +218,9 @@ def threshold_mask(field: IndicatorField, iso: float) -> ThresholdMask:
     count = int(mask.sum())
     if count == 0:
         return ThresholdMask(field.grid, float(iso), mask, 0, None, None)
-    pts = field.grid.centers()[mask]
+    # (n, 3) like the centers, so the mean adds in their order; a 1-D mean adds pairwise
+    index = np.nonzero(mask.reshape(field.grid.resolution))
+    pts = np.stack([field.grid.axis_centers(a)[i] for a, i in enumerate(index)], axis=1)
     centroid = tuple(float(c) for c in pts.mean(axis=0))
     bbox = (tuple(float(c) for c in pts.min(axis=0)),
             tuple(float(c) for c in pts.max(axis=0)))
@@ -246,9 +262,9 @@ def write_cross_section(cs: CrossSection, path, scenario_hash: str = "-") -> Non
         f"axis={cs.axis} coordinate={cs.coordinate!r}",
         f"{u_name},{v_name},value",
     ]
-    for i, u in enumerate(cs.u_coords):
-        for j, v in enumerate(cs.v_coords):
-            lines.append(f"{float(u)!r},{float(v)!r},{float(cs.values[i, j])!r}")
+    v_text = [repr(v) for v in cs.v_coords.tolist()]
+    for u, row in zip(cs.u_coords.tolist(), cs.values.tolist()):
+        lines += [f"{u!r},{v},{value!r}" for v, value in zip(v_text, row)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

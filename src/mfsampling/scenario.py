@@ -51,6 +51,8 @@ class Scenario:
             raise ConfigError("key 'noise': noise level must be nonnegative and finite")
         if self.seed < 0:
             raise ConfigError("key 'seed': seed must be a nonnegative integer")
+        if not self.label.isascii():  # the label is written into config text and its hash
+            raise ConfigError(f"key 'label': non-ASCII character in {self.label!r}")
         if self.zero_mode not in ("extend", "drop"):
             raise ConfigError("key 'zero_mode': must be 'extend' or 'drop'")
         for v in self.iso_values:
@@ -285,8 +287,10 @@ def parse_config_text(text: str) -> Scenario:
 
 
 def parse_config(path) -> Scenario:
+    # A byte that is not UTF-8 decodes to a lone surrogate: it may sit in a comment,
+    # and elsewhere the parser names its line as non-ASCII.
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -315,8 +319,10 @@ def write_config_text(s: Scenario) -> str:
 
 
 def write_config(s: Scenario, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(write_config_text(s))
+    """Write the config text; it is built and encoded first, so an error leaves no file."""
+    data = write_config_text(s).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def scenario_hash(s: Scenario) -> str:

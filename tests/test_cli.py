@@ -369,6 +369,31 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("config error: line 4: non-ASCII character")
         assert not out.exists()
 
+    def test_non_utf8_byte_in_comment_parses(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.cfg", tmp_path / "d.mfd"
+        cfg.write_bytes(b"shape = ball\nradius = 1\nsensors = 3 0 0\n# caf\xe9\n")
+        assert main(["simulate", "--config", str(cfg), "--grid", "8", "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_non_utf8_byte_in_value_exit_two(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.cfg", tmp_path / "d.mfd"
+        cfg.write_bytes(b"shape = ball\nradius = 1\nsensors = 3 0 0\nlabel = caf\xe9\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 4: non-ASCII character")
+        assert not out.exists()
+
+    def test_non_ascii_label_refused(self):
+        with pytest.raises(ConfigError, match="key 'label': non-ASCII"):
+            replace(PRESETS["ball_pt1"], label="caf\u00e9")
+
+    def test_write_config_unencodable_leaves_no_file(self, tmp_path):
+        scenario = replace(PRESETS["ball_pt1"])
+        object.__setattr__(scenario, "label", "caf\u00e9")  # past validation
+        out = tmp_path / "c.cfg"
+        with pytest.raises(UnicodeEncodeError):
+            write_config(scenario, out)
+        assert not out.exists()
+
     def test_other_shape_key_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(write_config_text(PRESETS["ball_pt1"]) + "half_widths = 1 1 1\n")

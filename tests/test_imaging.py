@@ -276,6 +276,61 @@ class TestIndicatorPsfIdentity:
         assert np.all(np.abs(field.values - expected) <= 1e-12 * expected)
 
 
+class TestGridPhases:
+    """The grid form of the phase map is `phase` on the grid's centers, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_bit_equal_to_phase_on_centers(self, kind):
+        s = _offcentre_scenario(kind, resolution=(7, 11, 5))
+        grid, sensors = s.sampling, s.measurement.array
+        axes = [grid.axis_centers(a) for a in range(3)]
+        phases = list(mf.grid_phases(kind, sensors, axes))
+        assert len(phases) == len(sensors)
+        for x, t in zip(sensors, phases):
+            expected, _ = mf.phase(kind, x, grid.centers())
+            assert t.shape == (7, 11, 5)
+            assert t.ravel().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_slab_is_rows_of_full_grid(self, kind):
+        s = _offcentre_scenario(kind, resolution=(7, 11, 5))
+        grid, sensors = s.sampling, s.measurement.array
+        a0, a1, a2 = (grid.axis_centers(a) for a in range(3))
+        for x, t in zip(sensors, mf.grid_phases(kind, sensors, (a0[2:5], a1, a2))):
+            expected, _ = mf.phase(kind, x, grid.centers())
+            assert t.ravel().tobytes() == expected[2 * 55:5 * 55].tobytes()
+
+
+def _indicator_unslabbed(data, grid):
+    """The indicator over all voxels at once from `phase` on the grid's centers."""
+    J, dk = data.grid.count, data.grid.spacing
+    weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
+    total = np.zeros(grid.size)
+    for x, row in zip(data.sensors.array, data.values):
+        w, _ = mf.forward._kernel(data.kind, x, grid.centers(), -dk)
+        total += mf.imaging._fejer(weights * row[1:-1], w)
+    return total
+
+
+class TestIndicatorSlabs:
+    """Slabs of axis-0 layers leave every voxel's value unchanged to the bit."""
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    @pytest.mark.parametrize("resolution, slab_voxels", [
+        ((7, 11, 5), None),  # the whole grid is below one slab
+        ((37, 23, 21), None),  # 33 + 4 layers: V is not a multiple of a slab
+        ((7, 11, 5), 110),  # slabs of 2, 2, 2 and 1 layers
+        ((7, 11, 5), 10),  # a layer larger than a slab is taken whole
+    ])
+    def test_same_bytes_as_unslabbed(self, kind, resolution, slab_voxels, monkeypatch):
+        if slab_voxels is not None:
+            monkeypatch.setattr(mf.imaging, "_SLAB_VOXELS", slab_voxels)
+        s = _offcentre_scenario(kind, resolution=resolution)
+        data = add_noise(generate_dataset(s), 0.05, 3)
+        field = compute_indicator(data, s.sampling)
+        assert field.values.tobytes() == _indicator_unslabbed(data, s.sampling).tobytes()
+
+
 class TestNormalize:
     def _field(self, values):
         n = len(values)
@@ -364,6 +419,15 @@ class TestThresholdMask:
         assert m.count == 1
         assert m.centroid == (0.5, 0.5, 0.5)
         assert m.bbox == ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))
+
+    def test_centroid_and_bbox_match_centers(self):
+        s = _offcentre_scenario("near", resolution=(7, 11, 5))
+        field = normalize(compute_indicator(generate_dataset(s), s.sampling))
+        m = threshold_mask(field, 0.5)
+        pts = s.sampling.centers()[m.mask]
+        assert m.count == len(pts) > 1
+        assert m.centroid == tuple(pts.mean(axis=0))
+        assert m.bbox == (tuple(pts.min(axis=0)), tuple(pts.max(axis=0)))
 
     def test_empty_mask(self):
         grid = SamplingGrid(bounds=((0, 1), (0, 1), (0, 1)), resolution=(1, 1, 1))
