@@ -21,7 +21,6 @@ from .forward import (
     MultiFreqDataset,
     add_noise,
     band_error_bound,
-    fundamental_solution,
     generate_dataset,
     grid_phases,
     mirror,

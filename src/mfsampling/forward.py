@@ -233,14 +233,6 @@ class MultiFreqDataset:
         return np.sqrt((np.abs(self.values) ** 2).mean(axis=1))
 
 
-def fundamental_solution(k: float, x, y) -> complex:
-    """Outgoing point-source kernel e^{ik|x-y|} / (4 pi |x-y|)."""
-    r = float(np.linalg.norm(_point(x) - _point(y)))
-    if r == 0.0:
-        raise ValueError("singular kernel: x == y")
-    return complex(np.exp(1j * k * r) / (4 * math.pi * r))
-
-
 def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
                    k: float | np.ndarray) -> complex | np.ndarray:
     """Field at sensor x (near) or pattern in direction x (far) at wavenumber k.

@@ -51,8 +51,12 @@ class Scenario:
             raise ConfigError("key 'noise': noise level must be nonnegative and finite")
         if self.seed < 0:
             raise ConfigError("key 'seed': seed must be a nonnegative integer")
-        if not self.label.isascii():  # the label is written into config text and its hash
+        # the label is written into config text and its hash, so it must read back unchanged
+        if not self.label.isascii():
             raise ConfigError(f"key 'label': non-ASCII character in {self.label!r}")
+        if self.label and ("#" in self.label or self.label.strip().splitlines() != [self.label]):
+            raise ConfigError(f"key 'label': {self.label!r} holds a '#', a line break, or "
+                              "leading or trailing space, which config text cannot carry")
         if self.zero_mode not in ("extend", "drop"):
             raise ConfigError("key 'zero_mode': must be 'extend' or 'drop'")
         for v in self.iso_values:

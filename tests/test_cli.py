@@ -386,6 +386,18 @@ class TestMainExitCodes:
         with pytest.raises(ConfigError, match="key 'label': non-ASCII"):
             replace(PRESETS["ball_pt1"], label="caf\u00e9")
 
+    @pytest.mark.parametrize("label", ["run#2", " padded ", "x\nnoise = 0.5"],
+                             ids=["comment", "padded", "line_break"])
+    def test_label_config_text_cannot_carry_refused(self, label):
+        # each would read back changed: as 'run', as 'padded', or as a duplicated key
+        with pytest.raises(ConfigError, match="key 'label': "):
+            replace(PRESETS["ball_pt1"], label=label)
+
+    @pytest.mark.parametrize("label", ["run 2", "a=b", "tab\tinside"])
+    def test_label_round_trips(self, label):
+        s = replace(PRESETS["ball_pt1"], label=label)
+        assert parse_config_text(write_config_text(s)) == s
+
     def test_write_config_unencodable_leaves_no_file(self, tmp_path):
         scenario = replace(PRESETS["ball_pt1"])
         object.__setattr__(scenario, "label", "caf\u00e9")  # past validation

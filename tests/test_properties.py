@@ -1,6 +1,7 @@
 """Property tests: config text and the dataset/field containers round-trip exactly;
-the forward data and the factorization hold over drawn supports and sensors; the
-indicator's Fejer polynomial equals the dense quadratic form over drawn data."""
+the forward data, the factorization and the coercivity check's O(J^2) norm hold over
+drawn supports and sensors; the indicator's Fejer polynomial equals the dense quadratic
+form over drawn data."""
 
 import math
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import assume, given, strategies as st
 
 import mfsampling as mf
 from mfsampling.scenario import parse_config_text, write_config_text
+from test_verify import analysis_norms, coercivity_denominators
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 positive = st.floats(0.05, 1.5, allow_nan=False)
@@ -156,8 +158,9 @@ def test_field_byte_round_trip(field, tag):
 
 
 @st.composite
-def one_sensor_scenarios(draw):
-    """A noiseless scenario with one drawn sensor, at a spacing of 1/12 of the support's box.
+def one_sensor_scenarios(draw, max_count=16):
+    """A noiseless scenario with one drawn sensor, at a spacing of 1/12 of the support's box,
+    with 2 to `max_count` frequencies.
 
     The rule then has at most 12^3 nodes; a support it misses entirely is rejected.
     """
@@ -176,7 +179,7 @@ def one_sensor_scenarios(draw):
     return mf.Scenario(
         support=support, h=h, measurement=measurement,
         frequencies=mf.FrequencyGrid(k_max=draw(st.floats(0.5, 20.0)),
-                                     count=draw(st.integers(2, 16))),
+                                     count=draw(st.integers(2, max_count))),
         noise_level=0.0, seed=draw(st.integers(0, 2**31)))
 
 
@@ -206,6 +209,14 @@ def test_band_rows_match_exact_kernel(s, J):
 @given(one_sensor_scenarios())
 def test_factorization_residual_small(s):
     assert mf.check_factorization(s).measured <= 1e-10
+
+
+@given(one_sensor_scenarios(max_count=64))
+def test_coercivity_gram_form_is_analysis_norm(s):
+    seen = coercivity_denominators(s, trials=5)
+    exact = analysis_norms(s, [g for g, _ in seen])
+    gram = np.array([value for _, value in seen])
+    assert np.all(np.abs(gram - exact) <= 1e-13 * exact)
 
 
 # Below 1e-150 a sample times the Fejer weights can leave the normal range, where no

@@ -35,6 +35,30 @@ def offcentre_scenario(kind):
                        frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0, seed=1)
 
 
+def coercivity_denominators(scenario, trials):
+    """The test functions g that check_coercivity draws, each with the ||P* g||^2 it
+    divides by, as the check computes it."""
+    form, seen = mf.verify._toeplitz_form, []
+
+    def recorded(row, g):
+        value = form(row, g)
+        seen.append((g, value.real))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mf.verify, "_toeplitz_form", recorded)
+        check_coercivity(scenario, trials=trials)
+    return seen
+
+
+def analysis_norms(scenario, gs):
+    """||P* g||^2 through the exported analysis factor of sensor 0."""
+    rule = mf.quadrature(scenario.support, scenario.h)
+    fac = mf.Factorization(scenario.kind, scenario.measurement.points[0], scenario.support, rule,
+                           scenario.frequencies)
+    return np.array([mf.support_norm(fac.analysis(g)) ** 2 for g in gs])
+
+
 class TestCheckFactorization:
     def test_passes_on_clean_scenario(self, ball_scenario):
         report = check_factorization(ball_scenario, trials=20)
@@ -100,6 +124,43 @@ class TestCheckCoercivity:
             check_coercivity(ball_scenario, trials=trials)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("zero_mode", ["extend", "drop"])
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_gram_form_is_analysis_norm(self, kind, zero_mode):
+        # the O(J^2) denominator (P P* g, g) is ||P* g||^2 of the exported factor; with
+        # zero_mode = drop its zero column is still sum w_q, not the data's 0
+        s = replace(offcentre_scenario(kind), zero_mode=zero_mode)
+        seen = coercivity_denominators(s, trials=50)
+        assert len(seen) == 50
+        exact = analysis_norms(s, [g for g, _ in seen])
+        gram = np.array([value for _, value in seen])
+        assert np.all(np.abs(gram - exact) <= 1e-13 * exact)
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_no_analysis_per_trial(self, monkeypatch, kind):
+        def refused(self, phi):
+            raise AssertionError("check_coercivity applied the O(J Q) analysis factor")
+
+        monkeypatch.setattr(mf.Factorization, "analysis", refused)
+        assert check_coercivity(offcentre_scenario(kind)).passed
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_wrong_multiplier_fails(self, monkeypatch, kind):
+        # data of the multiplier 3 T, against the bounds of the true support: every
+        # ratio is 3 times the true one and leaves the interval
+        s = offcentre_scenario(kind)
+        assert check_coercivity(s).passed
+        trials = mf.verify._sensor_trials
+
+        def tripled(*args, **kwargs):
+            data, rule, draws = trials(*args, **kwargs)
+            return replace(data, values=3 * data.values), rule, draws
+
+        monkeypatch.setattr(mf.verify, "_sensor_trials", tripled)
+        report = check_coercivity(s)
+        assert not report.passed
+        assert report.details["ratio_min"] > report.details["upper_bound"]
 
     def test_deterministic(self, ball_scenario):
         a = check_coercivity(ball_scenario, trials=20)
