@@ -22,7 +22,6 @@ from .forward import (
     add_noise,
     band_error_bound,
     generate_dataset,
-    grid_phases,
     mirror,
     phase,
     radiated_field,

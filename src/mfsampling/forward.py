@@ -8,9 +8,9 @@ negation (far), and optionally perturbed by seeded per-sample Gaussian noise.
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
 are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
-(`_band`).  Arbitrary wavenumbers take one exponential per sample
-(`_cis`: through `_kernel` for `radiated_field` and the probe, and on
-`grid_phases` for the indicator).
+(`_band`).  Arbitrary wavenumbers (`radiated_field`, the probe, and the
+indicator on each slab's grid axes) take one exponential per sample, `_cis`
+of the phase.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (GeometryError, QuadratureRule, SourceSupport, contains, quadrature, _point,
-                       _points)
+from .geometry import GeometryError, QuadratureRule, SourceSupport, contains, quadrature, _point
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -115,57 +114,26 @@ class MeasurementSet:
         return idx
 
 
-def phase(kind: str, x, points) -> tuple[np.ndarray, np.ndarray | float]:
-    """Phase map of one sensor over points (n, 3), with its spreading factor.
+def phase(kind: str, x, coords) -> tuple[np.ndarray, np.ndarray | float]:
+    """Phase map of one sensor at points y given by their three coordinate arrays,
+    which broadcast together (`nodes.T`, `np.ix_` of three grid axes, or one point),
+    with its spreading factor.
 
-    Near sensor point x: phase |x - y|, spreading 4 pi |x - y|.  Far
-    direction xhat: phase -xhat.y, spreading 1.0.  The data kernel
-    e^{i k phase} / spreading, the probe, the outer and middle factors and
-    the indicator are all built from this map, so no kernel branches on the
-    kind and their signs agree by construction.
+    Near sensor point x: phase |x - y|, spreading 4 pi |x - y|, with the squares
+    added in axis order.  Far direction xhat: phase -xhat.y, spreading 1.0, summed
+    in axis order.  The data kernel e^{i k phase} / spreading, the probe, the outer
+    and middle factors and the indicator are all built from this map, so no kernel
+    branches on the kind and their signs agree by construction.
     """
     xp = _point(x)
+    y0, y1, y2 = coords
     if kind == "near":
-        r = np.linalg.norm(xp - points, axis=1)
+        r = np.sqrt((xp[0] - y0) ** 2 + (xp[1] - y1) ** 2 + (xp[2] - y2) ** 2)
         return r, 4 * math.pi * r
     if abs(np.linalg.norm(xp) - 1.0) > _UNIT_TOL:
         raise ValueError("far-field direction must be a unit vector")
-    return -(points @ xp), 1.0
-
-
-def _grid_points(axes) -> np.ndarray:
-    """Points of the tensor grid axes[0] x axes[1] x axes[2] as (n, 3), in row-major order."""
-    points = np.empty(tuple(len(a) for a in axes) + (3,))
-    points[..., 0] = axes[0][:, None, None]
-    points[..., 1] = axes[1][:, None]
-    points[..., 2] = axes[2]
-    return points.reshape(-1, 3)
-
-
-def grid_phases(kind: str, sensors, axes) -> Iterator[np.ndarray]:
-    """`phase` of each sensor in turn over the tensor grid of three axis vectors, bit
-    for bit, shaped (len(axes[0]), len(axes[1]), len(axes[2])).
-
-    Near, the squared axis offsets are added in the norm's order, so a sensor's
-    distances cost three short vectors and one broadcast sum.  Far, the grid's
-    points are built once and projected on each direction.
-    """
-    xs, axes = _points(sensors), [np.asarray(a, dtype=float) for a in axes]
-    if kind == "near":
-        for x in xs:
-            d0, d1, d2 = ((c - a) ** 2 for c, a in zip(x, axes))
-            yield np.sqrt(d0[:, None, None] + d1[None, :, None] + d2[None, None, :])
-        return
-    points, shape = _grid_points(axes), tuple(len(a) for a in axes)
-    for x in xs:
-        yield phase(kind, x, points)[0].reshape(shape)
-
-
-def _kernel(kind: str, x, points, k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """Kernel e^{i k phase(y)} at arbitrary wavenumbers, rows k by columns points,
-    with the phase map's spreading."""
-    ph, spreading = phase(kind, x, points)
-    return _cis(k, ph), spreading
+    n0, n1, n2 = -xp  # the bits of -(xhat.y), zeros' signs aside, without a negating pass
+    return n0 * y0 + n1 * y1 + n2 * y2, 1.0
 
 
 def _cis(k: float | np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -180,7 +148,7 @@ def _band(kind: str, x, points, dk: float, J: int) -> tuple[np.ndarray, np.ndarr
     Row m is z^m for z = e^{i dk phase}: one exponential per point, then each
     row is the one before it times row 1, elementwise and in row order.
     """
-    ph, spreading = phase(kind, x, points)
+    ph, spreading = phase(kind, x, points.T)
     E = np.empty((J + 1, len(ph)), dtype=complex)
     E[0] = 1.0
     np.exp(1j * (dk * ph), out=E[1])
@@ -198,7 +166,7 @@ def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule,
     may drift by 1e-15 (m+1)(1 + m dk max|phase|) sum|c_q|, with
     c_q = w_q f_q / spreading_q the column's quadrature coefficients.
     """
-    ph, spreading = phase(kind, x, rule.nodes)
+    ph, spreading = phase(kind, x, rule.nodes.T)
     c = np.sum(np.abs(rule.weights * support.amplitude_at(rule.nodes) / spreading))
     m = np.arange(J + 1)
     return 1e-15 * (m + 1) * (1 + m * dk * np.abs(ph).max()) * c
@@ -243,7 +211,8 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     """
     if kind == "near" and contains(support, _point(x)):
         raise GeometryError("near-field evaluation point lies inside the source support")
-    E, spreading = _kernel(kind, x, rule.nodes, k)
+    ph, spreading = phase(kind, x, rule.nodes.T)
+    E = _cis(k, ph)
     E *= rule.weights * support.amplitude_at(rule.nodes)  # in place: no J x Q temporaries
     E /= spreading
     u = np.sum(E, axis=-1)

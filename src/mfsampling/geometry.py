@@ -33,6 +33,15 @@ def _points(p) -> np.ndarray:
     return a
 
 
+def _grid_points(axes) -> np.ndarray:
+    """Points of the tensor grid axes[0] x axes[1] x axes[2] as (n, 3), in row-major order."""
+    points = np.empty(tuple(len(a) for a in axes) + (3,))
+    points[..., 0] = axes[0][:, None, None]
+    points[..., 1] = axes[1][:, None]
+    points[..., 2] = axes[2]
+    return points.reshape(-1, 3)
+
+
 def _triple(v) -> tuple[float, float, float]:
     x, y, z = (float(c) for c in v)
     return (x, y, z)
@@ -319,9 +328,7 @@ def quadrature(support: SourceSupport, h: float) -> QuadratureRule:
         raise ValueError("quadrature spacing h must be positive")
     lo, hi = support.bounding_box()
     counts = [max(1, int(np.ceil((hi[a] - lo[a]) / h - 1e-12))) for a in range(3)]
-    axes = [lo[a] + (np.arange(counts[a]) + 0.5) * h for a in range(3)]
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    pts = _grid_points([lo[a] + (np.arange(counts[a]) + 0.5) * h for a in range(3)])
     inside = support.contains_points(pts)
     nodes = pts[inside]
     if len(nodes) == 0:

@@ -23,16 +23,14 @@ from .forward import (
     MultiFreqDataset,
     _cis,
     _format_floats,
-    _grid_points,
-    _kernel,
     _numbers,
     _reading,
     _samples,
     _write_container,
-    grid_phases,
+    phase,
 )
 from .operators import FreqFunction
-from .geometry import _points
+from .geometry import _grid_points, _point
 
 FIELD_MAGIC = "mfsampling-field v1"
 MASK_MAGIC = "mfsampling-mask v1"
@@ -117,8 +115,8 @@ class ThresholdMask:
 
 def probe(kind: str, x, z, grid: FrequencyGrid) -> FreqFunction:
     """Unimodular probe e^{i k_j phase(z)} of sensor x at sampling point z."""
-    E, _ = _kernel(kind, x, _points(z), grid.nodes)
-    return FreqFunction(grid=grid, samples=E[:, 0])
+    t, _ = phase(kind, x, _point(z))
+    return FreqFunction(grid=grid, samples=_cis(grid.nodes, t))
 
 
 # Former per-kind names, still called by the benchmark's oracle.
@@ -159,8 +157,8 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
     """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the modulus of
     the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m.
 
-    The grid is taken one slab of axis-0 layers at a time, with the phase from the
-    grid's axes; each voxel sums its sensors in sensor order."""
+    The grid is taken one slab of axis-0 layers at a time, with the phase on the
+    slab's axes; each voxel sums its sensors in sensor order."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     coeffs = [weights * row[1:-1] for row in data.values]
@@ -170,8 +168,9 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
     total = np.zeros(grid.size)
     for lo in range(0, a0.size, step):
         slab = total[lo * layer:(lo + step) * layer]
-        phases = grid_phases(data.kind, data.sensors.array, (a0[lo:lo + step], a1, a2))
-        for t, c in zip(phases, coeffs):
+        axes = np.ix_(a0[lo:lo + step], a1, a2)
+        for x, c in zip(data.sensors.array, coeffs):
+            t, _ = phase(data.kind, x, axes)
             slab += _fejer(c, _cis(-dk, t.ravel()))
     return IndicatorField(grid=grid, values=total, normalized=False)
 

@@ -152,6 +152,16 @@ class TestFarField:
         exact = np.array([ball_pattern_oracle(k) for k in ks])
         assert np.abs(num - exact).max() <= 0.01 * np.abs(exact).max()
 
+    def test_phase_is_fixed_order_projection(self):
+        # the far phase is -(y0 x0 + y1 x1 + y2 x2) added in axis order, on every
+        # node of an off-centre peanut, whichever matrix-vector kernel the machine has
+        s = offcentre_scenario("far")
+        y0, y1, y2 = quadrature(s.support, s.h).nodes.T
+        for x0, x1, x2 in s.measurement.array:
+            t, spreading = mf.phase("far", (x0, x1, x2), (y0, y1, y2))
+            assert spreading == 1.0
+            assert t.tobytes() == (-(y0 * x0 + y1 * x1 + y2 * x2)).tobytes()
+
     def test_non_unit_direction_errors(self, unit_ball):
         rule = quadrature(unit_ball, 0.2)
         with pytest.raises(ValueError, match="unit"):
@@ -292,7 +302,7 @@ class TestBand:
         def refuse(*args):
             raise AssertionError("exact per-wavenumber kernel called")
 
-        monkeypatch.setattr(mf.forward, "_kernel", refuse)
+        monkeypatch.setattr(mf.forward, "_cis", refuse)
         monkeypatch.setattr(mf.forward, "radiated_field", refuse)
         for kind in ("near", "far"):
             s = offcentre_scenario(kind)
