@@ -8,9 +8,10 @@ negation (far), and optionally perturbed by seeded per-sample Gaussian noise.
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
 are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
-(`_band`).  Arbitrary wavenumbers (`radiated_field`, the probe, and the
-indicator on each slab's grid axes) take one exponential per sample, `_cis`
-of the phase.
+(`_band`).  Arbitrary wavenumbers (`radiated_field`, the probe, and the near
+indicator) take one exponential per sample, `_cis` of the phase.  On a tensor
+grid the far phase is linear, so there `_grid_cis` takes one exponential per
+axis point, and a voxel's is the product of its three axis points'.
 """
 
 from __future__ import annotations
@@ -114,26 +115,29 @@ class MeasurementSet:
         return idx
 
 
-def phase(kind: str, x, coords) -> tuple[np.ndarray, np.ndarray | float]:
+def phase(kind: str, x, coords) -> np.ndarray:
     """Phase map of one sensor at points y given by their three coordinate arrays,
-    which broadcast together (`nodes.T`, `np.ix_` of three grid axes, or one point),
-    with its spreading factor.
+    which broadcast together (`nodes.T`, `np.ix_` of three grid axes, or one point).
 
-    Near sensor point x: phase |x - y|, spreading 4 pi |x - y|, with the squares
-    added in axis order.  Far direction xhat: phase -xhat.y, spreading 1.0, summed
-    in axis order.  The data kernel e^{i k phase} / spreading, the probe, the outer
-    and middle factors and the indicator are all built from this map, so no kernel
-    branches on the kind and their signs agree by construction.
+    Near sensor point x: |x - y|, with the squares added in axis order.  Far
+    direction xhat: -xhat.y, summed in axis order.  The data kernel
+    e^{i k phase} / spreading, the probe, the outer and middle factors and the
+    indicator are all built from this map, so their signs agree by construction;
+    beside it only `_spreading` and `_grid_cis` branch on the kind.
     """
     xp = _point(x)
     y0, y1, y2 = coords
     if kind == "near":
-        r = np.sqrt((xp[0] - y0) ** 2 + (xp[1] - y1) ** 2 + (xp[2] - y2) ** 2)
-        return r, 4 * math.pi * r
+        return np.sqrt((xp[0] - y0) ** 2 + (xp[1] - y1) ** 2 + (xp[2] - y2) ** 2)
     if abs(np.linalg.norm(xp) - 1.0) > _UNIT_TOL:
         raise ValueError("far-field direction must be a unit vector")
     n0, n1, n2 = -xp  # the bits of -(xhat.y), zeros' signs aside, without a negating pass
-    return n0 * y0 + n1 * y1 + n2 * y2, 1.0
+    return n0 * y0 + n1 * y1 + n2 * y2
+
+
+def _spreading(kind: str, ph: np.ndarray) -> np.ndarray | float:
+    """The kernel's spreading at phase ph: 4 pi |x - y| near, 1.0 far."""
+    return 4 * math.pi * ph if kind == "near" else 1.0
 
 
 def _cis(k: float | np.ndarray, ph: np.ndarray) -> np.ndarray:
@@ -142,19 +146,36 @@ def _cis(k: float | np.ndarray, ph: np.ndarray) -> np.ndarray:
     return np.exp(E, out=E)
 
 
+def _grid_cis(kind: str, x, axes, k: float) -> np.ndarray:
+    """e^{i k phase} on the tensor grid of three axis vectors, flattened row-major.
+
+    Near: one exponential per grid point, `_cis` of the phase.  Far: the phase
+    is linear, so the grid's exponentials are the products (e0 e1) e2 of one
+    exponential per axis point, e_a = e^{i k phase} on axis a with the other two
+    coordinates zero: two complex products per grid point.
+    """
+    a0, a1, a2 = axes
+    if kind == "near":
+        return _cis(k, phase(kind, x, np.ix_(a0, a1, a2)).ravel())
+    e0 = _cis(k, phase(kind, x, (a0, 0.0, 0.0)))
+    e1 = _cis(k, phase(kind, x, (0.0, a1, 0.0)))
+    e2 = _cis(k, phase(kind, x, (0.0, 0.0, a2)))
+    return np.multiply.outer(np.multiply.outer(e0, e1), e2).ravel()
+
+
 def _band(kind: str, x, points, dk: float, J: int) -> tuple[np.ndarray, np.ndarray | float]:
     """Band rows m = 0..J of e^{i m dk phase(y)}, with the phase map's spreading.
 
     Row m is z^m for z = e^{i dk phase}: one exponential per point, then each
     row is the one before it times row 1, elementwise and in row order.
     """
-    ph, spreading = phase(kind, x, points.T)
+    ph = phase(kind, x, points.T)
     E = np.empty((J + 1, len(ph)), dtype=complex)
     E[0] = 1.0
     np.exp(1j * (dk * ph), out=E[1])
     for m in range(2, J + 1):
         np.multiply(E[m - 1], E[1], out=E[m])
-    return E, spreading
+    return E, _spreading(kind, ph)
 
 
 def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule, dk: float,
@@ -166,8 +187,8 @@ def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule,
     may drift by 1e-15 (m+1)(1 + m dk max|phase|) sum|c_q|, with
     c_q = w_q f_q / spreading_q the column's quadrature coefficients.
     """
-    ph, spreading = phase(kind, x, rule.nodes.T)
-    c = np.sum(np.abs(rule.weights * support.amplitude_at(rule.nodes) / spreading))
+    ph = phase(kind, x, rule.nodes.T)
+    c = np.sum(np.abs(rule.weights * support.amplitude_at(rule.nodes) / _spreading(kind, ph)))
     m = np.arange(J + 1)
     return 1e-15 * (m + 1) * (1 + m * dk * np.abs(ph).max()) * c
 
@@ -211,10 +232,10 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     """
     if kind == "near" and contains(support, _point(x)):
         raise GeometryError("near-field evaluation point lies inside the source support")
-    ph, spreading = phase(kind, x, rule.nodes.T)
+    ph = phase(kind, x, rule.nodes.T)
     E = _cis(k, ph)
     E *= rule.weights * support.amplitude_at(rule.nodes)  # in place: no J x Q temporaries
-    E /= spreading
+    E /= _spreading(kind, ph)
     u = np.sum(E, axis=-1)
     return complex(u) if np.ndim(k) == 0 else u
 

@@ -5,9 +5,10 @@ unimodular probe built from the sensor's phase map t (distance for near-field
 sensors, negated projection for far-field directions) and the moduli are
 summed over sensors.  At that probe the form is w^{1-J} times the polynomial
 dk^2 sum_{|m|<J} (J - |m|) u_m w^{m+J-1} in w = e^{-i dk t}; as |w| = 1, one
-Horner pass gives its modulus from one exponential per voxel.  Includes the
-band-limited point spread profile, field normalization, plane slicing,
-iso-thresholding, and file export.
+Horner pass gives its modulus.  w takes one exponential per voxel for a near
+sensor; a far phase is linear, so there w is a product of per-axis exponentials,
+two complex products per voxel.  Includes the band-limited point spread profile,
+field normalization, plane slicing, iso-thresholding, and file export.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .forward import (
     MultiFreqDataset,
     _cis,
     _format_floats,
+    _grid_cis,
     _numbers,
     _reading,
     _samples,
@@ -115,7 +117,7 @@ class ThresholdMask:
 
 def probe(kind: str, x, z, grid: FrequencyGrid) -> FreqFunction:
     """Unimodular probe e^{i k_j phase(z)} of sensor x at sampling point z."""
-    t, _ = phase(kind, x, _point(z))
+    t = phase(kind, x, _point(z))
     return FreqFunction(grid=grid, samples=_cis(grid.nodes, t))
 
 
@@ -139,10 +141,12 @@ def psf_discrete(t: float, grid: FrequencyGrid) -> complex:
 
 def _fejer(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """|sum_n coeffs[n] w^n| by Horner's rule in w, in place and in a fixed order of
-    operations.  For unimodular w and coeffs[m + J - 1] the Laurent coefficient of
-    w^m, |m| < J, this is the modulus of the Laurent sum, since |w^{J-1}| = 1."""
-    acc = np.full_like(w, coeffs[-1])
-    for c in coeffs[-2::-1]:
+    operations, for at least two coefficients.  For unimodular w and coeffs[m + J - 1]
+    the Laurent coefficient of w^m, |m| < J, this is the modulus of the Laurent sum,
+    since |w^{J-1}| = 1."""
+    acc = coeffs[-1] * w  # the scalar on the left: the bits of a filled array times w
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
         acc *= w
         acc += c
     return np.abs(acc)
@@ -157,8 +161,9 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
     """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the modulus of
     the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m.
 
-    The grid is taken one slab of axis-0 layers at a time, with the phase on the
-    slab's axes; each voxel sums its sensors in sensor order."""
+    The grid is taken one slab of axis-0 layers at a time, with w from the slab's
+    axes (`_grid_cis`: one exponential per voxel near, per-axis factors far); each
+    voxel sums its sensors in sensor order."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     coeffs = [weights * row[1:-1] for row in data.values]
@@ -168,10 +173,9 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
     total = np.zeros(grid.size)
     for lo in range(0, a0.size, step):
         slab = total[lo * layer:(lo + step) * layer]
-        axes = np.ix_(a0[lo:lo + step], a1, a2)
+        axes = (a0[lo:lo + step], a1, a2)
         for x, c in zip(data.sensors.array, coeffs):
-            t, _ = phase(data.kind, x, axes)
-            slab += _fejer(c, _cis(-dk, t.ravel()))
+            slab += _fejer(c, _grid_cis(data.kind, x, axes, -dk))
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,11 +67,17 @@ def support_norm(u: SupportFunction) -> float:
     return math.sqrt(abs(support_inner(u, u)))
 
 
+@lru_cache(maxsize=16)
+def _toeplitz_index(J: int) -> np.ndarray:
+    """Read-only J x J index j - l + J into a row over the difference columns m = -J..J."""
+    idx = (np.arange(J)[:, None] - np.arange(J)[None, :]) + J
+    idx.flags.writeable = False
+    return idx
+
+
 def _toeplitz_block(row: np.ndarray) -> np.ndarray:
     """J x J block B[j, l] = row[j - l] of a row over the difference columns m = -J..J."""
-    J = len(row) // 2
-    idx = (np.arange(J)[:, None] - np.arange(J)[None, :]) + J
-    return row[idx]
+    return row[_toeplitz_index(len(row) // 2)]
 
 
 def _toeplitz_form(row: np.ndarray, g: FreqFunction) -> complex:

@@ -267,9 +267,9 @@ class TestIndicatorPsfIdentity:
         drop = dk * dk * J if zero_mode == "drop" else 0.0
         expected = np.zeros(s.sampling.size)
         for x in s.measurement.array:
-            r, spreading = mf.phase(kind, x, rule.nodes.T)
-            c = rule.weights * s.support.amplitude_at(rule.nodes) / spreading
-            t, _ = mf.phase(kind, x, s.sampling.centers().T)
+            r = mf.phase(kind, x, rule.nodes.T)
+            c = rule.weights * s.support.amplitude_at(rule.nodes) / mf.forward._spreading(kind, r)
+            t = mf.phase(kind, x, s.sampling.centers().T)
             for v, tv in enumerate(t):
                 fejer = np.array([abs(psf_discrete(rq - tv, s.frequencies)) ** 2 for rq in r])
                 expected[v] += abs(np.sum(c * (fejer - drop)))
@@ -285,8 +285,8 @@ class TestGridPhases:
         grid = s.sampling
         axes = np.ix_(*(grid.axis_centers(a) for a in range(3)))
         for x in s.measurement.array:
-            t, _ = mf.phase(kind, x, axes)
-            expected, _ = mf.phase(kind, x, grid.centers().T)
+            t = mf.phase(kind, x, axes)
+            expected = mf.phase(kind, x, grid.centers().T)
             assert t.shape == (7, 11, 5)
             assert t.ravel().tobytes() == expected.tobytes()
 
@@ -296,19 +296,68 @@ class TestGridPhases:
         grid = s.sampling
         a0, a1, a2 = (grid.axis_centers(a) for a in range(3))
         for x in s.measurement.array:
-            t, _ = mf.phase(kind, x, np.ix_(a0[2:5], a1, a2))
-            expected, _ = mf.phase(kind, x, grid.centers().T)
+            t = mf.phase(kind, x, np.ix_(a0[2:5], a1, a2))
+            expected = mf.phase(kind, x, grid.centers().T)
             assert t.ravel().tobytes() == expected[2 * 55:5 * 55].tobytes()
 
 
+class TestGridCis:
+    """The indicator's w: `_cis` of `phase` near, per-axis products far."""
+
+    def test_far_product_within_rounding_of_cis(self):
+        # Four exponentials (three factors and the reference), each within an ulp
+        # per part, eps/sqrt(2) in modulus, and two complex products, each within
+        # sqrt(5)/2 eps: about 5.1 eps.  The rounded arguments add eps dk |n_a y_a|
+        # per factor and eps dk sum_a |n_a y_a| + eps/2 dk |t| to the reference.
+        # So w is within 6 eps (1 + dk sum_a |n_a y_a| + dk |t|); here it reaches
+        # about 0.08 of that.
+        s = _offcentre_scenario("far", resolution=(7, 11, 5))
+        grid, dk = s.sampling, s.frequencies.spacing
+        axes = [grid.axis_centers(a) for a in range(3)]
+        centers = grid.centers()
+        eps = np.finfo(float).eps
+        for x in s.measurement.array:
+            t = mf.phase("far", x, centers.T)
+            err = np.abs(mf.forward._grid_cis("far", x, axes, -dk) - mf.forward._cis(-dk, t))
+            spread = dk * np.abs(centers * x).sum(axis=1)
+            assert np.all(err <= 6 * eps * (1 + spread + dk * np.abs(t)))
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_indicator_exponential_count(self, kind, monkeypatch):
+        # near: one exponential per voxel and sensor; far: one per axis point,
+        # with axes 1 and 2 taken again for each slab
+        monkeypatch.setattr(mf.imaging, "_SLAB_VOXELS", 110)  # 4 slabs of the 7 layers
+        s = _offcentre_scenario(kind, resolution=(7, 11, 5))
+        data = generate_dataset(s)
+        cis, count = mf.forward._cis, [0]
+
+        def counting(k, ph):
+            out = cis(k, ph)
+            count[0] += out.size
+            return out
+
+        monkeypatch.setattr(mf.forward, "_cis", counting)
+        compute_indicator(data, s.sampling)
+        L = len(data.sensors)
+        if kind == "near":
+            assert count[0] == L * s.sampling.size
+        else:
+            assert 0 < count[0] <= L * (7 + 4 * (11 + 5))
+
+
 def _indicator_unslabbed(data, grid):
-    """The indicator over all voxels at once from `phase` on the grid's centers."""
+    """The indicator over all voxels at once: w from `phase` on the grid's centers
+    near, and from `_grid_cis` on the whole grid's axes far."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
+    axes = [grid.axis_centers(a) for a in range(3)]
     total = np.zeros(grid.size)
     for x, row in zip(data.sensors.array, data.values):
-        t, _ = mf.phase(data.kind, x, grid.centers().T)
-        total += mf.imaging._fejer(weights * row[1:-1], mf.forward._cis(-dk, t))
+        if data.kind == "near":
+            w = mf.forward._cis(-dk, mf.phase(data.kind, x, grid.centers().T))
+        else:
+            w = mf.forward._grid_cis(data.kind, x, axes, -dk)
+        total += mf.imaging._fejer(weights * row[1:-1], w)
     return total
 
 

@@ -199,7 +199,8 @@ def test_band_rows_match_exact_kernel(s, J):
     rule = mf.quadrature(s.support, s.h)
     x, dk = s.measurement.points[0], s.frequencies.spacing
     band, spreading = mf.forward._band(s.kind, x, rule.nodes, dk, J)
-    ph, exact_spreading = mf.phase(s.kind, x, rule.nodes.T)
+    ph = mf.phase(s.kind, x, rule.nodes.T)
+    exact_spreading = mf.forward._spreading(s.kind, ph)
     exact = mf.forward._cis(np.arange(J + 1) * dk, ph)
     assert np.array_equal(spreading, exact_spreading)
     c = np.abs(rule.weights * s.support.amplitude_at(rule.nodes) / spreading)
