@@ -3,8 +3,9 @@
 Scattered fields are evaluated by quadrature of the exact integral
 representations (outgoing point-source kernel for near-field sensors, a
 plane-wave kernel for far-field directions), both written through one phase
-map, extended to negative frequencies by conjugation (near) or direction
-negation (far), and optionally perturbed by seeded per-sample Gaussian noise.
+map, extended to negative frequencies by conjugation (the source is real, so
+u(x, -k) = conj u(x, k) at a sensor point and in a direction alike), and
+optionally perturbed by seeded per-sample Gaussian noise.
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
 are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
@@ -59,7 +60,7 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Sensor collection: near-field points, or far-field unit directions closed under negation."""
+    """Sensor collection: near-field points, or far-field unit directions."""
 
     kind: str
     points: tuple[tuple[float, float, float], ...]
@@ -78,11 +79,10 @@ class MeasurementSet:
             norms = np.linalg.norm(arr, axis=1)
             if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
                 raise ValueError("far-field directions must be unit vectors")
-            self.negation_index()  # raises if not closed under negation
 
     @classmethod
     def near_points(cls, points) -> "MeasurementSet":
-        return cls("near", tuple(tuple(float(c) for c in p) for p in points))
+        return cls("near", points)
 
     @classmethod
     def far_directions(cls, directions) -> "MeasurementSet":
@@ -90,9 +90,9 @@ class MeasurementSet:
         dirs = [np.asarray(d, dtype=float) for d in directions]
         closed: list[np.ndarray] = list(dirs)
         for d in dirs:
-            if not any(np.linalg.norm(d + e) <= _UNIT_TOL for e in closed):
+            if not np.any(np.linalg.norm(np.asarray(closed) + d, axis=1) <= _UNIT_TOL):
                 closed.append(-d)
-        return cls("far", tuple(tuple(float(c) for c in d) for d in closed))
+        return cls("far", closed)
 
     @property
     def array(self) -> np.ndarray:
@@ -100,19 +100,6 @@ class MeasurementSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def negation_index(self) -> np.ndarray:
-        """For far sets: index map l -> position of -x_l."""
-        if self.kind != "far":
-            raise ValueError("negation index is defined for far-field sets only")
-        arr = self.array
-        idx = np.empty(len(arr), dtype=int)
-        for i, d in enumerate(arr):
-            match = np.nonzero(np.linalg.norm(arr + d, axis=1) <= _UNIT_TOL)[0]
-            if len(match) == 0:
-                raise ValueError(f"far-field set is not closed under negation (direction {i})")
-            idx[i] = match[0]
-        return idx
 
 
 def phase(kind: str, x, coords) -> np.ndarray:
@@ -197,7 +184,6 @@ def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule,
 class MultiFreqDataset:
     """Complex field samples over (sensor, difference frequency m = -J..J)."""
 
-    kind: str
     sensors: MeasurementSet
     grid: FrequencyGrid
     values: np.ndarray  # complex, shape (L, 2J + 1)
@@ -213,10 +199,12 @@ class MultiFreqDataset:
         expected = (len(self.sensors), 2 * self.grid.count + 1)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        if self.kind != self.sensors.kind:
-            raise ValueError("dataset kind does not match its measurement set")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("dataset values must be finite")
+
+    @property
+    def kind(self) -> str:
+        return self.sensors.kind
 
     def row_rms(self) -> np.ndarray:
         return np.sqrt((np.abs(self.values) ** 2).mean(axis=1))
@@ -240,15 +228,13 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     return complex(u) if np.ndim(k) == 0 else u
 
 
-def mirror(sensors: MeasurementSet, positive: np.ndarray) -> np.ndarray:
+def mirror(positive: np.ndarray) -> np.ndarray:
     """Columns m = -1..-J that the columns m = 1..J of noiseless data imply.
 
-    u(x, -k) is the conjugate of the sensor's own u(x, k) for near sensors,
-    and the antipodal direction's u(-xhat, k) for far directions.
+    The source is real, so u(x, -k) is the conjugate of u(x, k), for a sensor
+    point and a far direction alike.
     """
-    if sensors.kind == "near":
-        return np.conj(positive)
-    return positive[sensors.negation_index()]
+    return np.conj(positive)
 
 
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
@@ -269,13 +255,11 @@ def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
         E, spreading = _band(sensors.kind, x, rule.nodes, grid.spacing, J)
         E *= rule.weights * (amplitude / spreading)  # in place: no J x Q temporaries
         values[ell, J:] = np.sum(E, axis=-1)
-    values[:, J - 1::-1] = mirror(sensors, values[:, J + 1:])
+    values[:, J - 1::-1] = mirror(values[:, J + 1:])
     if scenario.zero_mode == "drop":
         values[:, J] = 0.0
-    return MultiFreqDataset(
-        kind=sensors.kind, sensors=sensors, grid=grid, values=values,
-        noise_level=0.0, seed=scenario.seed,
-    )
+    return MultiFreqDataset(sensors=sensors, grid=grid, values=values, noise_level=0.0,
+                            seed=scenario.seed)
 
 
 def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDataset:
@@ -397,8 +381,7 @@ def read_dataset(path) -> tuple[MultiFreqDataset, dict]:
         if _numbers(meta["dk"], 1)[0] != grid.spacing:
             raise ValueError(f"dk {meta['dk']} is not k_max / frequencies = {grid.spacing!r}")
         data = MultiFreqDataset(
-            kind=meta["kind"], sensors=MeasurementSet(meta["kind"], tuple(meta["sensor_list"])),
-            grid=grid,
+            sensors=MeasurementSet(meta["kind"], tuple(meta["sensor_list"])), grid=grid,
             values=raw[..., 0] + 1j * raw[..., 1], noise_level=_numbers(meta["noise_level"], 1)[0],
             seed=int(meta["seed"]))
     return data, meta

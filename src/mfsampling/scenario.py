@@ -252,7 +252,7 @@ def parse_config_text(text: str) -> Scenario:
                 raise ConfigError(f"key '{bad}': only valid for kind = near")
         if "directions" not in kv:
             raise ConfigError("key 'directions': missing (required for kind = far)")
-        try:
+        try:  # closed under negation, as far configs have always been read
             measurement = MeasurementSet.far_directions(_groups("directions", kv["directions"], 3))
         except ValueError as exc:
             raise ConfigError(f"key 'directions': {exc}") from exc
@@ -302,6 +302,10 @@ def parse_config(path) -> Scenario:
 
 
 def write_config_text(s: Scenario) -> str:
+    """Canonical config text; refuses a far set that the loader would close under negation."""
+    if s.kind == "far" and MeasurementSet.far_directions(s.measurement.points) != s.measurement:
+        raise ConfigError("key 'directions': not closed under negation, which config text "
+                          "cannot carry: the loader adds the missing antipodes")
     gb, n = s.sampling.bounds, s.sampling.resolution
     lines = [f"label = {s.label}"] if s.label else []
     lines += [

@@ -4,8 +4,7 @@ point-spread-profile bounds, and data symmetries.
 Every check reduces to a single `measured <= tolerance` comparison;
 composite checks report the worst subcheck over its own tolerance, against 1.
 Checks are deterministic given (scenario, seed).  The scenario certificates
-build the noiseless data of one sensor alone (with its antipode for a far
-direction), never all `L` rows.
+build the noiseless data of one sensor alone, never all `L` rows.
 """
 
 from __future__ import annotations
@@ -66,15 +65,14 @@ def _sensor_trials(scenario, sensor: int, salt: int):
     """(data, quadrature rule, test functions) of sensor `sensor` measuring alone.
 
     Row 0 of the noiseless data equals row `sensor` of the full dataset bit
-    for bit (a far direction keeps its antipode).  The test functions are
-    an endless seeded draw of (N(0,1) + i N(0,1)) / sqrt 2 per frequency.
-    The scenario certificates, which use them, hold for noiseless data only.
+    for bit.  The test functions are an endless seeded draw of
+    (N(0,1) + i N(0,1)) / sqrt 2 per frequency.  The scenario certificates,
+    which use them, hold for noiseless data only.
     """
     if scenario.noise_level != 0:
         raise ValueError("scenario certificates require a noiseless scenario")
     x = scenario.measurement.points[sensor]
-    alone = replace(scenario, measurement=MeasurementSet.near_points([x])
-                    if scenario.kind == "near" else MeasurementSet.far_directions([x]))
+    alone = replace(scenario, measurement=MeasurementSet(scenario.kind, (x,)))
     grid = scenario.frequencies
     rng = np.random.default_rng([scenario.seed, sensor, salt])
 
@@ -119,7 +117,7 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
     """
     t0 = time.perf_counter()
     data, rule, draws = _sensor_trials(scenario, sensor, _COERCIVITY_SALT)
-    x = scenario.measurement.array[sensor]
+    x = scenario.measurement.points[sensor]
     fac = Factorization(scenario.kind, x, scenario.support, rule, scenario.frequencies)
     J = scenario.frequencies.count
     gram = np.empty(2 * J + 1, dtype=complex)
@@ -203,14 +201,14 @@ def symmetry_violation(data: MultiFreqDataset) -> float:
         return math.inf
     J = data.grid.count
     scale = np.abs(data.values).max(axis=1)
-    dev = np.abs(data.values[:, J - 1::-1] - mirror(data.sensors, data.values[:, J + 1:]))
+    dev = np.abs(data.values[:, J - 1::-1] - mirror(data.values[:, J + 1:]))
     ratios = dev.max(axis=1)[scale > 0] / scale[scale > 0]
     return float(ratios.max(initial=0.0))
 
 
 def check_symmetries(scenario) -> VerificationReport:
-    """Certify the columns m = -1..-J that `mirror` writes into sensor 0's data (the
-    conjugate near, the antipode's row far) against `radiated_field` at k = m dk.
+    """Certify the columns m = -1..-J that `mirror` writes into sensor 0's data, the
+    conjugates of its positive columns, against `radiated_field` at k = m dk.
 
     Each column is over the band error bound of column |m|; the zero column,
     which `zero_mode` sets, is left out.

@@ -145,7 +145,9 @@ def test_criterion_4_data_symmetries():
     """Clean near data is conjugate-symmetric; clean far data is antipodal-symmetric.
 
     `symmetry_violation` reads the negative columns with the same mirror rule that
-    wrote them; `check_symmetries` holds them against the field computed at -k.
+    wrote them; `check_symmetries` holds them against the field computed at -k.  On
+    the closed far set each direction's negative columns are its antipode's positive
+    columns.
     """
     near_scenario = replace(PRESETS["ball_pt14"], noise_level=0.0)
     near = mf.generate_dataset(near_scenario)
@@ -160,12 +162,17 @@ def test_criterion_4_data_symmetries():
     v_far = mf.symmetry_violation(far)
     c_near = mf.check_symmetries(near_scenario)
     c_far = mf.check_symmetries(far_scenario)
+    J, arr = far.grid.count, far.sensors.array
+    neg = [np.flatnonzero(np.linalg.norm(arr + d, axis=1) <= 1e-12)[0] for d in arr]
+    antipodal = all(np.array_equal(far.values[ell, J - 1::-1], far.values[neg[ell], J + 1:])
+                    for ell in range(len(arr)))
     elapsed = time.perf_counter() - t0
     ok = (v_near <= 1e-14 and v_far <= 1e-14 and c_near.passed and c_far.passed
-          and elapsed <= 1.0)
+          and antipodal and elapsed <= 1.0)
     report("criterion 4 (data symmetries)", ok,
            f"near violation {v_near:.2e}, far violation {v_far:.2e}, against -k: near "
-           f"{c_near.measured:.2e}, far {c_far.measured:.2e} of the band bound, {elapsed:.3f}s")
+           f"{c_near.measured:.2e}, far {c_far.measured:.2e} of the band bound, antipodal "
+           f"{antipodal}, {elapsed:.3f}s")
     assert ok
 
 

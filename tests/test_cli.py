@@ -116,6 +116,14 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="not representable"):
             write_config_text(replace(PRESETS["ball_pt14"], support=support))
 
+    def test_unclosed_far_set_refused(self):
+        # the loader would add the antipode, so text cannot carry one far direction alone
+        s = replace(PRESETS["ball_pt14"],
+                    measurement=MeasurementSet(kind="far", points=((0.6, -0.48, 0.64),)))
+        for write in (write_config_text, scenario_hash):
+            with pytest.raises(ConfigError, match="negation"):
+                write(s)
+
 
 class TestParseConfig:
     def test_minimal_near(self):

@@ -21,6 +21,7 @@ from mfsampling import (
     read_dataset,
     write_dataset,
 )
+from mfsampling.cli import run_verify
 
 
 def ball_field_oracle(s, k, R=1.0):
@@ -191,8 +192,8 @@ class TestMeasurementSet:
     def test_far_closure(self):
         ms = MeasurementSet.far_directions([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
         assert len(ms) == 4
-        neg = ms.negation_index()
         arr = ms.array
+        neg = [np.flatnonzero(np.linalg.norm(arr + d, axis=1) <= 1e-12)[0] for d in arr]
         for i, j in enumerate(neg):
             assert np.allclose(arr[i], -arr[j])
 
@@ -204,9 +205,23 @@ class TestMeasurementSet:
         with pytest.raises(ValueError, match="unit"):
             MeasurementSet(kind="far", points=((1.0, 1.0, 0.0), (-1.0, -1.0, 0.0)))
 
-    def test_far_closure_required_on_direct_construction(self):
-        with pytest.raises(ValueError, match="negation"):
-            MeasurementSet(kind="far", points=((1.0, 0.0, 0.0),))
+    def test_one_far_direction_needs_no_antipode(self):
+        # the negative columns are the conjugates of the direction's own positive ones
+        xhat = (0.6, -0.48, 0.64)
+        s = mf.Scenario(support=Ball(center=(0.6, -0.3, 0.2), radius=0.5), h=0.1,
+                        measurement=MeasurementSet(kind="far", points=(xhat,)),
+                        frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0,
+                        sampling=mf.SamplingGrid.cube(2.0, 8))
+        data = generate_dataset(s)
+        J = data.grid.count
+        assert data.values.shape == (1, 2 * J + 1)
+        assert data.values[:, J - 1::-1].tobytes() == np.conj(data.values[:, J + 1:]).tobytes()
+        closed = generate_dataset(replace(s, measurement=MeasurementSet.far_directions([xhat])))
+        assert data.values[0].tobytes() == closed.values[0].tobytes()
+        field = mf.compute_indicator(data, s.sampling)
+        assert np.all(np.isfinite(field.values)) and field.values.max() > 0
+        reports, ok = run_verify(s)
+        assert len(reports) == 4 and ok
 
     @pytest.mark.parametrize("kind, points", [
         ("near", ((4.0, 0.5, -1.0), (math.nan, 0.0, 0.0))),
@@ -230,7 +245,8 @@ class TestGenerateDataset:
 
     def test_far_negation_rows(self, far_ball_dataset):
         J = far_ball_dataset.grid.count
-        neg = far_ball_dataset.sensors.negation_index()
+        arr = far_ball_dataset.sensors.array
+        neg = [np.flatnonzero(np.linalg.norm(arr + d, axis=1) <= 1e-12)[0] for d in arr]
         for ell in range(len(far_ball_dataset.sensors)):
             for m in range(1, J + 1):
                 assert (far_ball_dataset.values[ell, J - m]

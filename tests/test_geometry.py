@@ -6,6 +6,7 @@ from mfsampling import (
     Cube,
     GeometryError,
     LShape,
+    PRESETS,
     Peanut,
     RoundedCylinder,
     Union,
@@ -110,6 +111,16 @@ class TestInvariants:
         u = Union(parts=(Ball(center=(0, 0, 0), radius=1.0, amplitude=-2.0),
                          Ball(center=(3, 0, 0), radius=0.5, amplitude=-0.5)))
         assert u.amplitude_bounds() == (0.5, 2.0)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_amplitude_at_is_real(self, name):
+        # a real source is what lets the negative frequencies be the conjugates
+        support = PRESETS[name].support
+        assert support.amplitude_at(quadrature(support, 0.2).nodes).dtype == np.float64
+
+    def test_complex_amplitude_refused(self):
+        with pytest.raises(TypeError):
+            Ball(center=(0, 0, 0), radius=1.0, amplitude=1j)
 
     def test_amplitude_at(self):
         u = Union(parts=(Ball(center=(0, 0, 0), radius=1.0, amplitude=2.0),

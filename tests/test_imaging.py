@@ -213,7 +213,7 @@ class TestIndicatorFar:
         vm2, vm1, v0, vp1, vp2 = 0.2 - 0.1j, 0.4 + 0.3j, -0.5 + 0.2j, 0.1 - 0.6j, 0.7 + 0j
         values = np.array([[vm2, vm1, v0, vp1, vp2],
                            [vp2, vp1, v0, vm1, vm2]])
-        data = MultiFreqDataset(kind="far", sensors=sensors, grid=grid, values=values)
+        data = MultiFreqDataset(sensors=sensors, grid=grid, values=values)
         sampling = SamplingGrid(bounds=((-1, 1), (-1, 1), (-1, 1)), resolution=(1, 1, 1))
         field = compute_indicator(data, sampling)
         expected = abs(2 * v0 + vm1 + vp1) + abs(2 * v0 + vp1 + vm1)

@@ -46,7 +46,7 @@ def toy_near_dataset():
     sensors = MeasurementSet.near_points([(9.0, 9.0, 9.0)])
     # columns m = -2..2
     values = np.array([[0.3 - 0.4j, -0.2 + 0.1j, 0.5 + 0.0j, 0.1 + 0.7j, -0.6 - 0.2j]])
-    return MultiFreqDataset(kind="near", sensors=sensors, grid=grid, values=values)
+    return MultiFreqDataset(sensors=sensors, grid=grid, values=values)
 
 
 class TestApplyNearOperator:

@@ -102,7 +102,7 @@ def datasets(draw):
                           max_size=2 * len(sensors) * (2 * J + 1)))
     raw = np.array(parts).reshape(len(sensors), 2 * J + 1, 2)
     return mf.MultiFreqDataset(
-        kind=sensors.kind, sensors=sensors,
+        sensors=sensors,
         grid=mf.FrequencyGrid(k_max=draw(st.floats(0.5, 50.0)), count=J),
         values=raw[..., 0] + 1j * raw[..., 1], noise_level=draw(st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**31)))
@@ -234,8 +234,8 @@ def fejer_cases(draw):
     grid = mf.FrequencyGrid(k_max=draw(st.floats(0.5, 50.0)), count=J)
     parts = draw(st.lists(sample, min_size=4 * (2 * J + 1), max_size=4 * (2 * J + 1)))
     raw = np.array(parts).reshape(2, 2 * J + 1, 2)
-    data = mf.MultiFreqDataset(kind="far", sensors=mf.MeasurementSet.far_directions([(1, 0, 0)]),
-                               grid=grid, values=raw[..., 0] + 1j * raw[..., 1])
+    data = mf.MultiFreqDataset(sensors=mf.MeasurementSet.far_directions([(1, 0, 0)]), grid=grid,
+                               values=raw[..., 0] + 1j * raw[..., 1])
     reach = 4 * math.pi / grid.spacing
     lo, hi = sorted(reach * draw(st.floats(-1.0, 1.0)) for _ in range(2))
     assume(lo < hi)
