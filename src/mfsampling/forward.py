@@ -5,7 +5,7 @@ representations (outgoing point-source kernel for near-field sensors, a
 plane-wave kernel for far-field directions), both written through one phase
 map, extended to negative frequencies by conjugation (the source is real, so
 u(x, -k) = conj u(x, k) at a sensor point and in a direction alike), and
-optionally perturbed by seeded per-sample Gaussian noise.
+optionally perturbed by Gaussian noise seeded per sensor row.
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
 are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
@@ -72,6 +72,9 @@ class MeasurementSet:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("measurement set must contain at least one sensor")
+        if any(len(p) != 3 for p in pts):
+            n = " or ".join(str(c) for c in sorted({len(p) for p in pts}))
+            raise ValueError(f"measurement points must have shape (L, 3), got ({len(pts)}, {n})")
         if not all(math.isfinite(c) for p in pts for c in p):
             raise ValueError(f"measurement points must be finite, got {pts!r}")
         if self.kind == "far":
@@ -263,23 +266,23 @@ def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
 
 
 def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDataset:
-    """Copy of the dataset with per-sample complex Gaussian noise.
+    """Copy of the dataset with complex Gaussian noise on every sample.
 
-    Each entry receives level * sigma_l * (xi1 + i xi2) / sqrt(2), where
-    sigma_l is the RMS magnitude of sensor l's input row and the xi are
-    standard normal draws from a counter-based generator keyed by
-    (seed, sensor, column) — independent of evaluation schedule.  The
-    dataset refuses a negative or non-finite level and a negative seed.
+    Sample m of sensor l's row receives level * sigma_l * (xi[m, 0] + i xi[m, 1])
+    / sqrt(2), where sigma_l is the RMS magnitude of the row's input and xi is
+    the row's (2J+1, 2) standard normal block from one generator keyed by
+    (seed, l).  A row's noise depends on nothing else, so it is independent of
+    evaluation order and of the other sensors.  The dataset refuses a negative
+    or non-finite level and a negative seed.
     """
     level = float(level)
     noisy = replace(data, values=data.values.copy(), noise_level=level, seed=int(seed))
     values = noisy.values
     if level > 0:
         sigma = data.row_rms()
-        for ell in range(values.shape[0]):
-            for col in range(values.shape[1]):
-                xi = np.random.default_rng([seed, ell, col]).standard_normal(2)
-                values[ell, col] += level * sigma[ell] * (xi[0] + 1j * xi[1]) / math.sqrt(2)
+        for ell, row in enumerate(values):
+            xi = np.random.default_rng([seed, ell]).standard_normal((len(row), 2))
+            row += level * sigma[ell] * (xi[:, 0] + 1j * xi[:, 1]) / math.sqrt(2)
     return noisy
 
 

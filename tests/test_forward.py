@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ class TestMeasurementSet:
         with pytest.raises(ValueError, match="measurement points must be finite"):
             MeasurementSet(kind=kind, points=points)
 
+    @pytest.mark.parametrize("kind, points, shape", [
+        ("near", ((4.0, 0.0),), "(1, 2)"),
+        ("far", ((1.0, 0.0),), "(1, 2)"),
+        ("near", ((4.0, 0.5, -1.0), (3.0, 1.0, 0.0, 2.0)), "(2, 3 or 4)"),
+    ])
+    def test_point_without_three_coordinates_rejected(self, kind, points, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape (L, 3), got {shape}")):
+            MeasurementSet(kind=kind, points=points)
+
 
 class TestGenerateDataset:
     def test_near_conjugate_columns(self, ball_dataset):
@@ -284,6 +294,15 @@ def offcentre_scenario(kind):
     return mf.Scenario(support=support, h=0.1, measurement=measurement,
                        frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0, seed=1,
                        sampling=mf.SamplingGrid.cube(3.0, 8))
+
+
+def three_sensor_scenario(kind):
+    """The off-centre peanut seen by three sensors: points around it, or three directions."""
+    if kind == "near":
+        points = ((4.5, -2.5, 1.5), (-3.0, 3.5, -2.0), (0.5, -3.5, 3.0))
+    else:
+        points = ((0.6, -0.48, 0.64), (0.0, 0.6, -0.8), (-0.36, 0.48, 0.8))
+    return replace(offcentre_scenario(kind), measurement=MeasurementSet(kind, points))
 
 
 class TestBand:
@@ -371,6 +390,40 @@ class TestAddNoise:
             noisy = add_noise(data, 0.05, seed)
             rel = np.linalg.norm(noisy.values - data.values) / norm
             assert 0.03 <= rel <= 0.07
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_row_keyed_by_seed_and_sensor(self, kind):
+        # row l gains level sigma_l (xi0 + i xi1) / sqrt 2, xi the (2J+1, 2) block of
+        # one generator keyed by (seed, l)
+        data = generate_dataset(three_sensor_scenario(kind))
+        level, seed = 0.05, 11
+        noisy = add_noise(data, level, seed)
+        sigma = data.row_rms()
+        for ell, row in enumerate(data.values):
+            xi = np.random.default_rng([seed, ell]).standard_normal((len(row), 2))
+            expected = row + level * sigma[ell] * (xi[:, 0] + 1j * xi[:, 1]) / math.sqrt(2)
+            assert noisy.values[ell].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_dropping_last_sensor_keeps_other_rows(self, kind):
+        s = three_sensor_scenario(kind)
+        fewer = replace(s, measurement=MeasurementSet(kind, s.measurement.points[:-1]))
+        full = add_noise(generate_dataset(s), 0.05, 4).values
+        short = add_noise(generate_dataset(fewer), 0.05, 4).values
+        assert short.tobytes() == full[:-1].tobytes()
+
+    def test_one_generator_per_row(self, monkeypatch):
+        data = generate_dataset(three_sensor_scenario("near"))
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        add_noise(data, 0.05, 2)
+        assert len(built) == len(data.sensors)
 
 
 class TestDatasetIO:
