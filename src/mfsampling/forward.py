@@ -4,8 +4,9 @@ Scattered fields are evaluated by quadrature of the exact integral
 representations (outgoing point-source kernel for near-field sensors, a
 plane-wave kernel for far-field directions), both written through one phase
 map, extended to negative frequencies by conjugation (the source is real, so
-u(x, -k) = conj u(x, k) at a sensor point and in a direction alike), and
-optionally perturbed by Gaussian noise seeded per sensor row.
+u(x, -k) = conj u(x, k) at a sensor point and in a direction alike, and a
+direction's data already hold its antipode's), and optionally perturbed by
+Gaussian noise seeded per sensor row.
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
 are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
@@ -60,7 +61,11 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Sensor collection: near-field points, or far-field unit directions."""
+    """Sensor collection: near-field points, or far-field unit directions.
+
+    Each point is one sensor, one row of data, in the order given; a far set is
+    the directions listed and nothing more.
+    """
 
     kind: str
     points: tuple[tuple[float, float, float], ...]
@@ -82,20 +87,6 @@ class MeasurementSet:
             norms = np.linalg.norm(arr, axis=1)
             if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
                 raise ValueError("far-field directions must be unit vectors")
-
-    @classmethod
-    def near_points(cls, points) -> "MeasurementSet":
-        return cls("near", points)
-
-    @classmethod
-    def far_directions(cls, directions) -> "MeasurementSet":
-        """Build a far-field set, appending missing antipodal directions."""
-        dirs = [np.asarray(d, dtype=float) for d in directions]
-        closed: list[np.ndarray] = list(dirs)
-        for d in dirs:
-            if not np.any(np.linalg.norm(np.asarray(closed) + d, axis=1) <= _UNIT_TOL):
-                closed.append(-d)
-        return cls("far", closed)
 
     @property
     def array(self) -> np.ndarray:

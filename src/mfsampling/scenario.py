@@ -245,15 +245,15 @@ def parse_config_text(text: str) -> Scenario:
             pts = [polar_sensor(*g) for g in _groups("sensors_polar", kv["sensors_polar"], 3)]
         else:
             raise ConfigError("key 'sensors': missing (required for kind = near)")
-        measurement = MeasurementSet.near_points(pts)
+        measurement = MeasurementSet("near", pts)
     else:
         for bad in ("sensors", "sensors_polar"):
             if bad in kv:
                 raise ConfigError(f"key '{bad}': only valid for kind = near")
         if "directions" not in kv:
             raise ConfigError("key 'directions': missing (required for kind = far)")
-        try:  # closed under negation, as far configs have always been read
-            measurement = MeasurementSet.far_directions(_groups("directions", kv["directions"], 3))
+        try:
+            measurement = MeasurementSet("far", _groups("directions", kv["directions"], 3))
         except ValueError as exc:
             raise ConfigError(f"key 'directions': {exc}") from exc
 
@@ -302,10 +302,7 @@ def parse_config(path) -> Scenario:
 
 
 def write_config_text(s: Scenario) -> str:
-    """Canonical config text; refuses a far set that the loader would close under negation."""
-    if s.kind == "far" and MeasurementSet.far_directions(s.measurement.points) != s.measurement:
-        raise ConfigError("key 'directions': not closed under negation, which config text "
-                          "cannot carry: the loader adds the missing antipodes")
+    """Canonical config text, which `parse_config_text` reads back to an equal scenario."""
     gb, n = s.sampling.bounds, s.sampling.resolution
     lines = [f"label = {s.label}"] if s.label else []
     lines += [
@@ -357,8 +354,7 @@ _TABLE_14PT = [
 
 
 def _sensors(table) -> MeasurementSet:
-    return MeasurementSet.near_points([polar_sensor(phi, theta, _SPHERE_R)
-                                       for phi, theta in table])
+    return MeasurementSet("near", [polar_sensor(phi, theta, _SPHERE_R) for phi, theta in table])
 
 
 def _preset(label, support, sensors, iso, h=0.1) -> Scenario:
@@ -379,7 +375,7 @@ def _build_presets() -> dict[str, Scenario]:
                              Ball(center=(1.0, 0.0, 0.0), radius=0.5)))
     return {
         "ball_pt1": _preset("ball_pt1", unit_ball,
-                            MeasurementSet.near_points([(3.0, 0.0, 0.0)]), (0.7,)),
+                            MeasurementSet("near", [(3.0, 0.0, 0.0)]), (0.7,)),
         "ball_pt3": _preset("ball_pt3", unit_ball, _sensors(_TABLE_3PT), (0.85, 0.8)),
         "ball_pt14": _preset("ball_pt14", unit_ball, sensors14, (0.7, 0.75)),
         "cube_pt14": _preset("cube_pt14", Cube(center=(0.0, 0.0, 0.0),

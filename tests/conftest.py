@@ -26,7 +26,7 @@ def ball_scenario(unit_ball):
     return mf.Scenario(
         support=unit_ball,
         h=0.2,
-        measurement=mf.MeasurementSet.near_points([(3.0, 0.0, 0.0)]),
+        measurement=mf.MeasurementSet("near", [(3.0, 0.0, 0.0)]),
         frequencies=mf.FrequencyGrid(k_max=11.0, count=11),
         noise_level=0.0,
         seed=1,
@@ -46,7 +46,7 @@ def far_ball_scenario(unit_ball):
     return mf.Scenario(
         support=unit_ball,
         h=0.2,
-        measurement=mf.MeasurementSet.far_directions([(1.0, 0.0, 0.0)]),
+        measurement=mf.MeasurementSet("far", [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]),
         frequencies=mf.FrequencyGrid(k_max=11.0, count=11),
         noise_level=0.0,
         seed=1,

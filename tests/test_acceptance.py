@@ -59,8 +59,8 @@ def test_criterion_1_factorization_identity():
         assert elapsed <= 10.0, f"{name}: runtime {elapsed:.1f}s exceeds 10s"
     far = mf.Scenario(
         support=mf.Ball(center=(0.0, 0.0, 0.0), radius=1.0), h=0.1,
-        measurement=mf.MeasurementSet.far_directions(
-            [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+        measurement=mf.MeasurementSet("far", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                              (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]),
         frequencies=mf.FrequencyGrid(k_max=11.0, count=11),
         noise_level=0.0, seed=1, label="far_ball",
     )
@@ -153,7 +153,8 @@ def test_criterion_4_data_symmetries():
     near = mf.generate_dataset(near_scenario)
     far_scenario = mf.Scenario(
         support=mf.Ball(center=(0.0, 0.0, 0.0), radius=1.0), h=0.1,
-        measurement=mf.MeasurementSet.far_directions([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]),
+        measurement=mf.MeasurementSet("far", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                              (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]),
         frequencies=mf.FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1,
     )
     far = mf.generate_dataset(far_scenario)

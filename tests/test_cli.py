@@ -97,8 +97,8 @@ class TestConfigRoundTrip:
     def test_shape_round_trip(self, shape, kind):
         s = replace(PRESETS["ball_pt14"], support=self.SHAPES[shape], label=f"{shape}_{kind}")
         if kind == "far":
-            s = replace(s, measurement=MeasurementSet.far_directions([(0.6, 0.0, 0.8),
-                                                                      (0.0, 1.0, 0.0)]))
+            s = replace(s, measurement=MeasurementSet("far", [(0.6, 0.0, 0.8), (0.0, 1.0, 0.0),
+                                                              (-0.6, 0.0, -0.8), (0.0, -1.0, 0.0)]))
         text = write_config_text(s)
         assert f"shape = {shape}\n" in text
         back = parse_config_text(text)
@@ -116,13 +116,16 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="not representable"):
             write_config_text(replace(PRESETS["ball_pt14"], support=support))
 
-    def test_unclosed_far_set_refused(self):
-        # the loader would add the antipode, so text cannot carry one far direction alone
+    def test_one_far_direction_round_trip(self):
+        # a far set is the directions listed: no antipode is added on the way back
         s = replace(PRESETS["ball_pt14"],
                     measurement=MeasurementSet(kind="far", points=((0.6, -0.48, 0.64),)))
-        for write in (write_config_text, scenario_hash):
-            with pytest.raises(ConfigError, match="negation"):
-                write(s)
+        text = write_config_text(s)
+        assert "directions = 0.6 -0.48 0.64\n" in text
+        back = parse_config_text(text)
+        assert back == s
+        assert write_config_text(back) == text
+        assert scenario_hash(back) == scenario_hash(s)
 
 
 class TestParseConfig:
@@ -142,7 +145,12 @@ class TestParseConfig:
         s = parse_config_text(
             "kind = far\nshape = ball\nradius = 1.0\ndirections = 1 0 0\n")
         assert s.kind == "far"
-        assert len(s.measurement) == 2  # closed under negation
+        assert s.measurement.points == ((1.0, 0.0, 0.0),)
+
+    def test_far_antipodal_pair_kept(self):
+        s = parse_config_text(
+            "kind = far\nshape = ball\nradius = 1.0\ndirections = 1 0 0 ; -1 0 0\n")
+        assert s.measurement.points == ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="key 'wavelength'"):

@@ -132,11 +132,12 @@ class TestPsfDiscrete:
 
 # an asymmetric peanut off the origin, seen by three sensors over an asymmetric grid
 _DIRECTIONS = ((0.6, 0.0, 0.8), (0.0, -1.0, 0.0), (-0.48, 0.6, 0.64))
+_ANTIPODES = ((-0.6, 0.0, -0.8), (0.0, 1.0, 0.0), (0.48, -0.6, -0.64))
 
 
 def _offcentre_scenario(kind, zero_mode="extend", resolution=(5, 4, 6)):
-    measurement = (MeasurementSet.near_points([tuple(3.0 * c for c in d) for d in _DIRECTIONS])
-                   if kind == "near" else MeasurementSet.far_directions(_DIRECTIONS))
+    measurement = (MeasurementSet("near", [tuple(3.0 * c for c in d) for d in _DIRECTIONS])
+                   if kind == "near" else MeasurementSet("far", _DIRECTIONS + _ANTIPODES))
     return mf.Scenario(
         support=mf.Peanut(centers=((0.1, -0.4, 0.3), (0.7, 0.2, 0.1)), radius=0.6), h=0.2,
         measurement=measurement, frequencies=FrequencyGrid(k_max=11.0, count=11),
@@ -209,7 +210,7 @@ class TestIndicatorNear:
 class TestIndicatorFar:
     def test_hand_value_at_origin(self):
         grid = FrequencyGrid(k_max=2.0, count=2)
-        sensors = MeasurementSet.far_directions([(1.0, 0.0, 0.0)])
+        sensors = MeasurementSet("far", [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
         vm2, vm1, v0, vp1, vp2 = 0.2 - 0.1j, 0.4 + 0.3j, -0.5 + 0.2j, 0.1 - 0.6j, 0.7 + 0j
         values = np.array([[vm2, vm1, v0, vp1, vp2],
                            [vp2, vp1, v0, vm1, vm2]])
@@ -229,7 +230,7 @@ class TestIndicatorFar:
         directions = mf.PRESETS["ball_pt14"].measurement.array / 3.0
         scenario = mf.Scenario(
             support=mf.Ball(center=tuple(center), radius=0.5), h=0.1,
-            measurement=MeasurementSet.far_directions(directions),
+            measurement=MeasurementSet("far", directions),
             frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1,
             sampling=SamplingGrid.cube(3.0, 32),
         )
@@ -238,6 +239,18 @@ class TestIndicatorFar:
         mask = threshold_mask(field, 0.7)
         assert mask.count > 0
         assert np.linalg.norm(np.array(mask.centroid) - center) <= 0.25
+
+    def test_antipodes_carry_no_information(self):
+        # the source is real, so u(-xhat, k) = conj u(xhat, k): an antipode images its
+        # partner's profile, and the closed set's indicator is twice the listed set's
+        closed = _offcentre_scenario("far")
+        listed = replace(closed, measurement=MeasurementSet("far", _DIRECTIONS))
+        six = compute_indicator(generate_dataset(closed), closed.sampling)
+        three = compute_indicator(generate_dataset(listed), listed.sampling)
+        assert np.all(np.abs(six.values - 2 * three.values) <= 1e-13 * six.values.max())
+        masks = [threshold_mask(normalize(field), 0.7) for field in (six, three)]
+        assert masks[0].count > 0
+        assert np.array_equal(masks[0].mask, masks[1].mask)
 
     def test_slab_geometry(self, far_ball_dataset):
         # +-e1 directions: the indicator depends on z only through z1

@@ -43,7 +43,7 @@ def random_support(rule, rng):
 def toy_near_dataset():
     """J = 2 near dataset with hand-set values (no physics)."""
     grid = FrequencyGrid(k_max=2.0, count=2)
-    sensors = MeasurementSet.near_points([(9.0, 9.0, 9.0)])
+    sensors = MeasurementSet("near", [(9.0, 9.0, 9.0)])
     # columns m = -2..2
     values = np.array([[0.3 - 0.4j, -0.2 + 0.1j, 0.5 + 0.0j, 0.1 + 0.7j, -0.6 - 0.2j]])
     return MultiFreqDataset(sensors=sensors, grid=grid, values=values)
@@ -192,7 +192,7 @@ class TestFactorization:
         tiny = Ball(center=(0.0, 0.0, 0.0), radius=0.04)
         scenario = mf.Scenario(
             support=tiny, h=0.05,
-            measurement=MeasurementSet.near_points([(3.0, 0.0, 0.0)]),
+            measurement=MeasurementSet("near", [(3.0, 0.0, 0.0)]),
             frequencies=FrequencyGrid(k_max=2.0, count=2),
             noise_level=0.0, seed=1, sampling=mf.SamplingGrid.cube(1.0, 2),
         )
@@ -239,9 +239,10 @@ def test_one_sensor_rows_match_full_dataset(kind):
     # the certificates regenerate one sensor's row instead of all L
     s = mf.Scenario(
         support=Ball(center=(1.2, 0.4, 0.0), radius=0.5), h=0.2,
-        measurement=(MeasurementSet.near_points([(3.0, 0.0, 0.0), (0.0, -3.0, 0.5),
-                                                 (-2.0, 1.0, 2.0)]) if kind == "near"
-                     else MeasurementSet.far_directions([(1.0, 0.0, 0.0), (0.0, 0.6, 0.8)])),
+        measurement=(MeasurementSet("near", [(3.0, 0.0, 0.0), (0.0, -3.0, 0.5),
+                                             (-2.0, 1.0, 2.0)]) if kind == "near"
+                     else MeasurementSet("far", [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8),
+                                                 (-1.0, 0.0, 0.0), (0.0, -0.6, -0.8)])),
         frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1)
     full = mf.generate_dataset(s)
     for sensor in range(len(s.measurement)):

@@ -59,10 +59,9 @@ def scenarios(draw):
     kind = draw(st.sampled_from(["near", "far"]))
     directions = draw(st.lists(unit_vectors(), min_size=1, max_size=4))
     if kind == "near":  # outside every support the strategy draws
-        measurement = mf.MeasurementSet.near_points([tuple(9.0 * c for c in d)
-                                                     for d in directions])
-    else:
-        measurement = mf.MeasurementSet.far_directions(directions)
+        measurement = mf.MeasurementSet("near", [tuple(9.0 * c for c in d) for d in directions])
+    else:  # the directions as drawn, antipodal pairs or not
+        measurement = mf.MeasurementSet("far", directions)
     lo = draw(st.tuples(coord, coord, coord))
     return mf.Scenario(
         support=draw(supports), h=draw(positive), measurement=measurement,
@@ -93,11 +92,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def datasets(draw):
     J = draw(st.integers(2, 5))
     if draw(st.booleans()):
-        sensors = mf.MeasurementSet.near_points(draw(st.lists(st.tuples(finite, finite, finite),
-                                                              min_size=1, max_size=3)))
+        sensors = mf.MeasurementSet("near", draw(st.lists(st.tuples(finite, finite, finite),
+                                                          min_size=1, max_size=3)))
     else:
-        sensors = mf.MeasurementSet.far_directions(draw(st.lists(unit_vectors(), min_size=1,
-                                                                 max_size=2)))
+        sensors = mf.MeasurementSet("far", draw(st.lists(unit_vectors(), min_size=1,
+                                                         max_size=2)))
     parts = draw(st.lists(finite, min_size=2 * len(sensors) * (2 * J + 1),
                           max_size=2 * len(sensors) * (2 * J + 1)))
     raw = np.array(parts).reshape(len(sensors), 2 * J + 1, 2)
@@ -173,9 +172,9 @@ def one_sensor_scenarios(draw, max_count=16):
         assume(False)
     d = draw(unit_vectors())
     if draw(st.booleans()):  # outside every support the strategy draws
-        measurement = mf.MeasurementSet.near_points([tuple(9.0 * c for c in d)])
-    else:
-        measurement = mf.MeasurementSet.far_directions([d])
+        measurement = mf.MeasurementSet("near", [tuple(9.0 * c for c in d)])
+    else:  # the drawn direction and its antipode
+        measurement = mf.MeasurementSet("far", [d, tuple(-c for c in d)])
     return mf.Scenario(
         support=support, h=h, measurement=measurement,
         frequencies=mf.FrequencyGrid(k_max=draw(st.floats(0.5, 20.0)),
@@ -234,8 +233,8 @@ def fejer_cases(draw):
     grid = mf.FrequencyGrid(k_max=draw(st.floats(0.5, 50.0)), count=J)
     parts = draw(st.lists(sample, min_size=4 * (2 * J + 1), max_size=4 * (2 * J + 1)))
     raw = np.array(parts).reshape(2, 2 * J + 1, 2)
-    data = mf.MultiFreqDataset(sensors=mf.MeasurementSet.far_directions([(1, 0, 0)]), grid=grid,
-                               values=raw[..., 0] + 1j * raw[..., 1])
+    data = mf.MultiFreqDataset(sensors=mf.MeasurementSet("far", [(1, 0, 0), (-1, 0, 0)]),
+                               grid=grid, values=raw[..., 0] + 1j * raw[..., 1])
     reach = 4 * math.pi / grid.spacing
     lo, hi = sorted(reach * draw(st.floats(-1.0, 1.0)) for _ in range(2))
     assume(lo < hi)

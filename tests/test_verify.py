@@ -26,11 +26,12 @@ def offcentre_scenario(kind):
     if kind == "near":
         support = mf.Peanut(centers=((0.9, 0.4, -0.5), (1.7, -0.1, 0.2)), radius=0.6,
                             amplitude=2.5)
-        measurement = MeasurementSet.near_points([(4.5, -2.5, 1.5), (-3.0, 3.5, -2.0),
-                                                  (0.5, 1.0, 4.0)])
+        measurement = MeasurementSet("near", [(4.5, -2.5, 1.5), (-3.0, 3.5, -2.0),
+                                              (0.5, 1.0, 4.0)])
     else:
         support = Ball(center=(0.6, -0.3, 0.2), radius=0.5)
-        measurement = MeasurementSet.far_directions([(0.6, -0.48, 0.64), (0.0, 1.0, 0.0)])
+        measurement = MeasurementSet("far", [(0.6, -0.48, 0.64), (0.0, 1.0, 0.0),
+                                             (-0.6, 0.48, -0.64), (0.0, -1.0, 0.0)])
     return mf.Scenario(support=support, h=0.1, measurement=measurement,
                        frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0, seed=1)
 
