@@ -34,11 +34,8 @@ from .operators import (
     SupportFunction,
     apply_operator,
     far_quadratic_form,
-    freq_inner,
     near_quadratic_form,
     quadratic_form,
-    support_inner,
-    support_norm,
 )
 from .imaging import (
     CrossSection,

@@ -18,7 +18,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import forward, imaging
+from . import forward, imaging, verify
 from .forward import DatasetFormatError, add_noise, generate_dataset
 from .imaging import SamplingGrid, compute_indicator, cross_section, normalize, threshold_mask
 from .scenario import (
@@ -29,7 +29,6 @@ from .scenario import (
     scenario_hash,
     write_config,
 )
-from .verify import check_coercivity, check_factorization, check_psf, check_symmetries
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -105,22 +104,32 @@ def run_image(dataset_path, scenario: Scenario, out_prefix, force: bool = False)
     return outputs
 
 
-# The certificates in report order, each as a function of the scenario.
-_CHECKS = {
-    "factorization": check_factorization,
-    "coercivity": check_coercivity,
-    "psf": lambda s: check_psf(s.frequencies),
-    "symmetries": check_symmetries,
-}
-CHECK_NAMES = tuple(_CHECKS)
+# The certificates in report order.
+CHECK_NAMES = ("factorization", "coercivity", "psf", "symmetries")
 
 
 def run_verify(scenario: Scenario, only: str | None = None):
-    """Run the certificate checks; returns (reports, all_passed)."""
+    """Run the certificate checks; returns (reports, all_passed).
+
+    Sensor 0's noiseless row, quadrature rule and factors are built once and
+    passed to the scenario checks; the factors are released as soon as the
+    coercivity check is done with them, so the psf and symmetry checks do
+    not hold them.  Each check is looked up in `verify` when it runs.
+    """
     if only is not None and only not in CHECK_NAMES:
         raise ConfigError(f"--only: unknown check {only!r}; choose from {CHECK_NAMES}")
-    reports = [check(scenario) for name, check in _CHECKS.items()
-               if only in (None, name)]
+    names = [name for name in CHECK_NAMES if only in (None, name)]
+    problem = None
+    if names != ["psf"]:
+        problem = verify._sensor_problem(scenario, factored=only != "symmetries")
+    reports = []
+    for name in names:
+        if name == "psf":
+            reports.append(verify.check_psf(scenario.frequencies))
+            continue
+        reports.append(getattr(verify, f"check_{name}")(scenario, problem=problem))
+        if name == "coercivity":  # the last check that uses the factors
+            problem = problem._replace(fac=None)
     return reports, all(r.passed for r in reports)
 
 

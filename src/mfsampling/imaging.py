@@ -265,9 +265,11 @@ def write_cross_section(cs: CrossSection, path, scenario_hash: str = "-") -> Non
         f"axis={cs.axis} coordinate={cs.coordinate!r}",
         f"{u_name},{v_name},value",
     ]
-    v_text = [repr(v) for v in cs.v_coords.tolist()]
+    # one %-template per layer: its u is formatted once, its values in one call
+    tails = [f",{v!r},%r" for v in cs.v_coords.tolist()]
     for u, row in zip(cs.u_coords.tolist(), cs.values.tolist()):
-        lines += [f"{u!r},{v},{value!r}" for v, value in zip(v_text, row)]
+        u_text = repr(u)
+        lines.append((u_text + ("\n" + u_text).join(tails)) % tuple(row))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -9,7 +9,6 @@ fixed order so results are reproducible across platforms and thread counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,22 +50,6 @@ class SupportFunction:
         object.__setattr__(self, "samples", s)
 
 
-def freq_inner(a: FreqFunction, b: FreqFunction) -> complex:
-    """Discrete band inner product dk * sum a conj(b)."""
-    if a.grid != b.grid:
-        raise ValueError("frequency grid mismatch")
-    return complex(a.grid.spacing * np.sum(a.samples * np.conj(b.samples)))
-
-def support_inner(u: SupportFunction, v: SupportFunction) -> complex:
-    """Discrete support inner product sum w * u conj(v)."""
-    if u.rule is not v.rule and len(u.rule) != len(v.rule):
-        raise ValueError("quadrature rule mismatch")
-    return complex(np.sum(u.rule.weights * u.samples * np.conj(v.samples)))
-
-def support_norm(u: SupportFunction) -> float:
-    return math.sqrt(abs(support_inner(u, u)))
-
-
 @lru_cache(maxsize=16)
 def _toeplitz_index(J: int) -> np.ndarray:
     """Read-only J x J index j - l + J into a row over the difference columns m = -J..J."""
@@ -86,6 +69,12 @@ def _toeplitz_form(row: np.ndarray, g: FreqFunction) -> complex:
     dk = g.grid.spacing
     return complex(dk * dk * np.einsum("jl,l,j->", _toeplitz_block(row), g.samples,
                                        np.conj(g.samples)))
+
+
+def _toeplitz_forms(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
+    """`_toeplitz_form` of every row of a (T, J) array of test functions, over a
+    prebuilt `_toeplitz_block`: dk^2 sum_{j,l} block[j, l] G[t, l] conj G[t, j]."""
+    return dk * dk * np.einsum("jl,tl,tj->t", block, G, np.conj(G))
 
 
 def _check_grid(data: MultiFreqDataset, g: FreqFunction) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .geometry import Ball, Cube, LShape, Peanut, RoundedCylinder, SourceSupport, Union
-from .forward import FrequencyGrid, MeasurementSet, _format_floats, _numbers
+from .forward import FrequencyGrid, MeasurementSet, _numbers
 from .imaging import SamplingGrid
 
 
@@ -148,8 +148,14 @@ def _groups(key: str, raw: str, size: int | None) -> list[tuple[float, ...]]:
     return [_floats(key, part.strip(), size) for part in raw.split(";")]
 
 
+def _number(v) -> str:
+    """Config text of a number.  A negative zero is written 0.0: the two compare
+    equal, so equal scenarios must have the same text and hash."""
+    return repr(float(v) + 0.0)
+
+
 def _format_groups(groups) -> str:
-    return " ; ".join(_format_floats(g) for g in groups)
+    return " ; ".join(" ".join(map(_number, g)) for g in groups)
 
 
 def _int(key: str, raw: str) -> int:
@@ -313,7 +319,7 @@ def write_config_text(s: Scenario) -> str:
         f"{_format_groups(s.measurement.points)}",
         f"k_max = {s.frequencies.k_max!r}",
         f"num_freq = {s.frequencies.count}",
-        f"noise = {s.noise_level!r}",
+        f"noise = {_number(s.noise_level)}",
         f"seed = {s.seed}",
         f"grid_bounds = {_format_groups([gb[0] + gb[1] + gb[2]])}",
         f"grid_n = {n[0]} {n[1]} {n[2]}",

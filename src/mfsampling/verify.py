@@ -4,25 +4,28 @@ point-spread-profile bounds, and data symmetries.
 Every check reduces to a single `measured <= tolerance` comparison;
 composite checks report the worst subcheck over its own tolerance, against 1.
 Checks are deterministic given (scenario, seed).  The scenario certificates
-build the noiseless data of one sensor alone, never all `L` rows.
+run on the noiseless data of sensor 0 alone, never all `L` rows: `run_verify`
+builds that row, its quadrature rule and its factors once per run and passes
+them to each check, and a check called on its own builds them itself.  Each
+check draws its random test functions as one batch from a seeded stream.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_lines,
                       band_error_bound, generate_dataset, mirror, radiated_field)
-from .geometry import annulus_radii, quadrature
+from .geometry import QuadratureRule, annulus_radii, quadrature
 from .imaging import psf_closed_form, psf_discrete
-from .operators import (Factorization, FreqFunction, _toeplitz_form, apply_operator,
-                        quadratic_form)
+from .operators import (Factorization, FreqFunction, _toeplitz_block, _toeplitz_forms,
+                        apply_operator)
 
 _FACTORIZATION_SALT = 0x8F1E
 _COERCIVITY_SALT = 0x51D3
@@ -61,38 +64,61 @@ def _report(check: str, scenario: str, measured: float, tol: float, t0: float,
                               details=details or {})
 
 
-def _sensor_trials(scenario, sensor: int, salt: int):
-    """(data, quadrature rule, test functions) of sensor `sensor` measuring alone.
+class _Problem(NamedTuple):
+    """One sensor's noiseless one-row data, quadrature rule and factors (or None)."""
+
+    data: MultiFreqDataset
+    rule: QuadratureRule
+    fac: Factorization | None
+
+
+def _sensor_problem(scenario, sensor: int = 0, factored: bool = True) -> _Problem:
+    """The problem of sensor `sensor` measuring alone; the factors only if `factored`.
 
     Row 0 of the noiseless data equals row `sensor` of the full dataset bit
-    for bit.  The test functions are an endless seeded draw of
-    (N(0,1) + i N(0,1)) / sqrt 2 per frequency.  The scenario certificates,
-    which use them, hold for noiseless data only.
+    for bit.  The scenario certificates, which use it, hold for noiseless
+    data only.
     """
     if scenario.noise_level != 0:
         raise ValueError("scenario certificates require a noiseless scenario")
     x = scenario.measurement.points[sensor]
-    alone = replace(scenario, measurement=MeasurementSet(scenario.kind, (x,)))
-    grid = scenario.frequencies
+    # the data first: their band is freed before the factors build theirs
+    data = generate_dataset(replace(scenario, measurement=MeasurementSet(scenario.kind, (x,))))
+    rule = quadrature(scenario.support, scenario.h)
+    fac = (Factorization(scenario.kind, x, scenario.support, rule, scenario.frequencies)
+           if factored else None)
+    return _Problem(data, rule, fac)
+
+
+def _draws(scenario, sensor: int, salt: int):
+    """The seeded stream of test functions (N(0,1) + i N(0,1)) / sqrt 2 per frequency.
+
+    Returns `draw(count)`, a (count, J) array of the stream's next `count` test
+    functions; each call continues the stream, so `draw(a)` then `draw(b)`
+    equals `draw(a + b)`.
+    """
     rng = np.random.default_rng([scenario.seed, sensor, salt])
+    J = scenario.frequencies.count
 
-    def draws():
-        while True:
-            yield FreqFunction(grid, (rng.standard_normal(grid.count)
-                                      + 1j * rng.standard_normal(grid.count)) / math.sqrt(2))
+    def draw(count: int) -> np.ndarray:
+        xi = rng.standard_normal((count, 2, J))
+        return (xi[:, 0] + 1j * xi[:, 1]) / math.sqrt(2)
 
-    return generate_dataset(alone), quadrature(scenario.support, scenario.h), draws()
+    return draw
 
 
-def check_factorization(scenario, sensor: int = 0, trials: int = 20,
-                        tol: float = 1e-10) -> VerificationReport:
-    """Certify N = P T P* on matched quadrature: max over random g of ||(N - PTP*)g|| / ||Ng||."""
+def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float = 1e-10,
+                        problem: _Problem | None = None) -> VerificationReport:
+    """Certify N = P T P* on matched quadrature: max over random g of ||(N - PTP*)g|| / ||Ng||.
+
+    `problem`, when given, is `_sensor_problem(scenario, sensor)`; otherwise
+    the check builds it.
+    """
     t0 = time.perf_counter()
-    data, rule, draws = _sensor_trials(scenario, sensor, _FACTORIZATION_SALT)
-    fac = Factorization(scenario.kind, scenario.measurement.points[sensor], scenario.support, rule,
-                        scenario.frequencies)
+    data, rule, fac = problem or _sensor_problem(scenario, sensor)
     residual = 0.0
-    for g in itertools.islice(draws, trials):
+    for samples in _draws(scenario, sensor, _FACTORIZATION_SALT)(trials):
+        g = FreqFunction(scenario.frequencies, samples)
         Ng = apply_operator(data, 0, g).samples
         den = np.linalg.norm(Ng)
         if den == 0.0:
@@ -103,8 +129,23 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20,
                    {"trials": float(trials), "sensor": float(sensor)})
 
 
-def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
-                     tol: float = 1e-10) -> VerificationReport:
+def _nondegenerate(draw, gram_block: np.ndarray, dk: float, trials: int):
+    """The stream's first `trials` test functions with ||P* g||^2 > 1e-30, and those norms.
+
+    ||P* g||^2 is the form (P P* g, g) over `gram_block`.  A draw at or below
+    1e-30 is skipped and the stream continues.
+    """
+    G, norms = np.empty((0, gram_block.shape[0]), dtype=complex), np.empty(0)
+    while len(G) < trials:
+        more = draw(trials - len(G))
+        forms = _toeplitz_forms(gram_block, more, dk).real
+        keep = forms > 1e-30
+        G, norms = np.concatenate((G, more[keep])), np.concatenate((norms, forms[keep]))
+    return G, norms
+
+
+def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 1e-10,
+                     problem: _Problem | None = None) -> VerificationReport:
     """Certify the two-sided quadratic-form bounds against the analysis-side factor norm.
 
     Near kind: |(N g, g)| / ||P* g||^2 must lie in
@@ -113,13 +154,13 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
     The kernel rows are z^m with real weights, so ||P* g||^2 = (P P* g, g),
     and P P* is the band convolution whose column m is sum_q w_q z_q^m: the
     data's P(T 1) with T = 1, and sum_q w_q at m = 0 whatever `zero_mode`.
-    Both forms cost O(J^2) per trial.
+    Both forms cost O(J^2) per trial, and all trials run as one batch.
+    `problem`, when given, is `_sensor_problem(scenario, sensor)`.
     """
     t0 = time.perf_counter()
-    data, rule, draws = _sensor_trials(scenario, sensor, _COERCIVITY_SALT)
+    data, rule, fac = problem or _sensor_problem(scenario, sensor)
     x = scenario.measurement.points[sensor]
-    fac = Factorization(scenario.kind, x, scenario.support, rule, scenario.frequencies)
-    J = scenario.frequencies.count
+    J, dk = scenario.frequencies.count, scenario.frequencies.spacing
     gram = np.empty(2 * J + 1, dtype=complex)
     gram[J] = np.sum(rule.weights)
     gram[J + 1:] = np.sum(fac.kernel * rule.weights, axis=-1)
@@ -130,20 +171,15 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100,
         lower, upper = c_f / (4 * math.pi * r2), C_f / (4 * math.pi * r1)
     else:
         lower, upper = c_f, C_f
-    worst = 0.0
-    ratio_min, ratio_max = math.inf, -math.inf
-    for _ in range(trials):
-        for g in draws:
-            denom = _toeplitz_form(gram, g).real
-            if denom > 1e-30:
-                break
-        ratio = abs(quadratic_form(data, 0, g)) / denom
-        ratio_min, ratio_max = min(ratio_min, ratio), max(ratio_max, ratio)
-        violation = max((lower - ratio) / lower, (ratio - upper) / upper, 0.0)
-        worst = max(worst, violation)
-    return _report("coercivity", scenario.summary(), worst, tol, t0,
-                   {"ratio_min": ratio_min, "ratio_max": ratio_max,
-                    "lower_bound": lower, "upper_bound": upper, "trials": float(trials)})
+    G, norms = _nondegenerate(_draws(scenario, sensor, _COERCIVITY_SALT),
+                              _toeplitz_block(gram), dk, trials)
+    ratios = np.abs(_toeplitz_forms(_toeplitz_block(data.values[0]), G, dk)) / norms
+    violations = np.maximum((lower - ratios) / lower, (ratios - upper) / upper)
+    return _report("coercivity", scenario.summary(), float(np.max(violations, initial=0.0)),
+                   tol, t0, {"ratio_min": float(np.min(ratios, initial=math.inf)),
+                             "ratio_max": float(np.max(ratios, initial=-math.inf)),
+                             "lower_bound": lower, "upper_bound": upper,
+                             "trials": float(trials)})
 
 
 def check_psf(grid: FrequencyGrid) -> VerificationReport:
@@ -206,15 +242,16 @@ def symmetry_violation(data: MultiFreqDataset) -> float:
     return float(ratios.max(initial=0.0))
 
 
-def check_symmetries(scenario) -> VerificationReport:
+def check_symmetries(scenario, problem: _Problem | None = None) -> VerificationReport:
     """Certify the columns m = -1..-J that `mirror` writes into sensor 0's data, the
     conjugates of its positive columns, against `radiated_field` at k = m dk.
 
     Each column is over the band error bound of column |m|; the zero column,
-    which `zero_mode` sets, is left out.
+    which `zero_mode` sets, is left out.  `problem`, when given, is sensor 0's
+    `_sensor_problem`; its factors are not used.
     """
     t0 = time.perf_counter()
-    data, rule, _ = _sensor_trials(scenario, 0, salt=0)
+    data, rule, _ = problem or _sensor_problem(scenario, 0, factored=False)
     kind, x, grid = scenario.kind, scenario.measurement.points[0], data.grid
     exact = radiated_field(kind, scenario.support, rule, x, -grid.nodes)
     J = grid.count

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -58,6 +60,24 @@ def far_ball_scenario(unit_ball):
 @pytest.fixture(scope="session")
 def far_ball_dataset(far_ball_scenario):
     return mf.generate_dataset(far_ball_scenario)
+
+
+def freq_inner(a, b) -> complex:
+    """Discrete band inner product dk * sum a conj(b) of two `FreqFunction`s."""
+    if a.grid != b.grid:
+        raise ValueError("frequency grid mismatch")
+    return complex(a.grid.spacing * np.sum(a.samples * np.conj(b.samples)))
+
+
+def support_inner(u, v) -> complex:
+    """Discrete support inner product sum w * u conj(v) of two `SupportFunction`s."""
+    if u.rule is not v.rule and len(u.rule) != len(v.rule):
+        raise ValueError("quadrature rule mismatch")
+    return complex(np.sum(u.rule.weights * u.samples * np.conj(v.samples)))
+
+
+def support_norm(u) -> float:
+    return math.sqrt(abs(support_inner(u, u)))
 
 
 def clean(scenario):

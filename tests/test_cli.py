@@ -75,6 +75,18 @@ class TestConfigRoundTrip:
         assert scenario_hash(s) == scenario_hash(replace(s))
         assert scenario_hash(s) != scenario_hash(replace(s, seed=2))
 
+    def test_negative_zero_hash(self):
+        # -0.0 == 0.0, so scenarios that differ only in the sign of a zero are equal
+        # and must hash alike
+        s = replace(PRESETS["ball_pt1"], noise_level=0.0,
+                    measurement=MeasurementSet("far", ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))))
+        for t in (replace(s, measurement=MeasurementSet("far", ((1.0, 0.0, 0.0),
+                                                                (-1.0, -0.0, -0.0)))),
+                  replace(s, noise_level=-0.0)):
+            assert t == s
+            assert write_config_text(t) == write_config_text(s)
+            assert scenario_hash(t) == scenario_hash(s)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         write_config(PRESETS["two_balls_pt14"], path)

@@ -22,7 +22,7 @@ from mfsampling import (
     quadratic_form,
     threshold_mask,
 )
-from conftest import radial_profile_deviation
+from conftest import radial_profile_deviation, support_norm
 
 
 class TestSamplingGrid:
@@ -186,7 +186,7 @@ class TestIndicatorNear:
         assert dev <= 0.02
 
     def test_sandwich_at_probe_lattice(self, ball_scenario, ball_dataset, unit_ball):
-        from mfsampling import Factorization, quadrature, support_norm
+        from mfsampling import Factorization, quadrature
         x = (3.0, 0.0, 0.0)
         fac = Factorization("near", x, unit_ball, quadrature(unit_ball, ball_scenario.h),
                             ball_dataset.grid)

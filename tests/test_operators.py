@@ -16,14 +16,12 @@ from mfsampling import (
     SupportFunction,
     apply_operator,
     check_factorization,
-    freq_inner,
     probe,
     quadratic_form,
     quadrature,
-    support_inner,
-    support_norm,
 )
-from mfsampling.verify import _sensor_trials
+from mfsampling.verify import _sensor_problem
+from conftest import freq_inner, support_inner, support_norm
 
 _GRID = FrequencyGrid(k_max=11.0, count=11)
 
@@ -246,7 +244,7 @@ def test_one_sensor_rows_match_full_dataset(kind):
         frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1)
     full = mf.generate_dataset(s)
     for sensor in range(len(s.measurement)):
-        one, _, _ = _sensor_trials(s, sensor, 0)
+        one = _sensor_problem(s, sensor, factored=False).data
         assert np.array_equal(one.values[0], full.values[sensor])
 
 

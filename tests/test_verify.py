@@ -7,6 +7,7 @@ from dataclasses import replace
 import mfsampling as mf
 from mfsampling import (
     Ball,
+    FreqFunction,
     FrequencyGrid,
     MeasurementSet,
     add_noise,
@@ -18,6 +19,7 @@ from mfsampling import (
     symmetry_violation,
 )
 from mfsampling.cli import run_verify
+from conftest import support_norm
 
 
 def offcentre_scenario(kind):
@@ -39,15 +41,16 @@ def offcentre_scenario(kind):
 def coercivity_denominators(scenario, trials):
     """The test functions g that check_coercivity draws, each with the ||P* g||^2 it
     divides by, as the check computes it."""
-    form, seen = mf.verify._toeplitz_form, []
+    nondegenerate, seen = mf.verify._nondegenerate, []
 
-    def recorded(row, g):
-        value = form(row, g)
-        seen.append((g, value.real))
-        return value
+    def recorded(*args):
+        G, norms = nondegenerate(*args)
+        seen.extend((FreqFunction(scenario.frequencies, g), value)
+                    for g, value in zip(G, norms))
+        return G, norms
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mf.verify, "_toeplitz_form", recorded)
+        patch.setattr(mf.verify, "_nondegenerate", recorded)
         check_coercivity(scenario, trials=trials)
     return seen
 
@@ -57,7 +60,7 @@ def analysis_norms(scenario, gs):
     rule = mf.quadrature(scenario.support, scenario.h)
     fac = mf.Factorization(scenario.kind, scenario.measurement.points[0], scenario.support, rule,
                            scenario.frequencies)
-    return np.array([mf.support_norm(fac.analysis(g)) ** 2 for g in gs])
+    return np.array([support_norm(fac.analysis(g)) ** 2 for g in gs])
 
 
 class TestCheckFactorization:
@@ -152,13 +155,13 @@ class TestCheckCoercivity:
         # ratio is 3 times the true one and leaves the interval
         s = offcentre_scenario(kind)
         assert check_coercivity(s).passed
-        trials = mf.verify._sensor_trials
+        problem = mf.verify._sensor_problem
 
         def tripled(*args, **kwargs):
-            data, rule, draws = trials(*args, **kwargs)
-            return replace(data, values=3 * data.values), rule, draws
+            p = problem(*args, **kwargs)
+            return p._replace(data=replace(p.data, values=3 * p.data.values))
 
-        monkeypatch.setattr(mf.verify, "_sensor_trials", tripled)
+        monkeypatch.setattr(mf.verify, "_sensor_problem", tripled)
         report = check_coercivity(s)
         assert not report.passed
         assert report.details["ratio_min"] > report.details["upper_bound"]
@@ -271,6 +274,82 @@ class TestCheckSymmetries:
 
     def test_noisy_fails_at_noise_scale(self, ball_dataset):
         assert 0.005 <= symmetry_violation(add_noise(ball_dataset, 0.05, 1)) <= 0.5
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("salt", [mf.verify._FACTORIZATION_SALT,
+                                      mf.verify._COERCIVITY_SALT])
+    def test_batch_is_sequential_stream(self, salt):
+        # one (count, 2, J) draw, continued across calls, is the stream of
+        # (N(J) + i N(J)) / sqrt 2 draws taken one test function at a time
+        s = offcentre_scenario("near")
+        J = s.frequencies.count
+        rng = np.random.default_rng([s.seed, 2, salt])
+        sequential = [(rng.standard_normal(J) + 1j * rng.standard_normal(J)) / math.sqrt(2)
+                      for _ in range(7)]
+        draw = mf.verify._draws(s, 2, salt)
+        assert np.array_equal(np.concatenate([draw(3), draw(4)]), np.array(sequential))
+
+    def test_degenerate_first_draw_skipped(self, monkeypatch):
+        # a first test function with ||P* g||^2 = 0 is dropped, and the batch takes
+        # the stream's next draw in its place
+        s = offcentre_scenario("near")
+        draws = mf.verify._draws
+        stream = draws(s, 0, mf.verify._COERCIVITY_SALT)(21)
+
+        def zero_first(*args):
+            draw, calls = draws(*args), []
+
+            def forced(count):
+                G = draw(count)
+                if not calls:
+                    G[0] = 0.0
+                calls.append(count)
+                return G
+
+            return forced
+
+        monkeypatch.setattr(mf.verify, "_draws", zero_first)
+        seen = coercivity_denominators(s, trials=20)
+        assert len(seen) == 20
+        assert np.array_equal(np.array([g.samples for g, _ in seen]), stream[1:])
+        assert check_coercivity(s, trials=20).passed
+
+
+class TestRunVerify:
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_sensor_problem_built_once(self, monkeypatch, kind):
+        # one run builds sensor 0's band twice (data and factors) and its rule twice
+        # (data and checks); the psf check alone builds neither
+        counts = {"_band": 0, "quadrature": 0}
+        for name, original in (("_band", mf.forward._band),
+                               ("quadrature", mf.geometry.quadrature)):
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in (mf.geometry, mf.forward, mf.operators, mf.imaging, mf.verify,
+                           mf.cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        s = offcentre_scenario(kind)
+        reports, ok = run_verify(s)
+        assert ok and len(reports) == 4
+        assert counts == {"_band": 2, "quadrature": 2}
+        counts.update(_band=0, quadrature=0)
+        reports, ok = run_verify(s, only="psf")
+        assert ok and len(reports) == 1
+        assert counts == {"_band": 0, "quadrature": 0}
+
+    def test_shared_problem_same_reports(self):
+        # the checks report the same numbers whether they share the run's problem or
+        # each builds its own
+        s = offcentre_scenario("far")
+        shared, _ = run_verify(s)
+        alone = [check_factorization(s), check_coercivity(s),
+                 check_psf(s.frequencies), check_symmetries(s)]
+        for a, b in zip(shared, alone):
+            assert (a.check, a.measured, a.details) == (b.check, b.measured, b.details)
 
 
 class TestVerificationReport:
