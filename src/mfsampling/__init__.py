@@ -10,7 +10,6 @@ from .geometry import (
     RoundedCylinder,
     SourceSupport,
     Union,
-    annulus_radii,
     contains,
     quadrature,
 )
@@ -24,6 +23,7 @@ from .forward import (
     generate_dataset,
     mirror,
     phase,
+    phase_range,
     radiated_field,
     read_dataset,
     write_dataset,

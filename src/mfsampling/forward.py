@@ -13,7 +13,9 @@ are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
 (`_band`).  Arbitrary wavenumbers (`radiated_field`, the probe, and the near
 indicator) take one exponential per sample, `_cis` of the phase.  On a tensor
 grid the far phase is linear, so there `_grid_cis` takes one exponential per
-axis point, and a voxel's is the product of its three axis points'.
+axis point, and a voxel's is the product of its three axis points'.  Only
+`phase`, `_spreading`, `_grid_cis` and `phase_range` (the phase's exact range
+over the closed support, which refuses a sensor point in it) branch on the kind.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import GeometryError, QuadratureRule, SourceSupport, contains, quadrature, _point
+from .geometry import GeometryError, QuadratureRule, SourceSupport, quadrature, _point
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -82,11 +84,8 @@ class MeasurementSet:
             raise ValueError(f"measurement points must have shape (L, 3), got ({len(pts)}, {n})")
         if not all(math.isfinite(c) for p in pts for c in p):
             raise ValueError(f"measurement points must be finite, got {pts!r}")
-        if self.kind == "far":
-            arr = self.array
-            norms = np.linalg.norm(arr, axis=1)
-            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-                raise ValueError("far-field directions must be unit vectors")
+        for p in pts if self.kind == "far" else ():
+            _direction(p)
 
     @property
     def array(self) -> np.ndarray:
@@ -94,6 +93,13 @@ class MeasurementSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _direction(x) -> np.ndarray:
+    xp = _point(x)
+    if abs(math.hypot(*xp) - 1.0) > _UNIT_TOL:
+        raise ValueError("far-field direction must be a unit vector")
+    return xp
 
 
 def phase(kind: str, x, coords) -> np.ndarray:
@@ -104,16 +110,28 @@ def phase(kind: str, x, coords) -> np.ndarray:
     direction xhat: -xhat.y, summed in axis order.  The data kernel
     e^{i k phase} / spreading, the probe, the outer and middle factors and the
     indicator are all built from this map, so their signs agree by construction;
-    beside it only `_spreading` and `_grid_cis` branch on the kind.
+    beside it only `_spreading`, `_grid_cis` and `phase_range` branch on the kind.
     """
-    xp = _point(x)
     y0, y1, y2 = coords
     if kind == "near":
+        xp = _point(x)
         return np.sqrt((xp[0] - y0) ** 2 + (xp[1] - y1) ** 2 + (xp[2] - y2) ** 2)
-    if abs(np.linalg.norm(xp) - 1.0) > _UNIT_TOL:
-        raise ValueError("far-field direction must be a unit vector")
-    n0, n1, n2 = -xp  # the bits of -(xhat.y), zeros' signs aside, without a negating pass
+    n0, n1, n2 = -_direction(x)  # the bits of -(xhat.y), zeros' signs aside, no negating pass
     return n0 * y0 + n1 * y1 + n2 * y2
+
+
+def phase_range(kind: str, x, support: SourceSupport) -> tuple[float, float]:
+    """Exact (inf, sup) of `phase(kind, x, y)` over y in the closed support: near, the
+    distance bounds, for x outside the closed support (else GeometryError); far,
+    (-h(xhat), h(-xhat)) for the support function h, as -xhat.y is linear in y."""
+    if kind == "near":
+        r1, r2 = support.signed_distance_bounds(x)
+        if r1 <= 0:
+            raise GeometryError("near-field sensor point lies inside the source support or on "
+                                "its boundary")
+        return r1, r2
+    xhat = _direction(x)
+    return -support.support_function(xhat), support.support_function(-xhat)
 
 
 def _spreading(kind: str, ph: np.ndarray) -> np.ndarray | float:
@@ -208,12 +226,11 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
                    k: float | np.ndarray) -> complex | np.ndarray:
     """Field at sensor x (near) or pattern in direction x (far) at wavenumber k.
 
-    Quadrature of w * f * e^{i k phase} / spreading over the support; the
-    near kernel is the outgoing point source, the far kernel e^{-i k xhat.y}.
-    A scalar k gives a complex, an array of wavenumbers an array of samples.
+    Quadrature of w * f * e^{i k phase} / spreading over the support; the near kernel is
+    the outgoing point source, for x outside the closed support (`phase_range`), the far
+    kernel e^{-i k xhat.y}.  A scalar k gives a complex, an array of k an array of samples.
     """
-    if kind == "near" and contains(support, _point(x)):
-        raise GeometryError("near-field evaluation point lies inside the source support")
+    phase_range(kind, x, support)
     ph = phase(kind, x, rule.nodes.T)
     E = _cis(k, ph)
     E *= rule.weights * support.amplitude_at(rule.nodes)  # in place: no J x Q temporaries

@@ -1,4 +1,4 @@
-"""Parametric source supports: membership tests, voxel quadrature, sensor distance bounds.
+"""Parametric source supports: membership, support functions, quadrature, distance bounds.
 
 Supports are open regions in R^3 built from a small family of primitives
 (ball, axis-aligned box, rounded cylinder, peanut, L-shape) and finite
@@ -8,6 +8,7 @@ value the source density takes on that component.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -55,12 +56,17 @@ class SourceSupport(ABC):
         """Strict-interior membership for an (N, 3) array; returns (N,) bool."""
 
     @abstractmethod
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned (lo, hi) corners enclosing the support."""
+    def support_function(self, xi) -> float:
+        """h(xi) = sup of xi.y over the closed support, for a 3-vector xi."""
 
     @abstractmethod
     def signed_distance_bounds(self, x) -> tuple[float, float]:
         """(inf, sup) of |x - y| over the closed support; inf is signed (< 0 inside)."""
+
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Axis-aligned (lo, hi) corners of the support: lo_a = -h(-e_a), hi_a = h(e_a)."""
+        h = self.support_function
+        return tuple(np.array([s * h(s * e) for e in np.eye(3)]) for s in (-1.0, 1.0))
 
     def components(self) -> Iterator["SourceSupport"]:
         yield self
@@ -94,19 +100,18 @@ class SourceSupport(ABC):
 
 
 class _Parts(SourceSupport):
-    """A support whose region is the union of its parts: membership, box and bounds follow."""
+    """A support whose region is the union of its parts: membership, h and bounds follow."""
 
     @abstractmethod
     def _parts(self) -> tuple:
-        """The parts, each with contains_points, bounding_box and signed_distance_bounds."""
+        """The parts, each with contains_points, support_function and signed_distance_bounds."""
 
     def contains_points(self, points):
         pts = _points(points)
         return np.logical_or.reduce([part.contains_points(pts) for part in self._parts()])
 
-    def bounding_box(self):
-        boxes = [part.bounding_box() for part in self._parts()]
-        return np.minimum.reduce([b[0] for b in boxes]), np.maximum.reduce([b[1] for b in boxes])
+    def support_function(self, xi):
+        return max(part.support_function(xi) for part in self._parts())
 
     def signed_distance_bounds(self, x):
         bounds = [part.signed_distance_bounds(x) for part in self._parts()]
@@ -123,8 +128,8 @@ class _Box(NamedTuple):
         pts = _points(points)
         return np.all((pts > self.lo) & (pts < self.hi), axis=1)
 
-    def bounding_box(self):
-        return self.lo, self.hi
+    def support_function(self, xi):
+        return float(np.maximum(xi * self.lo, xi * self.hi).sum())
 
     def signed_distance_bounds(self, x):
         """Signed inf and sup of |x - y| over the closed box."""
@@ -150,9 +155,8 @@ class _Cylinder(NamedTuple):
         rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         return (rho2 < self.radius**2) & (np.abs(pts[:, 2]) < self.half_height)
 
-    def bounding_box(self):
-        r, h = self.radius, self.half_height
-        return np.array([-r, -r, -h]), np.array([r, r, h])
+    def support_function(self, xi):
+        return float(self.radius * math.hypot(xi[0], xi[1]) + self.half_height * abs(xi[2]))
 
     def signed_distance_bounds(self, x):
         p = _point(x)
@@ -184,9 +188,8 @@ class Ball(SourceSupport):
         d2 = ((pts - np.asarray(self.center)) ** 2).sum(axis=1)
         return d2 < self.radius**2
 
-    def bounding_box(self):
-        c = np.asarray(self.center)
-        return c - self.radius, c + self.radius
+    def support_function(self, xi):
+        return float(sum(c * v for c, v in zip(self.center, xi)) + self.radius * math.hypot(*xi))
 
     def signed_distance_bounds(self, x):
         d = float(np.linalg.norm(_point(x) - np.asarray(self.center)))
@@ -302,7 +305,6 @@ class QuadratureRule:
 
     nodes: np.ndarray  # (Q, 3)
     weights: np.ndarray  # (Q,)
-    spacing: float
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -333,12 +335,4 @@ def quadrature(support: SourceSupport, h: float) -> QuadratureRule:
     nodes = pts[inside]
     if len(nodes) == 0:
         raise GeometryError(f"spacing h={h} too coarse: no voxel midpoint inside the support")
-    return QuadratureRule(nodes=nodes, weights=np.full(len(nodes), h**3), spacing=h)
-
-
-def annulus_radii(support: SourceSupport, x) -> tuple[float, float]:
-    """Exact (inf, sup) of |x - y| over the support, for x outside its closure."""
-    r1, r2 = support.signed_distance_bounds(x)
-    if r1 <= 0:
-        raise GeometryError("point lies inside or on the closed source support")
-    return r1, r2
+    return QuadratureRule(nodes=nodes, weights=np.full(len(nodes), h**3))

@@ -63,17 +63,9 @@ def _toeplitz_block(row: np.ndarray) -> np.ndarray:
     return row[_toeplitz_index(len(row) // 2)]
 
 
-def _toeplitz_form(row: np.ndarray, g: FreqFunction) -> complex:
-    """dk^2 sum_{j,l} row[j - l] g(k_l) conj g(k_j): the quadratic form of the band
-    convolution whose difference columns m = -J..J are `row`, in O(J^2)."""
-    dk = g.grid.spacing
-    return complex(dk * dk * np.einsum("jl,l,j->", _toeplitz_block(row), g.samples,
-                                       np.conj(g.samples)))
-
-
 def _toeplitz_forms(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
-    """`_toeplitz_form` of every row of a (T, J) array of test functions, over a
-    prebuilt `_toeplitz_block`: dk^2 sum_{j,l} block[j, l] G[t, l] conj G[t, j]."""
+    """dk^2 sum_{j,l} block[j, l] G[t, l] conj G[t, j], each in O(J^2): over the `_toeplitz_block`
+    of a row, the band convolution's quadratic form at each row t of a (T, J) array G."""
     return dk * dk * np.einsum("jl,tl,tj->t", block, G, np.conj(G))
 
 
@@ -93,7 +85,8 @@ def apply_operator(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> Freq
 def quadratic_form(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> complex:
     """(N g, g) under the discrete band inner product."""
     _check_grid(data, g)
-    return _toeplitz_form(data.values[sensor], g)
+    return complex(_toeplitz_forms(_toeplitz_block(data.values[sensor]), g.samples[None],
+                                   g.grid.spacing)[0])
 
 
 # Former per-kind names, still called by the benchmark's oracle.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .geometry import Ball, Cube, LShape, Peanut, RoundedCylinder, SourceSupport, Union
-from .forward import FrequencyGrid, MeasurementSet, _numbers
+from .forward import FrequencyGrid, GeometryError, MeasurementSet, _numbers, phase_range
 from .imaging import SamplingGrid
 
 
@@ -62,12 +62,12 @@ class Scenario:
         for v in self.iso_values:
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"key 'iso': value {v} must lie strictly between 0 and 1")
-        if self.measurement.kind == "near":
-            for i, p in enumerate(self.measurement.points):
-                r1, _ = self.support.signed_distance_bounds(p)
-                if r1 <= 0:
-                    raise ConfigError(
-                        f"key 'sensors': sensor {i} at {p} lies inside the source support")
+        for i, p in enumerate(self.measurement.points):
+            try:
+                phase_range(self.kind, p, self.support)
+            except GeometryError:
+                raise ConfigError(
+                    f"key 'sensors': sensor {i} at {p} lies inside the source support") from None
 
     @property
     def kind(self) -> str:

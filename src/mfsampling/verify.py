@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_lines,
-                      band_error_bound, generate_dataset, mirror, radiated_field)
-from .geometry import QuadratureRule, annulus_radii, quadrature
+from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_lines, _spreading,
+                      band_error_bound, generate_dataset, mirror, phase_range, radiated_field)
+from .geometry import QuadratureRule, quadrature
 from .imaging import psf_closed_form, psf_discrete
 from .operators import (Factorization, FreqFunction, _toeplitz_block, _toeplitz_forms,
                         apply_operator)
@@ -148,9 +148,8 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
                      problem: _Problem | None = None) -> VerificationReport:
     """Certify the two-sided quadratic-form bounds against the analysis-side factor norm.
 
-    Near kind: |(N g, g)| / ||P* g||^2 must lie in
-    [c_f / (4 pi r2), C_f / (4 pi r1)], with r1, r2 the sensor's exact
-    distance bounds to the support.  Far kind: the interval is [c_f, C_f].
+    |(N g, g)| / ||P* g||^2 must lie in [c_f / spreading(t_max), C_f / spreading(t_min)] on
+    the sensor's `phase_range` [t_min, t_max]: [c_f/(4 pi r2), C_f/(4 pi r1)] near, [c_f, C_f] far.
     The kernel rows are z^m with real weights, so ||P* g||^2 = (P P* g, g),
     and P P* is the band convolution whose column m is sum_q w_q z_q^m: the
     data's P(T 1) with T = 1, and sum_q w_q at m = 0 whatever `zero_mode`.
@@ -166,11 +165,8 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     gram[J + 1:] = np.sum(fac.kernel * rule.weights, axis=-1)
     gram[J - 1::-1] = np.conj(gram[J + 1:])
     c_f, C_f = scenario.support.amplitude_bounds()
-    if scenario.kind == "near":
-        r1, r2 = annulus_radii(scenario.support, x)
-        lower, upper = c_f / (4 * math.pi * r2), C_f / (4 * math.pi * r1)
-    else:
-        lower, upper = c_f, C_f
+    t_min, t_max = phase_range(scenario.kind, x, scenario.support)
+    lower, upper = c_f / _spreading(scenario.kind, t_max), C_f / _spreading(scenario.kind, t_min)
     G, norms = _nondegenerate(_draws(scenario, sensor, _COERCIVITY_SALT),
                               _toeplitz_block(gram), dk, trials)
     ratios = np.abs(_toeplitz_forms(_toeplitz_block(data.values[0]), G, dk)) / norms

@@ -1,0 +1,43 @@
+"""Design guards over the package source: near and far are one algorithm with
+different phase maps, so only a fixed set of functions may branch on the kind."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mfsampling"
+
+# The phase map and what cannot be written through it: validation, the spreading,
+# the far grid's per-axis exponentials, the phase range, and the config keys.
+KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_cis", "_spreading", "parse_config_text",
+                 "phase", "phase_range", "write_config_text"]
+
+
+def _is_kind(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "kind")
+            or (isinstance(node, ast.Attribute) and node.attr == "kind"))
+
+
+def _is_kind_name(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_kind_name(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value in ("near", "far")
+
+
+def _kind_branches(tree, scope=()):
+    """Qualified names of the functions whose own body compares a kind with "near" or "far"."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _kind_branches(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_kind, operands)) and any(map(_is_kind_name, operands)):
+                yield ".".join(scope)
+        yield from _kind_branches(node, scope)
+
+
+def test_only_the_listed_functions_branch_on_the_kind():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_kind_branches(ast.parse(path.read_text(encoding="utf-8"))))
+    assert sorted(found) == KIND_BRANCHES

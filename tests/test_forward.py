@@ -50,7 +50,7 @@ def point_source(k, x, y):
     """The outgoing point-source kernel e^{ik|x-y|} / (4 pi |x-y|), as the near field of a
     one-node rule at y with unit weight inside a small unit-amplitude ball."""
     y = tuple(float(c) for c in y)
-    rule = QuadratureRule(nodes=np.array([y]), weights=np.ones(1), spacing=1e-3)
+    rule = QuadratureRule(nodes=np.array([y]), weights=np.ones(1))
     return radiated_field("near", Ball(center=y, radius=1e-3), rule, x, k)
 
 
@@ -168,6 +168,60 @@ class TestFarField:
         rule = quadrature(unit_ball, 0.2)
         with pytest.raises(ValueError, match="unit"):
             radiated_field("far", unit_ball, rule, (1, 1, 0), 1.0)
+
+
+def _range_scenarios():
+    """Every preset and every benchmark workload config, by name."""
+    from artifact_ledger import _workloads
+    from mfsampling.scenario import parse_config_text
+
+    cases = dict(mf.PRESETS)
+    for name, (module, w) in _workloads().items():
+        cases[name] = parse_config_text(module.config_text(w, 1))
+    return cases
+
+
+_RANGE_SCENARIOS = _range_scenarios()
+
+
+class TestPhaseRange:
+    @pytest.mark.parametrize("name", sorted(_RANGE_SCENARIOS))
+    def test_brackets_and_attains_phase_at_nodes(self, name):
+        # the exact range holds the phase at every node, and the nodes come within 2h of
+        # both ends, for the scenario's own sensors and for random off-axis far directions
+        s = _RANGE_SCENARIOS[name]
+        nodes = quadrature(s.support, s.h).nodes.T
+        rng = np.random.default_rng(19)
+        directions = rng.standard_normal((5, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        sensors = [(s.kind, x) for x in s.measurement.array]
+        for kind, x in sensors + [("far", d) for d in directions]:
+            t_min, t_max = mf.phase_range(kind, x, s.support)
+            t = mf.phase(kind, x, nodes)
+            assert t_min - 1e-12 <= t.min() <= t_min + 2 * s.h
+            assert t_max - 2 * s.h <= t.max() <= t_max + 1e-12
+
+    def test_far_range_is_the_support_function_strip(self):
+        # an off-centre ball: -xhat.y runs over -xhat.c -+ R, not over its reflection
+        ball = Ball(center=(1.0, -0.5, 0.25), radius=0.5)
+        xhat = np.array([2.0, 1.0, -2.0]) / 3.0
+        c = -xhat @ np.array(ball.center)
+        assert mf.phase_range("far", xhat, ball) == pytest.approx((c - 0.5, c + 0.5), abs=1e-15)
+
+    @pytest.mark.parametrize("support, x", [
+        (Ball(center=(0.5, -0.25, 0.0), radius=1.0), (0.5, -0.25, 0.0)),  # centre
+        (Ball(center=(0.5, -0.25, 0.0), radius=1.0), (1.5, -0.25, 0.0)),  # sphere
+        (mf.Cube(center=(0.5, 0.0, 0.0), half_widths=(1.0, 0.5, 0.5)), (1.5, 0.25, 0.0)),  # face
+        (mf.Cube(center=(0.5, 0.0, 0.0), half_widths=(1.0, 0.5, 0.5)), (1.5, 0.5, 0.5)),  # corner
+        (mf.LShape(box1=((-0.5, -0.5, -0.25), (0.0, 1.5, 0.25)),
+                   box2=((0.0, -0.5, -0.25), (1.5, 0.0, 0.25))), (0.0, 0.0, 0.0)),  # notch
+    ], ids=["ball_centre", "ball_sphere", "cube_face", "cube_corner", "lshape_notch"])
+    def test_refuses_near_point_in_closed_support(self, support, x):
+        rule = quadrature(support, 0.25)
+        with pytest.raises(GeometryError, match="inside the source support"):
+            mf.phase_range("near", x, support)
+        with pytest.raises(GeometryError, match="inside the source support"):
+            radiated_field("near", support, rule, x, 1.0)
 
 
 class TestFrequencyGrid:

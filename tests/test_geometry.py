@@ -10,8 +10,8 @@ from mfsampling import (
     Peanut,
     RoundedCylinder,
     Union,
-    annulus_radii,
     contains,
+    phase_range,
     quadrature,
 )
 
@@ -173,23 +173,53 @@ class TestQuadrature:
         a, b = quadrature(ball, 0.21), quadrature(ball, 0.21)
         assert np.array_equal(a.nodes, b.nodes)
 
+    @pytest.mark.parametrize("name, volume", [("cube_pt14", 8.0), ("lshape_pt14", 0.875)])
+    def test_aligned_box_presets_fill_their_volume(self, name, volume):
+        # every box face lies on a voxel face at the preset's spacing, so the rule fills
+        # the boxes and no more: no overfill (measured 4.4e-16 and 5.1e-16 relative)
+        s = PRESETS[name]
+        rule = quadrature(s.support, s.h)
+        assert len(rule) == round(volume / s.h**3)
+        assert abs(rule.total_weight - volume) <= 1e-12 * volume
+
+
+class TestSupportFunction:
+    def test_closed_forms(self):
+        xi = np.array([0.6, -0.8, 2.0])
+        ball = Ball(center=(1.0, -0.5, 0.25), radius=0.5)
+        assert ball.support_function(xi) == pytest.approx(0.6 + 0.4 + 0.5 + 0.5 * np.sqrt(5))
+        cube = Cube(center=(0.5, 0.0, -1.0), half_widths=(1.0, 0.5, 0.25))
+        assert cube.support_function(xi) == pytest.approx(0.9 + 0.4 - 1.5)
+        rc = RoundedCylinder(radius=1.0, half_height=0.5)
+        assert rc.support_function(xi) == pytest.approx(0.5 * 2.0 + np.sqrt(5))  # the upper cap
+
+    @pytest.mark.parametrize("support, lo, hi", [
+        (Ball(center=(1.0, -0.5, 0.25), radius=0.5), (0.5, -1.0, -0.25), (1.5, 0.0, 0.75)),
+        (RoundedCylinder(radius=1.0, half_height=0.5), (-1, -1, -1.5), (1, 1, 1.5)),
+        (notched_lshape(), (-0.5, -0.5, -0.25), (1.5, 1.5, 0.25)),
+        (two_balls(), (-1.5, -0.5, -0.5), (1.5, 0.5, 0.5)),
+    ], ids=["ball", "rounded_cylinder", "lshape", "two_balls"])
+    def test_bounding_box_is_the_support_function_at_the_axes(self, support, lo, hi):
+        box = support.bounding_box()
+        assert box[0].tolist() == list(lo) and box[1].tolist() == list(hi)
+
 
 class TestAnnulusRadii:
     def test_ball(self):
-        r1, r2 = annulus_radii(Ball(center=(0, 0, 0), radius=1.0), (3, 0, 0))
+        r1, r2 = phase_range("near", (3, 0, 0), Ball(center=(0, 0, 0), radius=1.0))
         assert (r1, r2) == (2.0, 4.0)
 
     def test_two_balls(self):
-        r1, r2 = annulus_radii(two_balls(), (3, 0, 0))
+        r1, r2 = phase_range("near", (3, 0, 0), two_balls())
         assert (r1, r2) == (1.5, 4.5)
 
     def test_inside_errors(self):
         with pytest.raises(GeometryError):
-            annulus_radii(Ball(center=(0, 0, 0), radius=1.0), (0.5, 0, 0))
+            phase_range("near", (0.5, 0, 0), Ball(center=(0, 0, 0), radius=1.0))
 
     def test_boundary_errors(self):
         with pytest.raises(GeometryError):
-            annulus_radii(Ball(center=(0, 0, 0), radius=1.0), (1.0, 0, 0))
+            phase_range("near", (1.0, 0, 0), Ball(center=(0, 0, 0), radius=1.0))
 
     @pytest.mark.parametrize("support", ALL_SHAPES, ids=lambda s: type(s).__name__)
     def test_brute_force_bracket(self, support):
@@ -199,7 +229,7 @@ class TestAnnulusRadii:
             lo, _ = support.signed_distance_bounds(x)
             if lo <= 0.3:  # keep clear of the boundary for a stable test
                 continue
-            r1, r2 = annulus_radii(support, x)
+            r1, r2 = phase_range("near", x, support)
             for h in (0.1, 0.05):
                 rule = quadrature(support, h)
                 d = np.linalg.norm(rule.nodes - x, axis=1)
@@ -216,7 +246,7 @@ class TestAnnulusRadii:
             x = rng.uniform(-4, 4, size=3)
             if cube.signed_distance_bounds(x)[0] <= 0.2:
                 continue
-            r1, r2 = annulus_radii(cube, x)
+            r1, r2 = phase_range("near", x, cube)
             d = np.linalg.norm(rule.nodes - x, axis=1)
             assert r1 - 1e-12 <= d.min() <= r1 + 0.05
             assert r2 - 0.05 <= d.max() <= r2 + 1e-12

@@ -127,7 +127,7 @@ class TestAdjointness:
 
     def test_single_node_synthesis(self, ball_scenario):
         rule = QuadratureRule(nodes=np.array([[0.0, 0.0, 0.0]]),
-                              weights=np.array([0.125]), spacing=0.5)
+                              weights=np.array([0.125]))
         psi = SupportFunction(rule, np.array([1.0 + 0j]))
         grid = ball_scenario.frequencies
         out = Factorization("near", (3.0, 0.0, 0.0), Ball(center=(0.0, 0.0, 0.0), radius=0.5),
@@ -146,7 +146,7 @@ class TestMiddleOperator:
     def test_single_node_multiplier(self):
         ball = Ball(center=(2.0, 0.0, 0.0), radius=0.1)
         rule = QuadratureRule(nodes=np.array([[2.0, 0.0, 0.0]]),
-                              weights=np.array([1e-3]), spacing=0.1)
+                              weights=np.array([1e-3]))
         h = SupportFunction(rule, np.array([1.0 + 0j]))
         out = Factorization("near", (0.0, 0.0, 0.0), ball, rule,
                             _GRID).apply_multiplier(h)
@@ -166,7 +166,7 @@ class TestMiddleOperator:
         # quadratic-form ratio confined to [c_f/(4 pi r2), C_f/(4 pi r1)]
         rule = quadrature(unit_ball, 0.2)
         x = (3.0, 0.0, 0.0)
-        r1, r2 = mf.annulus_radii(unit_ball, x)
+        r1, r2 = mf.phase_range("near", x, unit_ball)
         lo, hi = 1 / (4 * math.pi * r2), 1 / (4 * math.pi * r1)
         fac = Factorization("near", x, unit_ball, rule, _GRID)
         rng = np.random.default_rng(17)

@@ -1,7 +1,8 @@
 """Property tests: config text and the dataset/field containers round-trip exactly;
-the forward data, the factorization and the coercivity check's O(J^2) norm hold over
-drawn supports and sensors; the indicator's Fejer polynomial equals the dense quadratic
-form over drawn data."""
+the support function's box and phase ranges hold every quadrature node; the forward
+data, the factorization and the coercivity check's O(J^2) norm hold over drawn supports
+and sensors; the indicator's Fejer polynomial equals the dense quadratic form over drawn
+data."""
 
 import math
 import tempfile
@@ -154,6 +155,21 @@ def test_field_byte_round_trip(field, tag):
     assert first == second
     assert np.array_equal(back.values, field.values)
     assert back.grid == field.grid and back.normalized == field.normalized
+
+
+@given(supports, unit_vectors())
+def test_support_function_box_and_phase_range_hold_every_node(support, d):
+    # off-centre supports: a far range of +xhat.y, the reflection, misses the phases
+    lo, hi = support.bounding_box()
+    try:
+        rule = mf.quadrature(support, float((hi - lo).max()) / 12)
+    except mf.GeometryError:
+        assume(False)
+    assert np.all((lo < rule.nodes) & (rule.nodes < hi))
+    for kind, x in (("far", d), ("near", tuple(9.0 * c for c in d))):
+        t_min, t_max = mf.phase_range(kind, x, support)
+        t = mf.phase(kind, x, rule.nodes.T)
+        assert t_min - 1e-12 <= t.min() and t.max() <= t_max + 1e-12
 
 
 @st.composite
