@@ -3,7 +3,8 @@
 Supports are open regions in R^3 built from a small family of primitives
 (ball, axis-aligned box, rounded cylinder, peanut, L-shape) and finite
 unions of those.  Each leaf component carries a constant amplitude, the
-value the source density takes on that component.
+value the source density takes on that component.  Every number given must
+be finite, and a composite support builds its parts once, at construction.
 """
 
 from __future__ import annotations
@@ -43,8 +44,15 @@ def _grid_points(axes) -> np.ndarray:
     return points.reshape(-1, 3)
 
 
+def _finite(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return x
+
+
 def _triple(v) -> tuple[float, float, float]:
-    x, y, z = (float(c) for c in v)
+    x, y, z = (_finite(c) for c in v)
     return (x, y, z)
 
 
@@ -100,21 +108,22 @@ class SourceSupport(ABC):
 
 
 class _Parts(SourceSupport):
-    """A support whose region is the union of its parts: membership, h and bounds follow."""
+    """A support whose region is the union of its parts: membership, h and bounds follow.
 
-    @abstractmethod
-    def _parts(self) -> tuple:
-        """The parts, each with contains_points, support_function and signed_distance_bounds."""
+    The constructor builds `parts` once; outside Union it is not a dataclass field, so
+    equality, hashing, repr and replace see only the fields the support is given."""
+
+    parts: tuple
 
     def contains_points(self, points):
         pts = _points(points)
-        return np.logical_or.reduce([part.contains_points(pts) for part in self._parts()])
+        return np.logical_or.reduce([part.contains_points(pts) for part in self.parts])
 
     def support_function(self, xi):
-        return max(part.support_function(xi) for part in self._parts())
+        return max(part.support_function(xi) for part in self.parts)
 
     def signed_distance_bounds(self, x):
-        bounds = [part.signed_distance_bounds(x) for part in self._parts()]
+        bounds = [part.signed_distance_bounds(x) for part in self.parts]
         return min(b[0] for b in bounds), max(b[1] for b in bounds)
 
 
@@ -177,8 +186,8 @@ class Ball(SourceSupport):
 
     def __post_init__(self):
         object.__setattr__(self, "center", _triple(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "radius", _finite(self.radius))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude))
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
         self._check_amplitudes()
@@ -207,14 +216,12 @@ class Cube(_Parts):
     def __post_init__(self):
         object.__setattr__(self, "center", _triple(self.center))
         object.__setattr__(self, "half_widths", _triple(self.half_widths))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude))
         if any(w <= 0 for w in self.half_widths):
             raise ValueError("cube half-widths must be positive")
         self._check_amplitudes()
-
-    def _parts(self):
         c, w = np.asarray(self.center), np.asarray(self.half_widths)
-        return (_Box(c - w, c + w),)
+        object.__setattr__(self, "parts", (_Box(c - w, c + w),))
 
 
 @dataclass(frozen=True)
@@ -226,16 +233,15 @@ class RoundedCylinder(_Parts):
     amplitude: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "half_height", float(self.half_height))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "radius", _finite(self.radius))
+        object.__setattr__(self, "half_height", _finite(self.half_height))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude))
         if self.radius <= 0 or self.half_height <= 0:
             raise ValueError("rounded cylinder radius and half-height must be positive")
         self._check_amplitudes()
-
-    def _parts(self):
         r, h, a = self.radius, self.half_height, self.amplitude
-        return (_Cylinder(r, h), Ball((0.0, 0.0, h), r, a), Ball((0.0, 0.0, -h), r, a))
+        object.__setattr__(self, "parts", (_Cylinder(r, h), Ball((0.0, 0.0, h), r, a),
+                                           Ball((0.0, 0.0, -h), r, a)))
 
 
 @dataclass(frozen=True)
@@ -249,14 +255,13 @@ class Peanut(_Parts):
     def __post_init__(self):
         a, b = self.centers
         object.__setattr__(self, "centers", (_triple(a), _triple(b)))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "radius", _finite(self.radius))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude))
         if self.radius <= 0:
             raise ValueError("peanut radius must be positive")
         self._check_amplitudes()
-
-    def _parts(self):
-        return tuple(Ball(c, self.radius, self.amplitude) for c in self.centers)
+        object.__setattr__(self, "parts", tuple(Ball(c, self.radius, self.amplitude)
+                                                for c in self.centers))
 
 
 @dataclass(frozen=True)
@@ -274,11 +279,10 @@ class LShape(_Parts):
             if any(a >= b for a, b in zip(lo, hi)):
                 raise ValueError(f"{name} must satisfy min < max per axis")
             object.__setattr__(self, name, (lo, hi))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude))
         self._check_amplitudes()
-
-    def _parts(self):
-        return tuple(_Box(np.asarray(lo), np.asarray(hi)) for lo, hi in (self.box1, self.box2))
+        object.__setattr__(self, "parts", tuple(_Box(np.asarray(lo), np.asarray(hi))
+                                                for lo, hi in (self.box1, self.box2)))
 
 
 @dataclass(frozen=True)
@@ -294,9 +298,6 @@ class Union(_Parts):
     def components(self):
         for part in self.parts:
             yield from part.components()
-
-    def _parts(self):
-        return self.parts
 
 
 @dataclass(frozen=True)

@@ -130,11 +130,13 @@ _SHAPES = {
                           tuple(p.amplitude for p in s.parts))),
 }
 
+# each kind's sensor keys, the one written first
+_SENSOR_KEYS = {"near": ("sensors", "sensors_polar"), "far": ("directions",)}
 _SHAPE_KEYS = {key.name for spec in _SHAPES.values() for key in spec.keys}
 _KNOWN_KEYS = {
-    "label", "kind", "shape", "h", "sensors", "sensors_polar", "directions", "k_max",
-    "num_freq", "noise", "seed", "grid_bounds", "grid_n", "zero_mode", "iso",
-} | _SHAPE_KEYS
+    "label", "kind", "shape", "h", "k_max", "num_freq", "noise", "seed", "grid_bounds",
+    "grid_n", "zero_mode", "iso",
+} | _SHAPE_KEYS | {name for names in _SENSOR_KEYS.values() for name in names}
 
 
 def _floats(key: str, raw: str, n: int | None = None) -> tuple[float, ...]:
@@ -231,7 +233,7 @@ def parse_config_text(text: str) -> Scenario:
         kv[key] = val
 
     kind = kv.get("kind", "near")
-    if kind not in ("near", "far"):
+    if kind not in _SENSOR_KEYS:
         raise ConfigError(f"key 'kind': must be 'near' or 'far', got {kind!r}")
     shape = kv.get("shape")
     if shape is None:
@@ -240,28 +242,23 @@ def parse_config_text(text: str) -> Scenario:
         raise ConfigError(f"key 'shape': unknown shape {shape!r}; choose from {tuple(_SHAPES)}")
     support = _build_shape(shape, kv)
 
-    if kind == "near":
-        if "directions" in kv:
-            raise ConfigError("key 'directions': only valid for kind = far")
-        if "sensors" in kv and "sensors_polar" in kv:
-            raise ConfigError("key 'sensors_polar': give either sensors or sensors_polar")
-        if "sensors" in kv:
-            pts = [tuple(g) for g in _groups("sensors", kv["sensors"], 3)]
-        elif "sensors_polar" in kv:
-            pts = [polar_sensor(*g) for g in _groups("sensors_polar", kv["sensors_polar"], 3)]
-        else:
-            raise ConfigError("key 'sensors': missing (required for kind = near)")
-        measurement = MeasurementSet("near", pts)
-    else:
-        for bad in ("sensors", "sensors_polar"):
-            if bad in kv:
-                raise ConfigError(f"key '{bad}': only valid for kind = near")
-        if "directions" not in kv:
-            raise ConfigError("key 'directions': missing (required for kind = far)")
-        try:
-            measurement = MeasurementSet("far", _groups("directions", kv["directions"], 3))
-        except ValueError as exc:
-            raise ConfigError(f"key 'directions': {exc}") from exc
+    for other, names in _SENSOR_KEYS.items():
+        for name in names if other != kind else ():
+            if name in kv:
+                raise ConfigError(f"key '{name}': only valid for kind = {other}")
+    given = [name for name in _SENSOR_KEYS[kind] if name in kv]
+    if not given:
+        raise ConfigError(f"key '{_SENSOR_KEYS[kind][0]}': missing (required for kind = {kind})")
+    if len(given) > 1:
+        raise ConfigError(f"key '{given[1]}': give either {' or '.join(given)}")
+    name = given[0]
+    points = _groups(name, kv[name], 3)
+    if name == "sensors_polar":
+        points = [polar_sensor(*g) for g in points]
+    try:
+        measurement = MeasurementSet(kind, points)
+    except ValueError as exc:
+        raise ConfigError(f"key '{name}': {exc}") from exc
 
     k_max = _floats("k_max", kv.get("k_max", "11"), 1)[0]
     count = _int("num_freq", kv.get("num_freq", "11"))
@@ -315,8 +312,7 @@ def write_config_text(s: Scenario) -> str:
         f"kind = {s.kind}",
         *_shape_lines(s.support),
         f"h = {s.h!r}",
-        f"{'sensors' if s.kind == 'near' else 'directions'} = "
-        f"{_format_groups(s.measurement.points)}",
+        f"{_SENSOR_KEYS[s.kind][0]} = {_format_groups(s.measurement.points)}",
         f"k_max = {s.frequencies.k_max!r}",
         f"num_freq = {s.frequencies.count}",
         f"noise = {_number(s.noise_level)}",

@@ -196,6 +196,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key 'directions'"):
             parse_config_text("shape = ball\nradius = 1\nsensors = 3 0 0\ndirections = 1 0 0\n")
 
+    @pytest.mark.parametrize("kind, sensor_lines, message", [
+        ("near", "sensors = 3 0 0\ndirections = 1 0 0\n",
+         "key 'directions': only valid for kind = far"),
+        ("near", "sensors = 3 0 0\nsensors_polar = 0 90 3\n",
+         "key 'sensors_polar': give either sensors or sensors_polar"),
+        ("near", "", "key 'sensors': missing (required for kind = near)"),
+        ("far", "directions = 1 0 0\nsensors = 3 0 0\n", "key 'sensors': only valid for kind = near"),
+        ("far", "directions = 1 0 0\nsensors_polar = 0 90 3\n",
+         "key 'sensors_polar': only valid for kind = near"),
+        ("far", "", "key 'directions': missing (required for kind = far)"),
+        ("far", "directions = 2 0 0\n",
+         "key 'directions': far-field direction must be a unit vector"),
+        ("mid", "sensors = 3 0 0\n", "key 'kind': must be 'near' or 'far', got 'mid'"),
+    ], ids=["directions_on_near", "sensors_and_polar", "no_sensors", "sensors_on_far",
+            "polar_on_far", "no_directions", "nonunit_direction", "unknown_kind"])
+    def test_sensor_key_error_text(self, kind, sensor_lines, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"kind = {kind}\nshape = ball\nradius = 1\n{sensor_lines}")
+        assert str(exc.value) == message
+
     def test_bad_noise(self):
         with pytest.raises(ConfigError, match="key 'noise'"):
             parse_config_text("shape = ball\nradius = 1\nsensors = 3 0 0\nnoise = -0.5\n")

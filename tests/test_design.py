@@ -7,9 +7,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "mfsampling"
 
 # The phase map and what cannot be written through it: validation, the spreading,
-# the far grid's per-axis exponentials, the phase range, and the config keys.
-KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_cis", "_spreading", "parse_config_text",
-                 "phase", "phase_range", "write_config_text"]
+# the far grid's per-axis exponentials and the phase range.  The config reader and
+# writer take each kind's keys from one table.
+KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_cis", "_spreading", "phase", "phase_range"]
 
 
 def _is_kind(node) -> bool:

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from mfsampling import (
     Cube,
     GeometryError,
     LShape,
+    MeasurementSet,
     PRESETS,
     Peanut,
     RoundedCylinder,
@@ -34,6 +38,24 @@ ALL_SHAPES = [
     notched_lshape(),
     two_balls(),
 ]
+
+
+# each shape with every numeric field set to a valid value
+VALID_FIELDS = [
+    (Ball, dict(center=(0.5, 0.0, 0.0), radius=1.0, amplitude=1.0)),
+    (Cube, dict(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0), amplitude=1.0)),
+    (RoundedCylinder, dict(radius=1.0, half_height=1.0, amplitude=1.0)),
+    (Peanut, dict(centers=((-0.5, 0.0, 0.0), (0.5, 0.0, 0.0)), radius=1.0, amplitude=1.0)),
+    (LShape, dict(box1=((-0.5, -0.5, -0.25), (0.0, 1.5, 0.25)),
+                  box2=((0.0, -0.5, -0.25), (1.5, 0.0, 0.25)), amplitude=1.0)),
+]
+
+
+def _with_first_number(value, number):
+    """value with its first number, in reading order, replaced by number."""
+    if isinstance(value, tuple):
+        return (_with_first_number(value[0], number),) + value[1:]
+    return number
 
 
 class TestContains:
@@ -127,6 +149,37 @@ class TestInvariants:
                          Ball(center=(3, 0, 0), radius=1.0, amplitude=3.0)))
         f = u.amplitude_at(np.array([[0, 0, 0], [3, 0, 0], [10, 0, 0]]))
         assert f.tolist() == [2.0, 3.0, 0.0]
+
+    @pytest.mark.parametrize("shape, kwargs, bad", [
+        pytest.param(shape, {**kwargs, name: _with_first_number(kwargs[name], bad)}, bad,
+                     id=f"{shape.__name__}-{name}-{bad}")
+        for shape, kwargs in VALID_FIELDS
+        for name in kwargs for bad in (math.nan, math.inf, -math.inf)
+    ])
+    def test_non_finite_number_refused(self, shape, kwargs, bad):
+        with pytest.raises(ValueError, match=f"expected a finite number, got {bad!r}"):
+            shape(**kwargs)
+
+
+class TestParts:
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    @pytest.mark.parametrize("name", ["peanut_pt14", "cylinder_pt14"])
+    def test_built_once(self, monkeypatch, name, kind):
+        scenario = PRESETS[name]
+        if kind == "far":
+            scenario = replace(scenario, measurement=MeasurementSet("far", [(1 / 3, 2 / 3, 2 / 3)]))
+        support = scenario.support
+        builds = []
+        post_init = Ball.__post_init__
+        monkeypatch.setattr(Ball, "__post_init__", lambda ball: (builds.append(ball),
+                                                                 post_init(ball)))
+        support.bounding_box()
+        support.contains_points(quadrature(support, scenario.h).nodes)
+        support.support_function((1 / 3, 2 / 3, 2 / 3))
+        for x in scenario.measurement.points:
+            phase_range(kind, x, support)
+        replace(scenario, seed=2)
+        assert builds == []
 
 
 class TestQuadrature:
