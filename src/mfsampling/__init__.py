@@ -10,7 +10,6 @@ from .geometry import (
     RoundedCylinder,
     SourceSupport,
     Union,
-    contains,
     quadrature,
 )
 from .forward import (

@@ -6,7 +6,8 @@ plane-wave kernel for far-field directions), both written through one phase
 map, extended to negative frequencies by conjugation (the source is real, so
 u(x, -k) = conj u(x, k) at a sensor point and in a direction alike, and a
 direction's data already hold its antipode's), and optionally perturbed by
-Gaussian noise seeded per sensor row.
+Gaussian noise seeded per sensor row.  A run builds one quadrature rule,
+and its data and factors share it (`_dataset_rows`).
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
 are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
@@ -249,16 +250,24 @@ def mirror(positive: np.ndarray) -> np.ndarray:
 
 
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
-    """Noiseless multi-frequency dataset for a scenario.
+    """Noiseless multi-frequency dataset for a scenario, on the one quadrature rule built
+    here; `verify` gives `_dataset_rows` the rule its factors use, so the two share nodes."""
+    rule = quadrature(scenario.support, scenario.h)
+    return _dataset_rows(scenario.measurement, scenario.support, rule, scenario.frequencies,
+                         scenario.zero_mode, scenario.seed)
+
+
+def _dataset_rows(sensors: MeasurementSet, support: SourceSupport, rule: QuadratureRule,
+                  grid: FrequencyGrid, zero_mode: str, seed: int) -> MultiFreqDataset:
+    """Noiseless multi-frequency dataset of the sensors on a given quadrature rule.
 
     Columns m = 0..J are P(T 1): the sensor's band rows at k = m*dk (see
     `_band`) summed against one real vector, the quadrature weights times
     T 1 = f / spreading.  Negative columns are filled by the mirror rule.
     zero_mode='drop' zeroes the m = 0 column instead of using the
-    continuous zero-frequency extension.
+    continuous zero-frequency extension.  A run's data and factors share
+    one rule: `verify._sensor_problem` passes the rule its factors use.
     """
-    support, grid, sensors = scenario.support, scenario.frequencies, scenario.measurement
-    rule = quadrature(support, scenario.h)
     J = grid.count
     amplitude = support.amplitude_at(rule.nodes)
     values = np.zeros((len(sensors), 2 * J + 1), dtype=complex)
@@ -267,10 +276,10 @@ def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
         E *= rule.weights * (amplitude / spreading)  # in place: no J x Q temporaries
         values[ell, J:] = np.sum(E, axis=-1)
     values[:, J - 1::-1] = mirror(values[:, J + 1:])
-    if scenario.zero_mode == "drop":
+    if zero_mode == "drop":
         values[:, J] = 0.0
     return MultiFreqDataset(sensors=sensors, grid=grid, values=values, noise_level=0.0,
-                            seed=scenario.seed)
+                            seed=seed)
 
 
 def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDataset:

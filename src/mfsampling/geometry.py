@@ -315,11 +315,6 @@ class QuadratureRule:
         return float(self.weights.sum())
 
 
-def contains(support: SourceSupport, point) -> bool:
-    """True iff the point lies strictly inside the support."""
-    return bool(support.contains_points(_point(point)[None, :])[0])
-
-
 def quadrature(support: SourceSupport, h: float) -> QuadratureRule:
     """Voxelize the support's bounding box at spacing h, keeping interior midpoints.
 

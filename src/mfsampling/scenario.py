@@ -104,9 +104,18 @@ class _Key(NamedTuple):
 
 
 class _Shape(NamedTuple):
-    build: Callable  # the support, from the keys' values in key order
+    type: type  # the support type the shape writes, and builds unless `build` is given
     keys: tuple[_Key, ...]  # in writing order
-    fields: Callable | None = None  # a support's key values; default: the same-named fields
+    build: Callable | None = None  # the support, from the keys' values in key order
+    fields: Callable | None = None  # a support's key values, or None; default: same-named fields
+
+
+def _two_balls_fields(union: Union):
+    """A union's two_balls key values, or None unless it holds two Balls of one radius."""
+    balls = union.parts
+    if [type(b) for b in balls] != [Ball, Ball] or balls[0].radius != balls[1].radius:
+        return None
+    return tuple(b.center for b in balls), balls[0].radius, tuple(b.amplitude for b in balls)
 
 
 _CENTER = _Key("center", 3, default="0 0 0")
@@ -119,15 +128,14 @@ _SHAPES = {
     "rounded_cylinder": _Shape(RoundedCylinder, (_RADIUS, _Key("half_height", 1), _AMPLITUDE)),
     "peanut": _Shape(Peanut, (_Key("centers", 3, 2), _RADIUS, _AMPLITUDE)),
     "lshape": _Shape(
-        lambda boxes, amplitude: LShape(*((b[:3], b[3:]) for b in boxes), amplitude),
-        (_Key("boxes", 6, 2), _AMPLITUDE),
+        LShape, (_Key("boxes", 6, 2), _AMPLITUDE),
+        build=lambda boxes, amplitude: LShape(*((b[:3], b[3:]) for b in boxes), amplitude),
         fields=lambda s: ((s.box1[0] + s.box1[1], s.box2[0] + s.box2[1]), s.amplitude)),
     "two_balls": _Shape(  # one radius; one amplitude for both balls, or one each
-        lambda centers, radius, amps: Union(tuple(Ball(c, radius, a)
-                                                  for c, a in zip(centers, amps))),
-        (_Key("centers", 3, 2), _RADIUS, _AMPLITUDE._replace(size=2)),
-        fields=lambda s: (tuple(p.center for p in s.parts), s.parts[0].radius,
-                          tuple(p.amplitude for p in s.parts))),
+        Union, (_Key("centers", 3, 2), _RADIUS, _AMPLITUDE._replace(size=2)),
+        build=lambda centers, radius, amps: Union(tuple(Ball(c, radius, a)
+                                                        for c, a in zip(centers, amps))),
+        fields=_two_balls_fields),
 }
 
 # each kind's sensor keys, the one written first
@@ -189,7 +197,7 @@ def _build_shape(shape: str, kv: dict[str, str]) -> SourceSupport:
         value = [g[0] if key.size == 1 else g for g in groups]
         values.append(value[0] if key.count == 1 else tuple(value))
     try:
-        return _SHAPES[shape].build(*values)
+        return (_SHAPES[shape].build or _SHAPES[shape].type)(*values)
     except ValueError as exc:
         raise ConfigError(f"key 'shape': invalid geometry ({exc})") from exc
 
@@ -201,16 +209,14 @@ def _key_text(key: _Key, value) -> str:
 
 
 def _shape_lines(support: SourceSupport) -> list[str]:
-    """Config lines of a support: those of the first shape that parse back to it."""
+    """Config lines of a support, written by the shape of its type unless `fields` gives None."""
     for shape, spec in _SHAPES.items():
-        try:
+        if type(support) is spec.type:
             values = (spec.fields(support) if spec.fields
                       else [getattr(support, key.name) for key in spec.keys])
-            kv = {key.name: _key_text(key, value) for key, value in zip(spec.keys, values)}
-            if _build_shape(shape, kv) == support:
-                return [f"shape = {shape}"] + [f"{k} = {v}" for k, v in kv.items()]
-        except (AttributeError, ConfigError):
-            pass
+            if values is not None:
+                return [f"shape = {shape}"] + [f"{key.name} = {_key_text(key, value)}"
+                                               for key, value in zip(spec.keys, values)]
     raise ConfigError(f"support {type(support).__name__} is not representable in config text")
 
 

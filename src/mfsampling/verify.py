@@ -15,13 +15,14 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_lines, _spreading,
-                      band_error_bound, generate_dataset, mirror, phase_range, radiated_field)
+from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _dataset_rows,
+                      _header_lines, _spreading, band_error_bound, mirror, phase_range,
+                      radiated_field)
 from .geometry import QuadratureRule, quadrature
 from .imaging import psf_closed_form, psf_discrete
 from .operators import (Factorization, FreqFunction, _toeplitz_block, _toeplitz_forms,
@@ -82,9 +83,10 @@ def _sensor_problem(scenario, sensor: int = 0, factored: bool = True) -> _Proble
     if scenario.noise_level != 0:
         raise ValueError("scenario certificates require a noiseless scenario")
     x = scenario.measurement.points[sensor]
-    # the data first: their band is freed before the factors build theirs
-    data = generate_dataset(replace(scenario, measurement=MeasurementSet(scenario.kind, (x,))))
     rule = quadrature(scenario.support, scenario.h)
+    # the data first: their band is freed before the factors build theirs on the same rule
+    data = _dataset_rows(MeasurementSet(scenario.kind, (x,)), scenario.support, rule,
+                         scenario.frequencies, scenario.zero_mode, scenario.seed)
     fac = (Factorization(scenario.kind, x, scenario.support, rule, scenario.frequencies)
            if factored else None)
     return _Problem(data, rule, fac)

@@ -340,6 +340,58 @@ class TestRunVerify:
             run_verify(fast_scenario)
 
 
+class TestCommandCounts:
+    # an off-centre near peanut and an off-centre far ball
+    SCENARIOS = {
+        "near_peanut": replace(PRESETS["peanut_pt14"], label="near_peanut",
+                               support=Peanut(centers=((0.1, -0.4, 0.3), (0.7, 0.2, 0.1)),
+                                              radius=0.6, amplitude=2.5),
+                               sampling=mf.SamplingGrid.cube(3.0, 8)),
+        "far_ball": replace(PRESETS["ball_pt1"], label="far_ball",
+                            support=Ball(center=(0.6, -0.3, 0.2), radius=0.5),
+                            measurement=MeasurementSet("far", [(0.6, -0.48, 0.64),
+                                                               (0.0, -1.0, 0.0)]),
+                            sampling=mf.SamplingGrid.cube(3.0, 8)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_one_rule_and_no_rebuilt_scenario_per_command(self, monkeypatch, tmp_path, name):
+        # simulate and verify each build one quadrature rule and image none; verify
+        # validates its scenario once more for --noise alone, and no command builds a
+        # Ball beyond those its config parse makes
+        counts = dict.fromkeys(("quadrature", "validate", "Ball"), 0)
+
+        def counting(key, original):
+            def counted(*args):
+                counts[key] += 1
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(mf.Scenario, "validate", counting("validate", mf.Scenario.validate))
+        monkeypatch.setattr(Ball, "__post_init__", counting("Ball", Ball.__post_init__))
+        quadrature = mf.geometry.quadrature
+        for module in (mf.geometry, mf.forward, mf.operators, mf.imaging, mf.verify, mf.cli):
+            if getattr(module, "quadrature", None) is quadrature:
+                monkeypatch.setattr(module, "quadrature", counting("quadrature", quadrature))
+        cfg, data = tmp_path / "s.cfg", tmp_path / "s.mfd"
+        write_config(self.SCENARIOS[name], cfg)
+        counts["Ball"] = 0
+        mf.parse_config(cfg)
+        parsed = counts["Ball"]
+        assert parsed == {"near_peanut": 2, "far_ball": 1}[name]
+        seen = {}
+        for argv in (["simulate", "--config", str(cfg), "--out", str(data)],
+                     ["image", "--config", str(cfg), "--data", str(data),
+                      "--out", str(tmp_path / "s")],
+                     ["verify", "--config", str(cfg), "--noise", "0"]):
+            counts.update(quadrature=0, validate=0, Ball=0)
+            assert main(argv) == 0
+            seen[argv[0]] = dict(counts)
+        assert seen == {"simulate": {"quadrature": 1, "validate": 1, "Ball": parsed},
+                        "image": {"quadrature": 0, "validate": 1, "Ball": parsed},
+                        "verify": {"quadrature": 1, "validate": 2, "Ball": parsed}}
+
+
 class TestMainExitCodes:
     def test_presets_command(self, capsys):
         assert main(["presets"]) == 0

@@ -1,5 +1,6 @@
 """Design guards over the package source: near and far are one algorithm with
-different phase maps, so only a fixed set of functions may branch on the kind."""
+different phase maps, so only a fixed set of functions may branch on the kind; and
+a command builds one quadrature rule, so only a fixed set of functions may build one."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mfsampling"
 # the far grid's per-axis exponentials and the phase range.  The config reader and
 # writer take each kind's keys from one table.
 KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_cis", "_spreading", "phase", "phase_range"]
+
+# `simulate` builds its rule in `generate_dataset`; a `verify` run builds one in
+# `_sensor_problem`, and its data and factors share it.
+RULE_BUILDERS = ["_sensor_problem", "generate_dataset"]
 
 
 def _is_kind(node) -> bool:
@@ -41,3 +46,20 @@ def test_only_the_listed_functions_branch_on_the_kind():
     for path in sorted(SRC.glob("*.py")):
         found.update(_kind_branches(ast.parse(path.read_text(encoding="utf-8"))))
     assert sorted(found) == KIND_BRANCHES
+
+
+def _callers(tree, name):
+    """Names of the functions whose body, nested functions included, calls `name`."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    yield func.name
+
+
+def test_only_the_listed_functions_build_a_quadrature_rule():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "quadrature"))
+    assert sorted(found) == RULE_BUILDERS

@@ -14,10 +14,14 @@ from mfsampling import (
     Peanut,
     RoundedCylinder,
     Union,
-    contains,
     phase_range,
     quadrature,
 )
+
+
+def contains(support, point) -> bool:
+    """Strict-interior membership of one point."""
+    return bool(support.contains_points([point])[0])
 
 
 def notched_lshape():

@@ -1,9 +1,10 @@
-"""Property tests: config text and the dataset/field containers round-trip exactly;
-the support function's box and phase ranges hold every quadrature node; the forward
-data, the factorization and the coercivity check's O(J^2) norm hold over drawn supports
-and sensors; the indicator's Fejer polynomial equals the dense quadratic form over drawn
-data."""
+"""Property tests: config text and the dataset/field containers round-trip exactly, and
+config text writes every shape without building a support; the support function's box
+and phase ranges hold every quadrature node; the forward data, the factorization and the
+coercivity check's O(J^2) norm hold over drawn supports and sensors; the indicator's Fejer
+polynomial equals the dense quadratic form over drawn data."""
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -84,6 +85,59 @@ def test_config_text_round_trip(s):
     assert back == s
     assert write_config_text(back) == text
     assert mf.scenario_hash(back) == mf.scenario_hash(s)
+
+
+nonzero = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+off_centre = point.filter(any)
+
+
+@st.composite
+def written_two_balls(draw):
+    """Two balls of one radius, with one amplitude for both or one each (of one sign)."""
+    a = draw(nonzero)
+    b = draw(st.sampled_from([a, math.copysign(draw(nonzero), a)]))
+    radius = draw(positive)
+    return mf.Union(parts=tuple(mf.Ball(draw(off_centre), radius, amp) for amp in (a, b)))
+
+
+@st.composite
+def shape_scenarios(draw):
+    """Every shape the config text writes, off the origin with any nonzero amplitude,
+    seen by near sensors outside its bounding sphere or by far directions."""
+    support = draw(st.one_of(
+        st.builds(mf.Ball, center=off_centre, radius=positive, amplitude=nonzero),
+        st.builds(mf.Cube, center=off_centre, half_widths=extent, amplitude=nonzero),
+        st.builds(mf.RoundedCylinder, radius=positive, half_height=positive, amplitude=nonzero),
+        st.builds(mf.Peanut, centers=st.tuples(off_centre, off_centre), radius=positive,
+                  amplitude=nonzero),
+        st.builds(mf.LShape, box1=boxes(), box2=boxes(), amplitude=nonzero),
+        written_two_balls(),
+    ))
+    kind = draw(st.sampled_from(["near", "far"]))
+    directions = draw(st.lists(unit_vectors(), min_size=1, max_size=4))
+    if kind == "near":
+        reach = float(np.linalg.norm(np.maximum(*np.abs(support.bounding_box()))))
+        directions = [tuple((reach + draw(positive)) * c for c in d) for d in directions]
+    return dataclasses.replace(mf.PRESETS["ball_pt14"], support=support,
+                               measurement=mf.MeasurementSet(kind, directions))
+
+
+@given(shape_scenarios())
+def test_every_shape_round_trips_without_building_a_support(s):
+    built = []
+    post_init = mf.Ball.__post_init__
+
+    def counted(ball):
+        built.append(ball)
+        post_init(ball)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mf.Ball, "__post_init__", counted)
+        text = write_config_text(s)
+    assert built == []
+    back = parse_config_text(text)
+    assert back == s
+    assert write_config_text(back) == text
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

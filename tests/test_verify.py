@@ -249,23 +249,23 @@ class TestCheckSymmetries:
         assert not ok
         assert reports[0].measured > 1e6
 
-    @pytest.mark.parametrize("kind, rows", [("near", 1), ("far", 1)])
-    def test_checks_generate_one_sensor(self, monkeypatch, kind, rows):
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_checks_generate_one_sensor(self, monkeypatch, kind):
         # every certificate builds sensor 0's data alone, never all L rows
-        generate, sizes = mf.forward.generate_dataset, []
+        dataset_rows, sizes = mf.forward._dataset_rows, []
 
-        def counted(scenario):
-            sizes.append(len(scenario.measurement))
-            return generate(scenario)
+        def counted(sensors, *args):
+            sizes.append(len(sensors))
+            return dataset_rows(sensors, *args)
 
         for module in (mf.forward, mf.operators, mf.verify, mf.cli):
-            if hasattr(module, "generate_dataset"):
-                monkeypatch.setattr(module, "generate_dataset", counted)
+            if hasattr(module, "_dataset_rows"):
+                monkeypatch.setattr(module, "_dataset_rows", counted)
         s = offcentre_scenario(kind)
         assert len(s.measurement) >= 3
         _, ok = run_verify(s)
         assert ok
-        assert sizes and max(sizes) <= rows
+        assert sizes and max(sizes) <= 1
 
     def test_nan_sample_fails(self):
         data = mf.generate_dataset(replace(mf.PRESETS["ball_pt3"], noise_level=0.0, h=0.2))
@@ -319,8 +319,8 @@ class TestTrialStreams:
 class TestRunVerify:
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_sensor_problem_built_once(self, monkeypatch, kind):
-        # one run builds sensor 0's band twice (data and factors) and its rule twice
-        # (data and checks); the psf check alone builds neither
+        # one run builds sensor 0's band twice (data and factors) and its rule once,
+        # shared by data, factors and checks; the psf check alone builds neither
         counts = {"_band": 0, "quadrature": 0}
         for name, original in (("_band", mf.forward._band),
                                ("quadrature", mf.geometry.quadrature)):
@@ -335,7 +335,7 @@ class TestRunVerify:
         s = offcentre_scenario(kind)
         reports, ok = run_verify(s)
         assert ok and len(reports) == 4
-        assert counts == {"_band": 2, "quadrature": 2}
+        assert counts == {"_band": 2, "quadrature": 1}
         counts.update(_band=0, quadrature=0)
         reports, ok = run_verify(s, only="psf")
         assert ok and len(reports) == 1
