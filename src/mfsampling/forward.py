@@ -9,12 +9,13 @@ direction's data already hold its antipode's), and optionally perturbed by
 Gaussian noise seeded per sensor row.  A run builds one quadrature rule,
 and its data and factors share it (`_dataset_rows`).
 
-The band k = m dk, m = 0..J, is equally spaced, so a dataset's kernel rows
-are the powers z^m of one exponential z = e^{i dk phase} per quadrature node
-(`_band`).  Arbitrary wavenumbers (`radiated_field`, the probe, and the near
-indicator) take one exponential per sample, `_cis` of the phase.  On a tensor
-grid the far phase is linear, so there `_grid_cis` takes one exponential per
-axis point, and a voxel's is the product of its three axis points'.  Only
+The band k = m dk, m = 0..J, is equally spaced, so a dataset's column m is the
+power sum sum_q c_q z_q^m of one exponential z = e^{i dk phase} per quadrature
+node (`_band`), one running product c z^m per node (`_power_sums`), never a
+(J+1) x Q band.  Arbitrary wavenumbers (`radiated_field`, the probe, and the
+near indicator) take one exponential per sample, `_cis` of the phase.  On a
+tensor grid the far phase is linear, so there `_grid_cis` takes one exponential
+per axis point, and a voxel's is the product of its three axis points'.  Only
 `phase`, `_spreading`, `_grid_cis` and `phase_range` (the phase's exact range
 over the closed support, which refuses a sensor point in it) branch on the kind.
 """
@@ -35,6 +36,9 @@ if TYPE_CHECKING:
 
 DATASET_MAGIC = "mfsampling-dataset v1"
 _UNIT_TOL = 1e-12
+# Elements per cache-sized slab, sensor rows x nodes here and voxels in `imaging`: small
+# enough that a slab's working arrays stay in cache, large enough to amortize each call.
+_SLAB_VOXELS = 16384
 
 
 @dataclass(frozen=True)
@@ -163,29 +167,34 @@ def _grid_cis(kind: str, x, axes, k: float) -> np.ndarray:
     return np.multiply.outer(np.multiply.outer(e0, e1), e2).ravel()
 
 
-def _band(kind: str, x, points, dk: float, J: int) -> tuple[np.ndarray, np.ndarray | float]:
-    """Band rows m = 0..J of e^{i m dk phase(y)}, with the phase map's spreading.
-
-    Row m is z^m for z = e^{i dk phase}: one exponential per point, then each
-    row is the one before it times row 1, elementwise and in row order.
-    """
+def _band(kind: str, x, points, dk: float) -> tuple[np.ndarray, np.ndarray | float]:
+    """The band's ratio z = e^{i dk phase(y)}, one exponential per point, with the phase
+    map's spreading: the kernel at k = m dk is z^m / spreading (`_power_sums`)."""
     ph = phase(kind, x, points.T)
-    E = np.empty((J + 1, len(ph)), dtype=complex)
-    E[0] = 1.0
-    np.exp(1j * (dk * ph), out=E[1])
-    for m in range(2, J + 1):
-        np.multiply(E[m - 1], E[1], out=E[m])
-    return E, _spreading(kind, ph)
+    return np.exp(1j * (dk * ph)), _spreading(kind, ph)
+
+
+def _power_sums(z: np.ndarray, c: np.ndarray, J: int) -> np.ndarray:
+    """Columns m = 0..J of sum_q c_q z_q^m over the last axis, for any leading shape: one
+    running product per node, from c cast to complex, times z in place and in order, and
+    summed per row, so a row's bits depend on its own z and c alone."""
+    p = np.array(c, dtype=complex)
+    sums = np.empty(p.shape[:-1] + (J + 1,), dtype=complex)
+    sums[..., 0] = np.sum(p, axis=-1)
+    for m in range(1, J + 1):
+        p *= z
+        sums[..., m] = np.sum(p, axis=-1)
+    return sums
 
 
 def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule, dk: float,
                      J: int) -> np.ndarray:
-    """Per-column bound on a band row's rounding against exact exponentials, m = 0..J.
+    """Per-column bound on a power sum's rounding against exact exponentials, m = 0..J.
 
-    Row m of `_band` is z^m, reached by m products from z = e^{i dk phase}; each
-    product adds a few ulps, and the phase error of z grows m-fold.  So column m
-    may drift by 1e-15 (m+1)(1 + m dk max|phase|) sum|c_q|, with
-    c_q = w_q f_q / spreading_q the column's quadrature coefficients.
+    Column m of `_power_sums` sums c z^m, reached by m products from c with
+    z = e^{i dk phase}; each product adds a few ulps, and the phase error of z
+    grows m-fold.  So column m may drift by 1e-15 (m+1)(1 + m dk max|phase|)
+    sum|c_q|, with c_q = w_q f_q / spreading_q the column's quadrature coefficients.
     """
     ph = phase(kind, x, rule.nodes.T)
     c = np.sum(np.abs(rule.weights * support.amplitude_at(rule.nodes) / _spreading(kind, ph)))
@@ -261,20 +270,25 @@ def _dataset_rows(sensors: MeasurementSet, support: SourceSupport, rule: Quadrat
                   grid: FrequencyGrid, zero_mode: str, seed: int) -> MultiFreqDataset:
     """Noiseless multi-frequency dataset of the sensors on a given quadrature rule.
 
-    Columns m = 0..J are P(T 1): the sensor's band rows at k = m*dk (see
-    `_band`) summed against one real vector, the quadrature weights times
-    T 1 = f / spreading.  Negative columns are filled by the mirror rule.
-    zero_mode='drop' zeroes the m = 0 column instead of using the
-    continuous zero-frequency extension.  A run's data and factors share
-    one rule: `verify._sensor_problem` passes the rule its factors use.
+    Columns m = 0..J are P(T 1): the power sums of each sensor's z (see `_band`) against
+    one real vector, the quadrature weights times T 1 = f / spreading, taken over blocks
+    of whole sensor rows of at most `_SLAB_VOXELS` nodes.  Negative columns are filled by
+    the mirror rule.  zero_mode='drop' zeroes the m = 0 column instead of using the
+    continuous zero-frequency extension.  A run's data and factors share one rule:
+    `verify._sensor_problem` passes the rule its factors use.
     """
     J = grid.count
     amplitude = support.amplitude_at(rule.nodes)
     values = np.zeros((len(sensors), 2 * J + 1), dtype=complex)
-    for ell, x in enumerate(sensors.array):
-        E, spreading = _band(sensors.kind, x, rule.nodes, grid.spacing, J)
-        E *= rule.weights * (amplitude / spreading)  # in place: no J x Q temporaries
-        values[ell, J:] = np.sum(E, axis=-1)
+    step = max(1, _SLAB_VOXELS // len(rule))
+    for lo in range(0, len(sensors), step):
+        block = sensors.array[lo:lo + step]
+        z = np.empty((len(block), len(rule)), dtype=complex)
+        c = np.empty(z.shape)
+        for i, x in enumerate(block):
+            z[i], spreading = _band(sensors.kind, x, rule.nodes, grid.spacing)
+            c[i] = rule.weights * (amplitude / spreading)
+        values[lo:lo + step, J:] = _power_sums(z, c, J)
     values[:, J - 1::-1] = mirror(values[:, J + 1:])
     if zero_mode == "drop":
         values[:, J] = 0.0

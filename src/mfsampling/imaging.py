@@ -22,6 +22,7 @@ import numpy as np
 from .forward import (
     FrequencyGrid,
     MultiFreqDataset,
+    _SLAB_VOXELS,
     _cis,
     _format_floats,
     _grid_cis,
@@ -150,11 +151,6 @@ def _fejer(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
         acc *= w
         acc += c
     return np.abs(acc)
-
-
-# Voxels per slab of whole axis-0 layers: small enough that a slab's w and Horner
-# accumulator stay in cache, large enough that per-call overhead stays small.
-_SLAB_VOXELS = 16384
 
 
 def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorField:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forward import FrequencyGrid, MultiFreqDataset, _band
+from .forward import FrequencyGrid, MultiFreqDataset, _band, _power_sums
 from .geometry import QuadratureRule, SourceSupport
 
 
@@ -98,27 +98,30 @@ class Factorization:
 
     P (`synthesis`) maps support to band with kernel e^{i k phase(y)}, T
     (`apply_multiplier`) multiplies by f(y) / spreading(y), and P* (`analysis`)
-    is P's adjoint, with the conjugate kernel.  The J x Q kernel is rows 1..J
-    of the sensor's `_band`, and the sensor's data columns m = 1..J are
-    P(T 1) with this kernel and multiplier, so data and factors agree bit for
-    bit; both are built once, when the factorization is.
+    is P's adjoint, with the conjugate kernel.  The kernel at k_j = j dk is z^j
+    for the sensor's `_band` ratio z, so P sums running products
+    (`_power_sums`) and P* runs Horner's rule in conj(z); neither builds a
+    J x Q kernel.  The sensor's data columns m = 1..J are P(T 1), bit for bit.
     """
 
     def __init__(self, kind: str, x, support: SourceSupport, rule: QuadratureRule,
                  grid: FrequencyGrid):
         self.rule, self.grid = rule, grid
-        band, spreading = _band(kind, x, rule.nodes, grid.spacing, grid.count)
-        self.kernel = band[1:]
+        self.z, spreading = _band(kind, x, rule.nodes, grid.spacing)
         self.multiplier = support.amplitude_at(rule.nodes) / spreading
 
     def synthesis(self, psi: SupportFunction) -> FreqFunction:
-        out = np.einsum("jq,q->j", self.kernel, self.rule.weights * psi.samples)
+        out = _power_sums(self.z, self.rule.weights * psi.samples, self.grid.count)[1:]
         return FreqFunction(grid=self.grid, samples=out)
 
     def apply_multiplier(self, h: SupportFunction) -> SupportFunction:
         return SupportFunction(rule=self.rule, samples=h.samples * self.multiplier)
 
     def analysis(self, phi: FreqFunction) -> SupportFunction:
-        # conj(K)^T phi as conj(K^T conj(phi)): the same bits, without a conjugate J x Q copy
-        out = phi.grid.spacing * np.conj(np.einsum("jq,j->q", self.kernel, np.conj(phi.samples)))
-        return SupportFunction(rule=self.rule, samples=out)
+        # dk sum_j conj(z)^(j+1) phi_j by Horner's rule in conj(z), from j = J-1 down
+        zc = np.conj(self.z)
+        out = phi.samples[-1] * zc
+        for p in phi.samples[-2::-1]:
+            out += p
+            out *= zc
+        return SupportFunction(rule=self.rule, samples=phi.grid.spacing * out)

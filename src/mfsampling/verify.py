@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _dataset_rows,
-                      _header_lines, _spreading, band_error_bound, mirror, phase_range,
-                      radiated_field)
+                      _header_lines, _power_sums, _spreading, band_error_bound, mirror,
+                      phase_range, radiated_field)
 from .geometry import QuadratureRule, quadrature
 from .imaging import psf_closed_form, psf_discrete
 from .operators import (Factorization, FreqFunction, _toeplitz_block, _toeplitz_forms,
@@ -84,7 +84,7 @@ def _sensor_problem(scenario, sensor: int = 0, factored: bool = True) -> _Proble
         raise ValueError("scenario certificates require a noiseless scenario")
     x = scenario.measurement.points[sensor]
     rule = quadrature(scenario.support, scenario.h)
-    # the data first: their band is freed before the factors build theirs on the same rule
+    # the data and the factors each take the sensor's z from `_band` on the same rule
     data = _dataset_rows(MeasurementSet(scenario.kind, (x,)), scenario.support, rule,
                          scenario.frequencies, scenario.zero_mode, scenario.seed)
     fac = (Factorization(scenario.kind, x, scenario.support, rule, scenario.frequencies)
@@ -152,7 +152,7 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
 
     |(N g, g)| / ||P* g||^2 must lie in [c_f / spreading(t_max), C_f / spreading(t_min)] on
     the sensor's `phase_range` [t_min, t_max]: [c_f/(4 pi r2), C_f/(4 pi r1)] near, [c_f, C_f] far.
-    The kernel rows are z^m with real weights, so ||P* g||^2 = (P P* g, g),
+    The kernel at k = m dk is z^m, with real weights, so ||P* g||^2 = (P P* g, g),
     and P P* is the band convolution whose column m is sum_q w_q z_q^m: the
     data's P(T 1) with T = 1, and sum_q w_q at m = 0 whatever `zero_mode`.
     Both forms cost O(J^2) per trial, and all trials run as one batch.
@@ -163,8 +163,7 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     x = scenario.measurement.points[sensor]
     J, dk = scenario.frequencies.count, scenario.frequencies.spacing
     gram = np.empty(2 * J + 1, dtype=complex)
-    gram[J] = np.sum(rule.weights)
-    gram[J + 1:] = np.sum(fac.kernel * rule.weights, axis=-1)
+    gram[J:] = _power_sums(fac.z, rule.weights, J)
     gram[J - 1::-1] = np.conj(gram[J + 1:])
     c_f, C_f = scenario.support.amplitude_bounds()
     t_min, t_max = phase_range(scenario.kind, x, scenario.support)

@@ -1,6 +1,7 @@
 """Design guards over the package source: near and far are one algorithm with
-different phase maps, so only a fixed set of functions may branch on the kind; and
-a command builds one quadrature rule, so only a fixed set of functions may build one."""
+different phase maps, so only a fixed set of functions may branch on the kind; a
+command builds one quadrature rule, so only a fixed set of functions may build one;
+and the band has one kernel, so only a fixed set of functions may call it."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,10 @@ KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_cis", "_spreading", "pha
 # `simulate` builds its rule in `generate_dataset`; a `verify` run builds one in
 # `_sensor_problem`, and its data and factors share it.
 RULE_BUILDERS = ["_sensor_problem", "generate_dataset"]
+
+# The band's one kernel: running power sums feed the data, the synthesis factor and
+# the coercivity Gram row.
+POWER_SUM_CALLERS = ["_dataset_rows", "check_coercivity", "synthesis"]
 
 
 def _is_kind(node) -> bool:
@@ -63,3 +68,10 @@ def test_only_the_listed_functions_build_a_quadrature_rule():
     for path in sorted(SRC.glob("*.py")):
         found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "quadrature"))
     assert sorted(found) == RULE_BUILDERS
+
+
+def test_only_the_listed_functions_sum_band_powers():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "_power_sums"))
+    assert sorted(found) == POWER_SUM_CALLERS

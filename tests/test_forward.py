@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,15 @@ def offcentre_scenario(kind):
                        sampling=mf.SamplingGrid.cube(3.0, 8))
 
 
+def spiral(n):
+    """n unit vectors spread over the sphere on a golden-angle spiral."""
+    t = (np.arange(n) + 0.5) / n
+    polar, azimuth = np.arccos(1 - 2 * t), np.pi * (3 - math.sqrt(5)) * np.arange(n) + 0.3
+    v = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                  np.cos(polar)], axis=1)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def three_sensor_scenario(kind):
     """The off-centre peanut seen by three sensors: points around it, or three directions."""
     if kind == "near":
@@ -364,16 +374,15 @@ class TestBand:
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_factor_kernel_is_data_band(self, kind):
-        # the data's columns m = 1..J are P(T 1): the factorization's kernel rows summed
-        # against the weights times its multiplier, bit for bit
+        # the data's columns m = 1..J are P(T 1): the factorization's synthesis of its
+        # multiplier, bit for bit
         s = offcentre_scenario(kind)
         data = generate_dataset(s)
         rule = quadrature(s.support, s.h)
         J = data.grid.count
         for ell, x in enumerate(s.measurement.array):
             fac = mf.Factorization(kind, x, s.support, rule, data.grid)
-            assert fac.kernel.shape == (J, len(rule))
-            cols = np.sum(fac.kernel * (rule.weights * fac.multiplier), axis=-1)
+            cols = fac.synthesis(mf.SupportFunction(rule, fac.multiplier)).samples
             assert cols.tobytes() == data.values[ell, J + 1:].tobytes()
 
     def test_data_and_factors_skip_exact_kernel(self, monkeypatch):
@@ -387,6 +396,47 @@ class TestBand:
             generate_dataset(s)
             mf.Factorization(kind, s.measurement.points[0], s.support,
                              quadrature(s.support, s.h), s.frequencies)
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_rows_independent_of_blocks(self, monkeypatch, kind):
+        # a row's bits depend on its own sensor alone: blocks of one row, of the cache
+        # budget (at least 3 blocks, the last one short) and of all rows agree, and so
+        # does verify's one-sensor row
+        if kind == "near":  # the off-centre peanut, sensors around its middle
+            support, h, points = offcentre_scenario(kind).support, 0.07, 4.0 * spiral(8)
+            points += (1.3, 0.15, -0.15)
+        else:
+            support, h, points = Ball(center=(0.6, -0.3, 0.2), radius=0.5), 0.05, spiral(8)
+        s = replace(offcentre_scenario(kind), support=support, h=h,
+                    measurement=MeasurementSet(kind, points))
+        step = mf.forward._SLAB_VOXELS // len(quadrature(s.support, s.h))
+        assert 1 < step < len(points) / 2 and len(points) % step  # 3 blocks, the last short
+        data = generate_dataset(s)
+        for budget in (1, 10**9):
+            monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", budget)
+            assert generate_dataset(s).values.tobytes() == data.values.tobytes()
+        monkeypatch.undo()
+        for ell in range(len(points)):
+            row = mf.verify._sensor_problem(s, ell).data.values[0]
+            assert row.tobytes() == data.values[ell].tobytes()
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_generate_peak_below_one_band(self, kind):
+        # the data keep running products over cache-sized blocks, never a (J+1) x Q band
+        support = Ball(center=(0.2, -0.1, 0.3), radius=0.6)
+        points = spiral(64) * 3.0 + support.center if kind == "near" else spiral(64)
+        s = replace(offcentre_scenario(kind), support=support, h=0.05,
+                    measurement=MeasurementSet(kind, points),
+                    frequencies=FrequencyGrid(k_max=30.0, count=48))
+        Q, J = len(quadrature(s.support, s.h)), s.frequencies.count
+        assert Q == 7208
+        tracemalloc.start()
+        try:
+            generate_dataset(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (J + 1) * Q * 16
 
 
 class TestAddNoise:

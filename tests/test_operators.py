@@ -205,15 +205,18 @@ class TestFactorization:
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_unconjugated_analysis_caught(self, ball_scenario, far_ball_scenario, monkeypatch,
                                           kind):
-        # the certificate runs the exported factors, so an analysis that keeps
-        # the synthesis kernel instead of its conjugate fails it
+        # the certificate runs the exported factors, so an analysis that runs Horner's
+        # rule in the synthesis ratio z instead of its conjugate fails it
         s = (ball_scenario if kind == "near" else
              replace(far_ball_scenario, support=Ball(center=(0.6, -0.3, 0.2), radius=0.5)))
         assert check_factorization(s).measured <= 1e-10
 
         def analysis(self, phi):
-            out = phi.grid.spacing * np.einsum("jq,j->q", self.kernel, phi.samples)
-            return SupportFunction(rule=self.rule, samples=out)
+            out = phi.samples[-1] * self.z
+            for p in phi.samples[-2::-1]:
+                out += p
+                out *= self.z
+            return SupportFunction(rule=self.rule, samples=phi.grid.spacing * out)
 
         monkeypatch.setattr(Factorization, "analysis", analysis)
         assert check_factorization(s).measured > 1e-3

@@ -264,17 +264,19 @@ def test_radiated_field_batch_equals_scalar_calls(s, ks):
 
 @given(one_sensor_scenarios(), st.integers(1, 256))
 def test_band_rows_match_exact_kernel(s, J):
-    # rows m = 0..J built by products from one exponential, against e^{i m dk phase} directly
+    # terms c z^m, m = 0..J, built by products from one exponential, against
+    # c e^{i m dk phase} directly: one node per row, so each row's sum is its one term
     rule = mf.quadrature(s.support, s.h)
     x, dk = s.measurement.points[0], s.frequencies.spacing
-    band, spreading = mf.forward._band(s.kind, x, rule.nodes, dk, J)
+    z, spreading = mf.forward._band(s.kind, x, rule.nodes, dk)
     ph = mf.phase(s.kind, x, rule.nodes.T)
     exact_spreading = mf.forward._spreading(s.kind, ph)
-    exact = mf.forward._cis(np.arange(J + 1) * dk, ph)
     assert np.array_equal(spreading, exact_spreading)
-    c = np.abs(rule.weights * s.support.amplitude_at(rule.nodes) / spreading)
+    c = rule.weights * s.support.amplitude_at(rule.nodes) / spreading
+    terms = mf.forward._power_sums(z[:, None], c[:, None], J)
+    exact = c[:, None] * mf.forward._cis(np.arange(J + 1) * dk, ph).T
     bound = mf.band_error_bound(s.kind, x, s.support, rule, dk, J)
-    assert np.all(np.abs(band - exact) @ c <= bound)
+    assert np.all(np.abs(terms - exact).sum(axis=0) <= bound)
 
 
 @given(one_sensor_scenarios())

@@ -113,7 +113,7 @@ class TestCheckCoercivity:
             check_coercivity(replace(ball_scenario, noise_level=0.01))
 
     def test_kernel_calls_independent_of_trials(self, ball_scenario, monkeypatch):
-        # the analysis kernel is built once per check, not once per trial
+        # the factors' ratio z comes from `_band` once per check, not once per trial
         band, calls = mf.forward._band, []
 
         def counted(*args):
@@ -319,8 +319,9 @@ class TestTrialStreams:
 class TestRunVerify:
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_sensor_problem_built_once(self, monkeypatch, kind):
-        # one run builds sensor 0's band twice (data and factors) and its rule once,
-        # shared by data, factors and checks; the psf check alone builds neither
+        # one run takes sensor 0's ratio z from `_band` twice (data and factors) and
+        # builds its rule once, shared by data, factors and checks; the psf check alone
+        # does neither
         counts = {"_band": 0, "quadrature": 0}
         for name, original in (("_band", mf.forward._band),
                                ("quadrature", mf.geometry.quadrature)):
