@@ -10,12 +10,14 @@ Gaussian noise seeded per sensor row.  A run builds one quadrature rule,
 and its data and factors share it (`_dataset_rows`).
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's column m is the
-power sum sum_q c_q z_q^m of one exponential z = e^{i dk phase} per quadrature
-node (`_band`), one running product c z^m per node (`_power_sums`), never a
+power sum sum_q c_q z_q^m of one ratio z = e^{i dk phase} per quadrature node
+(`_band`), one running product c z^m per node (`_power_sums`), never a
 (J+1) x Q band.  Arbitrary wavenumbers (`radiated_field`, the probe, and the
-near indicator) take one exponential per sample, `_cis` of the phase.  On a
-tensor grid the far phase is linear, so there `_grid_cis` takes one exponential
-per axis point, and a voxel's is the product of its three axis points'.  Only
+near indicator) take `_cis` of the phase.  On a tensor grid the far phase is
+linear, so there `_grid_cis` evaluates the kernel on the three axes alone, and a
+voxel's factor is the product of its three axis points'.  Every e^{i theta} comes
+from one vectorised kernel, `_expi`: a table of the N-th roots of unity times
+short polynomials, within 0.254 eps per part, in cache-sized blocks.  Only
 `phase`, `_spreading`, `_grid_cis` and `phase_range` (the phase's exact range
 over the closed support, which refuses a sensor point in it) branch on the kind.
 """
@@ -23,6 +25,7 @@ over the closed support, which refuses a sensor point in it) branch on the kind.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -144,34 +147,183 @@ def _spreading(kind: str, ph: np.ndarray) -> np.ndarray | float:
     return 4 * math.pi * ph if kind == "near" else 1.0
 
 
+# e^{i theta} = T[n] e^{i phi} with theta = n 2 pi / N + phi, |phi| <= pi / N (`_expi`).
+# 2 pi / N is C1 + C2 + C3, C1 and C2 of 30 bits each, so n C1 and n C2 are exact for
+# |n| < 2^23.
+_CIS_N = 2048
+_CIS_INV = 325.94932345220167  # N / (2 pi)
+_CIS_C1, _CIS_C2, _CIS_C3 = 0.0030679615738335997, 1.937682771803754e-12, 1.0098013636316612e-21
+_DD_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+
+
+def _dd_mul(ah, al, bh, bl):
+    """Double-double product (ah + al)(bh + bl) as (hi, lo), exact to about 2^-104."""
+    p = ah * bh
+    t = _DD_SPLIT * ah
+    a1 = t - (t - ah)
+    t = _DD_SPLIT * bh
+    b1 = t - (t - bh)
+    a2, b2 = ah - a1, bh - b1
+    e = (((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2) + (ah * bl + al * bh)
+    s = p + e
+    return s, e - (s - p)
+
+
+def _dd_add(ah, al, bh, bl):
+    """Double-double sum (ah + al) + (bh + bl) as (hi, lo)."""
+    s = ah + bh
+    v = s - ah
+    e = ((ah - (s - v)) + (bh - v)) + (al + bl)
+    t = s + e
+    return t, e - (t - s)
+
+
+def _dd_cmul(a, b):
+    """Double-double complex product of (re_hi, re_lo, im_hi, im_lo) tuples."""
+    (arh, arl, aih, ail), (brh, brl, bih, bil) = a, b
+    re = _dd_add(*_dd_mul(arh, arl, brh, brl), *_dd_mul(aih, ail, -bih, -bil))
+    return re + _dd_add(*_dd_mul(arh, arl, bih, bil), *_dd_mul(aih, ail, brh, brl))
+
+
+def _cis_table() -> tuple[np.ndarray, np.ndarray]:
+    """T = e^{2 pi i j / N}, j = 0..N-1, as the nearest doubles per part and the rest.
+
+    The quarter circle is built in double-double from w = e^{2 pi i / N} alone, in
+    three rounds that multiply the table so far by w^0..w^7 (the powers by Python
+    floats), so e^{2 pi i j / N} = w^j is within about 2^-100 before its parts round
+    once; the other quarters are exact rotations by i.  Only IEEE sums and
+    products are used, so every platform builds the same table.
+    """
+    w = (0.9999952938095762, -1.966806428532219e-17, 0.003067956762965976, 1.2690279085455925e-19)
+    table = (np.ones(1), np.zeros(1), np.zeros(1), np.zeros(1))
+    for _ in range(3):
+        powers = [(1.0, 0.0, 0.0, 0.0), w]
+        for _ in range(6):
+            powers.append(_dd_cmul(powers[-1], w))
+        w = _dd_cmul(powers[-1], w)  # w^8, the next round's ratio
+        table = tuple(part.ravel() for part in
+                      _dd_cmul([np.array(v)[:, None] for v in zip(*powers)], table))
+    hi, lo = (table[0] + 1j * table[2]), (table[1] + 1j * table[3])
+    return tuple(np.concatenate([q, 1j * q, -q, -1j * q]) for q in (hi, lo))
+
+
+_CIS_HI, _CIS_LO = _cis_table()
+_SCRATCH = threading.local()
+
+
+def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's `_expi` scratch, e and lo (complex) and j (index), of at least
+    `size` each, kept across calls: a fresh block of this size can cost more in page
+    faults than the kernel itself, whenever the allocator hands it back to the system."""
+    ws = getattr(_SCRATCH, "ws", None)
+    if ws is None or len(ws[0]) < size:
+        ws = _SCRATCH.ws = (np.empty(size, dtype=complex), np.empty(size, dtype=complex),
+                            np.empty(size, dtype=np.intp))
+    return ws
+
+
+def _expi(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{i theta} into `out` (C-contiguous complex, theta's size), in blocks of
+    `_SLAB_VOXELS`.
+
+    n = rint(theta N / 2 pi) picks T = e^{2 pi i n / N} (`_cis_table`, as T_hi + T_lo),
+    phi = (theta - n C1) - (n C2 + n C3), and E = (cos phi - 1) + i sin phi by
+    phi^2 (phi^2 / 24 - 1/2) and phi + phi^3 (phi^2 / 120 - 1/6); the result is
+    T_hi + (T_lo + T_hi E).  The bound per part holds for |theta| <= 25700, where
+    |n| < 2^23 (beyond it n C1 rounds, and the error grows like eps |theta|, as
+    theta's own rounding does); with |phi| <= Phi = 1.534e-3 < 2^-9 and eps = 2^-52:
+
+    - phi: theta - n C1 is exact (Sterbenz), n C2 + n C3 rounds by 2e-21, the
+      difference by half an ulp below 2^-9, 2^-63 = 1.1e-19, and C1 + C2 + C3
+      misses 2 pi / N by 8.5e-38;
+    - E: the cosine misses Phi^6 / 720 = 1.8e-20 and rounds by 1e-21; the sine
+      misses Phi^7 / 5040 and rounds by 2^-63 in its last sum, plus phi's error:
+      2.4e-19 per part of T E, as |T| = 1;
+    - T_hi E: per part one product below 2^-9 and the sum round by 2^-63 each
+      (the other product is below 1.2e-6), 2.2e-19; T_lo E, left out, is at most
+      2^-53 Phi = 1.7e-19; T_hi + T_lo is within 2^-100 of e^{2 pi i n / N};
+    - T_lo + T_hi E rounds by 2^-63, and the last sum by half an ulp of a part
+      of modulus at most 1, eps / 4.
+
+    So each part is within eps / 4 + 7.5e-19 < 0.254 eps of e^{i theta}, and
+    theta = +-0 gives exactly 1 + 0j.
+    """
+    flat, dest = theta.reshape(-1), out.reshape(-1)
+    e, lo, j = _scratch(min(flat.size, _SLAB_VOXELS))
+    for start in range(0, flat.size, _SLAB_VOXELS):
+        t, o = flat[start:start + _SLAB_VOXELS], dest[start:start + _SLAB_VOXELS]
+        b = t.size
+        eb, lb, jb = e[:b], lo[:b], j[:b]
+        # scratch reals: n and phi, then the sine, in the output block; p and the cosine in lo's
+        nb, fb = o.view(float)[:b], o.view(float)[b:]
+        pb, cb = lb.view(float)[:b], lb.view(float)[b:]
+        np.multiply(t, _CIS_INV, out=nb)
+        np.rint(nb, out=nb)
+        np.copyto(jb, nb, casting="unsafe")
+        jb &= _CIS_N - 1
+        np.multiply(nb, _CIS_C1, out=fb)
+        np.subtract(t, fb, out=fb)
+        np.multiply(nb, _CIS_C2, out=pb)
+        np.multiply(nb, _CIS_C3, out=nb)
+        pb += nb
+        fb -= pb
+        np.multiply(fb, fb, out=pb)
+        np.multiply(pb, 0.041666666666666664, out=cb)
+        cb -= 0.5
+        cb *= pb
+        np.multiply(pb, 0.008333333333333333, out=nb)
+        nb -= 0.16666666666666666
+        nb *= pb
+        nb *= fb
+        nb += fb
+        eb.real, eb.imag = cb, nb
+        np.take(_CIS_HI, jb, out=o, mode="clip")
+        np.take(_CIS_LO, jb, out=lb, mode="clip")
+        eb *= o
+        eb += lb
+        o += eb
+    return out
+
+
 def _cis(k: float | np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """e^{i k ph}, rows k by columns ph."""
-    E = 1j * np.multiply.outer(k, ph)
-    return np.exp(E, out=E)
+    """e^{i k ph}, rows k by columns ph, from `_expi` a block of whole rows at a time."""
+    k, ph = np.asarray(k, dtype=float), np.asarray(ph, dtype=float)
+    out = np.empty(k.shape + ph.shape, dtype=complex)
+    rows, ks, cols = out.reshape(k.size, ph.size), k.reshape(-1, 1), ph.reshape(-1)
+    step = max(1, _SLAB_VOXELS // max(1, cols.size))
+    for lo in range(0, k.size, step):
+        _expi(ks[lo:lo + step] * cols, rows[lo:lo + step])
+    return out
 
 
-def _grid_cis(kind: str, x, axes, k: float) -> np.ndarray:
-    """e^{i k phase} on the tensor grid of three axis vectors, flattened row-major.
+def _grid_cis(kind: str, points, axes, k: float):
+    """e^{i k phase} of each sensor on the tensor grid of three axis vectors: a function
+    of (l, lo, hi) that gives sensor l's on axis-0 layers lo:hi, flattened row-major.
 
-    Near: one exponential per grid point, `_cis` of the phase.  Far: the phase
-    is linear, so the grid's exponentials are the products (e0 e1) e2 of one
-    exponential per axis point, e_a = e^{i k phase} on axis a with the other two
-    coordinates zero: two complex products per grid point.
+    Near: `_cis` of the phase at every grid point of the layers.  Far: the phase is
+    linear, so the grid's factors are the products (e0 e1) e2 of the axis factors
+    e_a = e^{i k phase} on axis a with the other two coordinates zero, two complex
+    products per grid point; every sensor's axis factors come from one `_cis` of
+    their concatenated phases, taken here.
     """
     a0, a1, a2 = axes
     if kind == "near":
-        return _cis(k, phase(kind, x, np.ix_(a0, a1, a2)).ravel())
-    e0 = _cis(k, phase(kind, x, (a0, 0.0, 0.0)))
-    e1 = _cis(k, phase(kind, x, (0.0, a1, 0.0)))
-    e2 = _cis(k, phase(kind, x, (0.0, 0.0, a2)))
-    return np.multiply.outer(np.multiply.outer(e0, e1), e2).ravel()
+        return lambda ell, lo, hi: _cis(k, phase(kind, points[ell],
+                                                 np.ix_(a0[lo:hi], a1, a2)).ravel())
+    lines = ((a0, 0.0, 0.0), (0.0, a1, 0.0), (0.0, 0.0, a2))
+    ph = np.concatenate([phase(kind, x, line) for x in points for line in lines])
+    e0, e1, e2 = np.split(_cis(k, ph).reshape(len(points), -1), (a0.size, a0.size + a1.size),
+                          axis=1)
+    return lambda ell, lo, hi: np.multiply.outer(np.multiply.outer(e0[ell, lo:hi], e1[ell]),
+                                                 e2[ell]).ravel()
 
 
 def _band(kind: str, x, points, dk: float) -> tuple[np.ndarray, np.ndarray | float]:
-    """The band's ratio z = e^{i dk phase(y)}, one exponential per point, with the phase
+    """The band's ratio z = e^{i dk phase(y)} per point, from `_expi`, with the phase
     map's spreading: the kernel at k = m dk is z^m / spreading (`_power_sums`)."""
     ph = phase(kind, x, points.T)
-    return np.exp(1j * (dk * ph)), _spreading(kind, ph)
+    theta = dk * ph
+    return _expi(theta, np.empty(theta.shape, dtype=complex)), _spreading(kind, ph)
 
 
 def _power_sums(z: np.ndarray, c: np.ndarray, J: int) -> np.ndarray:

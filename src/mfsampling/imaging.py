@@ -5,10 +5,11 @@ unimodular probe built from the sensor's phase map t (distance for near-field
 sensors, negated projection for far-field directions) and the moduli are
 summed over sensors.  At that probe the form is w^{1-J} times the polynomial
 dk^2 sum_{|m|<J} (J - |m|) u_m w^{m+J-1} in w = e^{-i dk t}; as |w| = 1, one
-Horner pass gives its modulus.  w takes one exponential per voxel for a near
-sensor; a far phase is linear, so there w is a product of per-axis exponentials,
-two complex products per voxel.  Includes the band-limited point spread profile,
-field normalization, plane slicing, iso-thresholding, and file export.
+Horner pass gives its modulus.  For a near sensor w is `forward`'s vectorised
+complex exponential at every voxel; a far phase is linear, so there w is a product
+of per-axis factors, taken once per run, at two complex products per voxel.
+Includes the band-limited point spread profile, field normalization, plane slicing,
+iso-thresholding, and file export.
 """
 
 from __future__ import annotations
@@ -157,21 +158,21 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
     """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the modulus of
     the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m.
 
-    The grid is taken one slab of axis-0 layers at a time, with w from the slab's
-    axes (`_grid_cis`: one exponential per voxel near, per-axis factors far); each
-    voxel sums its sensors in sensor order."""
+    The grid is taken one slab of axis-0 layers at a time, with each sensor's w on the
+    slab from `_grid_cis` (the kernel at every voxel near, products of per-axis factors
+    taken once far); each voxel sums its sensors in sensor order."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     coeffs = [weights * row[1:-1] for row in data.values]
-    a0, a1, a2 = (grid.axis_centers(a) for a in range(3))
-    layer = a1.size * a2.size
+    axes = [grid.axis_centers(a) for a in range(3)]
+    w = _grid_cis(data.kind, data.sensors.array, axes, -dk)
+    layer = axes[1].size * axes[2].size
     step = max(1, _SLAB_VOXELS // layer)
     total = np.zeros(grid.size)
-    for lo in range(0, a0.size, step):
+    for lo in range(0, axes[0].size, step):
         slab = total[lo * layer:(lo + step) * layer]
-        axes = (a0[lo:lo + step], a1, a2)
-        for x, c in zip(data.sensors.array, coeffs):
-            slab += _fejer(c, _grid_cis(data.kind, x, axes, -dk))
+        for ell, c in enumerate(coeffs):
+            slab += _fejer(c, w(ell, lo, lo + step))
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 

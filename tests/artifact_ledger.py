@@ -7,8 +7,9 @@ each mask), the stdout of both commands, and the `verify --noise 0` report
 with its `runtime_s` lines removed.  `test_artifact_ledger.py` regenerates
 the digests and names every one that moved.
 
-Complex exponentials come from the platform's libm, so the file records the
-numpy version and the machine it was written on.
+No sample comes from libm (`forward._expi` builds its table from IEEE sums and
+products), but `np.abs` and numpy's complex products may differ by platform, so
+the file records the numpy version and the machine it was written on.
 
 Rewrite the committed file (after a change that moves bits on purpose) from
 the root of a checkout with

@@ -12,7 +12,7 @@ def test_no_artifact_digest_moved(tmp_path):
     recorded = {key: ledger[key] for key in platform_key()}
     if recorded != platform_key():
         pytest.skip(f"ledger written on {recorded}, this platform is {platform_key()}: "
-                    "complex exponentials may differ in the last bit")
+                    "np.abs and complex products may differ in the last bit")
     digests = collect(tmp_path)
     moved = sorted(name for name in ledger["digests"].keys() | digests.keys()
                    if ledger["digests"].get(name) != digests.get(name))

@@ -1,10 +1,16 @@
 """Design guards over the package source: near and far are one algorithm with
 different phase maps, so only a fixed set of functions may branch on the kind; a
 command builds one quadrature rule, so only a fixed set of functions may build one;
-and the band has one kernel, so only a fixed set of functions may call it."""
+the band has one kernel, so only a fixed set of functions may call it; and every
+e^{i theta} comes from one vectorised kernel, so only the closed-form references
+may call `exp`."""
 
 import ast
 from pathlib import Path
+
+import pytest
+
+import mfsampling as mf
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mfsampling"
 
@@ -20,6 +26,12 @@ RULE_BUILDERS = ["_sensor_problem", "generate_dataset"]
 # The band's one kernel: running power sums feed the data, the synthesis factor and
 # the coercivity Gram row.
 POWER_SUM_CALLERS = ["_dataset_rows", "check_coercivity", "synthesis"]
+
+# `forward._expi` gives every e^{i theta} of the data, the factors, the probe and the
+# indicator; its table is built in double-double from one root of unity, with no call
+# to libm.  Only the point spread references, closed forms checked against the grid
+# sums, call `exp`.
+EXP_CALLERS = ["check_psf", "psf_closed_form", "psf_discrete"]
 
 
 def _is_kind(node) -> bool:
@@ -75,3 +87,19 @@ def test_only_the_listed_functions_sum_band_powers():
     for path in sorted(SRC.glob("*.py")):
         found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "_power_sums"))
     assert sorted(found) == POWER_SUM_CALLERS
+
+
+def test_only_the_listed_functions_call_exp():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "exp"))
+    assert sorted(found) == EXP_CALLERS
+
+
+@pytest.mark.parametrize("kind", ["near", "far"])
+def test_band_ratio_is_cis_of_the_phase(kind):
+    # `_band` calls the kernel itself, not `_cis`, and gives the same bits
+    x = (4.5, -2.5, 1.5) if kind == "near" else (0.6, -0.48, 0.64)
+    nodes, dk = mf.quadrature(mf.Ball(center=(0.9, 0.4, -0.5), radius=0.6), 0.1).nodes, 0.75
+    z, _ = mf.forward._band(kind, x, nodes, dk)
+    assert z.tobytes() == mf.forward._cis(dk, mf.phase(kind, x, nodes.T)).tobytes()

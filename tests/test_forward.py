@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -349,6 +350,15 @@ def spiral(n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def wide_band_scenario(kind):
+    """An off-centre ball on a fine rule (Q = 7208), 64 sensors, J = 48."""
+    support = Ball(center=(0.2, -0.1, 0.3), radius=0.6)
+    points = spiral(64) * 3.0 + support.center if kind == "near" else spiral(64)
+    return replace(offcentre_scenario(kind), support=support, h=0.05,
+                   measurement=MeasurementSet(kind, points),
+                   frequencies=FrequencyGrid(k_max=30.0, count=48))
+
+
 def three_sensor_scenario(kind):
     """The off-centre peanut seen by three sensors: points around it, or three directions."""
     if kind == "near":
@@ -423,11 +433,7 @@ class TestBand:
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_generate_peak_below_one_band(self, kind):
         # the data keep running products over cache-sized blocks, never a (J+1) x Q band
-        support = Ball(center=(0.2, -0.1, 0.3), radius=0.6)
-        points = spiral(64) * 3.0 + support.center if kind == "near" else spiral(64)
-        s = replace(offcentre_scenario(kind), support=support, h=0.05,
-                    measurement=MeasurementSet(kind, points),
-                    frequencies=FrequencyGrid(k_max=30.0, count=48))
+        s = wide_band_scenario(kind)
         Q, J = len(quadrature(s.support, s.h)), s.frequencies.count
         assert Q == 7208
         tracemalloc.start()
@@ -437,6 +443,143 @@ class TestBand:
         finally:
             tracemalloc.stop()
         assert peak < (J + 1) * Q * 16
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_radiated_field_peak_near_its_output(self, kind):
+        # `_cis` fills the J x Q output a block of whole rows at a time, and `_expi`
+        # works in cache-sized blocks, so no J x Q temporary is built.  The peak is
+        # 1.09-1.19 times the output here; forming the whole phase array and its
+        # exponential at once reaches 1.53.
+        s = wide_band_scenario(kind)
+        rule = quadrature(s.support, s.h)
+        J, x = s.frequencies.count, s.measurement.points[0]
+        tracemalloc.start()
+        try:
+            radiated_field(kind, s.support, rule, x, s.frequencies.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * J * len(rule) * 16
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _decimal_roots(N):
+    """cos and sin of 2 pi j / N, j = 0..N-1 (N a multiple of 4), as Decimals of 60
+    digits: Taylor series on the first quarter, exact quarter turns beyond it."""
+    parts = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for j in range(N):
+            q, r = divmod(j, N // 4)
+            x, c, s, term, k = 2 * _PI * r / N, Decimal(0), Decimal(0), Decimal(1), 0
+            while term > Decimal("1e-62"):  # term = x^k / k!
+                if k % 2:
+                    s += term if k % 4 == 1 else -term
+                else:
+                    c += term if k % 4 == 0 else -term
+                k += 1
+                term = term * x / k
+            parts.append([(c, s), (-s, c), (-c, -s), (s, -c)][q])
+    return parts
+
+
+def _dd(d):
+    """The double-double (hi, lo) nearest a Decimal."""
+    hi = float(d)
+    return hi, float(d - Decimal(hi))
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    p = a * b
+    a1, b1 = a * 134217729.0, b * 134217729.0
+    a1, b1 = a1 - (a1 - a), b1 - (b1 - b)
+    return p, ((a1 * b1 - p) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+
+
+def _reference_cis(theta, N=1000):
+    """e^{i theta} as double-doubles (re_hi, re_lo, im_hi, im_lo), within 1e-23, from
+    a Decimal table of e^{2 pi i m / N} (a table the kernel does not use) times the
+    Taylor series of e^{i psi}, |psi| <= pi / N, in double-double arithmetic."""
+    table = np.array([_dd(c) + _dd(s) for c, s in _decimal_roots(N)]).T
+    with localcontext() as ctx:
+        ctx.prec = 60
+        step_hi, step_lo = _dd(2 * _PI / N)
+    m = np.rint(theta / step_hi)
+    ph, pl = _two_prod(m, step_hi)
+    psi, err = _two_sum(theta, -ph)
+    psi, err = _two_sum(psi, err - pl - m * step_lo)  # psi + err = theta - 2 pi m / N
+    qh, ql = _two_prod(psi, psi)
+    ql += 2 * psi * err
+    q = qh + ql
+    ch, cl = _two_sum(1.0, -qh / 2)  # cos psi = 1 - q/2 + q^2/24 - q^3/720 + q^4/40320
+    cl += -ql / 2 + q * q * (1 / 24 - q * (1 / 720 - q / 40320))
+    sl = err - psi * q * (1 / 6 - q * (1 / 120 - q / 5040))  # sin psi = psi + sl
+    rr, rl, ir, il = table[:, np.mod(m, N).astype(int)]
+
+    def dd_mul(ah, al, bh, bl):
+        p, e = _two_prod(ah, bh)
+        return p, e + ah * bl + al * bh
+
+    (a, ae), (b, be) = dd_mul(rr, rl, ch, cl), dd_mul(ir, il, psi, sl)
+    re_hi, re_lo = _two_sum(a, -b)
+    (a, ae2), (b, be2) = dd_mul(rr, rl, psi, sl), dd_mul(ir, il, ch, cl)
+    im_hi, im_lo = _two_sum(a, b)
+    return re_hi, re_lo + (ae - be), im_hi, im_lo + (ae2 + be2)
+
+
+class TestExpi:
+    """`forward._expi`, the one complex exponential: within its derived bound,
+    eps/4 + 7.5e-19 per part, of an independent double-double reference."""
+
+    BOUND = np.finfo(float).eps / 4 + 7.5e-19
+
+    def test_parts_within_derived_bound(self):
+        N = mf.forward._CIS_N
+        seeded = np.random.default_rng(20231).uniform(-1e4, 1e4, 100_000)
+        nodes = np.arange(-3 * N, 3 * N) * (2 * math.pi / N)  # the table's nodes ...
+        halves = nodes + math.pi / N  # ... and the half-steps, where n changes
+        far_nodes = 2 * math.pi / N * np.arange(1_500_000, 1_500_000 + N)  # |theta| ~ 4600
+        theta = np.concatenate([seeded, nodes, halves, far_nodes, -far_nodes])
+        got = mf.forward._expi(theta, np.empty(theta.shape, dtype=complex))
+        re_hi, re_lo, im_hi, im_lo = _reference_cis(theta)
+        assert np.max(np.abs((got.real - re_hi) - re_lo)) <= self.BOUND
+        assert np.max(np.abs((got.imag - im_hi) - im_lo)) <= self.BOUND
+
+    def test_zero_is_exactly_one(self):
+        got = mf.forward._expi(np.array([0.0, -0.0]), np.empty(2, dtype=complex))
+        assert np.all(got == 1 + 0j)
+        assert mf.forward._cis(0.0, np.zeros(3)).tobytes() == np.ones(3, dtype=complex).tobytes()
+
+    def test_table_entries_round_once(self):
+        # T_hi is within half an ulp per part of e^{2 pi i j / N}, and T_hi + T_lo
+        # within 2^-96
+        hi, lo = mf.forward._CIS_HI, mf.forward._CIS_LO
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for j, (c, s) in enumerate(_decimal_roots(len(hi))):
+                for h, l, exact in ((hi[j].real, lo[j].real, c), (hi[j].imag, lo[j].imag, s)):
+                    assert abs(Decimal(h) - exact) <= Decimal(math.ulp(float(exact))) / 2
+                    assert abs(Decimal(h) + Decimal(l) - exact) <= Decimal(2) ** -96
+
+    def test_blocks_and_shapes_leave_bits(self, monkeypatch):
+        # the kernel is elementwise: its blocks, and `_cis`'s blocks of whole rows,
+        # do not change a bit
+        k, ph = np.linspace(-9.0, 30.0, 37), np.random.default_rng(5).uniform(-4, 7, 50)
+        whole = mf.forward._cis(k, ph)
+        assert whole.shape == (37, 50)
+        monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", 64)  # blocks of 1 row, rows cut
+        assert mf.forward._cis(k, ph).tobytes() == whole.tobytes()
+        theta = np.multiply.outer(k, ph)
+        flat = mf.forward._expi(theta.ravel(), np.empty(theta.size, dtype=complex))
+        assert flat.tobytes() == whole.tobytes()
 
 
 class TestAddNoise:

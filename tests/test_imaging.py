@@ -318,12 +318,12 @@ class TestGridCis:
     """The indicator's w: `_cis` of `phase` near, per-axis products far."""
 
     def test_far_product_within_rounding_of_cis(self):
-        # Four exponentials (three factors and the reference), each within an ulp
-        # per part, eps/sqrt(2) in modulus, and two complex products, each within
-        # sqrt(5)/2 eps: about 5.1 eps.  The rounded arguments add eps dk |n_a y_a|
-        # per factor and eps dk sum_a |n_a y_a| + eps/2 dk |t| to the reference.
-        # So w is within 6 eps (1 + dk sum_a |n_a y_a| + dk |t|); here it reaches
-        # about 0.08 of that.
+        # Four exponentials (three factors and the reference), each within 0.254 eps
+        # per part (the bound `forward._expi` derives), 0.36 eps in modulus, and two
+        # complex products, each within sqrt(5)/2 eps: about 3.7 eps.  The rounded
+        # arguments add eps dk |n_a y_a| per factor and eps dk sum_a |n_a y_a| +
+        # eps/2 dk |t| to the reference.  So w is within 6 eps (1 + dk sum_a |n_a y_a|
+        # + dk |t|); here it reaches about 0.08 of that.
         s = _offcentre_scenario("far", resolution=(7, 11, 5))
         grid, dk = s.sampling, s.frequencies.spacing
         axes = [grid.axis_centers(a) for a in range(3)]
@@ -331,14 +331,15 @@ class TestGridCis:
         eps = np.finfo(float).eps
         for x in s.measurement.array:
             t = mf.phase("far", x, centers.T)
-            err = np.abs(mf.forward._grid_cis("far", x, axes, -dk) - mf.forward._cis(-dk, t))
+            w = mf.forward._grid_cis("far", [x], axes, -dk)(0, 0, axes[0].size)
+            err = np.abs(w - mf.forward._cis(-dk, t))
             spread = dk * np.abs(centers * x).sum(axis=1)
             assert np.all(err <= 6 * eps * (1 + spread + dk * np.abs(t)))
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_indicator_exponential_count(self, kind, monkeypatch):
-        # near: one exponential per voxel and sensor; far: one per axis point,
-        # with axes 1 and 2 taken again for each slab
+        # near: one exponential per voxel and sensor; far: one per axis point and
+        # sensor, taken once for all slabs
         monkeypatch.setattr(mf.imaging, "_SLAB_VOXELS", 110)  # 4 slabs of the 7 layers
         s = _offcentre_scenario(kind, resolution=(7, 11, 5))
         data = generate_dataset(s)
@@ -355,12 +356,12 @@ class TestGridCis:
         if kind == "near":
             assert count[0] == L * s.sampling.size
         else:
-            assert 0 < count[0] <= L * (7 + 4 * (11 + 5))
+            assert count[0] == L * (7 + 11 + 5)
 
 
 def _indicator_unslabbed(data, grid):
     """The indicator over all voxels at once: w from `phase` on the grid's centers
-    near, and from `_grid_cis` on the whole grid's axes far."""
+    near, and from `_grid_cis` on all of the grid's layers far."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     axes = [grid.axis_centers(a) for a in range(3)]
@@ -369,7 +370,7 @@ def _indicator_unslabbed(data, grid):
         if data.kind == "near":
             w = mf.forward._cis(-dk, mf.phase(data.kind, x, grid.centers().T))
         else:
-            w = mf.forward._grid_cis(data.kind, x, axes, -dk)
+            w = mf.forward._grid_cis(data.kind, [x], axes, -dk)(0, 0, axes[0].size)
         total += mf.imaging._fejer(weights * row[1:-1], w)
     return total
 
