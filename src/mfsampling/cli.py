@@ -111,9 +111,9 @@ CHECK_NAMES = ("factorization", "coercivity", "psf", "symmetries")
 def run_verify(scenario: Scenario, only: str | None = None):
     """Run the certificate checks; returns (reports, all_passed).
 
-    Sensor 0's noiseless row, quadrature rule and factors are built once and
-    passed to the scenario checks; the factors are released as soon as the
-    coercivity check is done with them, so the psf and symmetry checks do
+    Sensor 0's rule, factors and noiseless row (written from them) are built
+    once and passed to the scenario checks; the factors are released as soon as
+    the coercivity check is done with them, so the psf and symmetry checks do
     not hold them.  Each check is looked up in `verify` when it runs.
     """
     if only is not None and only not in CHECK_NAMES:
@@ -121,7 +121,7 @@ def run_verify(scenario: Scenario, only: str | None = None):
     names = [name for name in CHECK_NAMES if only in (None, name)]
     problem = None
     if names != ["psf"]:
-        problem = verify._sensor_problem(scenario, factored=only != "symmetries")
+        problem = verify._sensor_problem(scenario)
     reports = []
     for name in names:
         if name == "psf":

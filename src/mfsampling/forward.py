@@ -7,19 +7,22 @@ map, extended to negative frequencies by conjugation (the source is real, so
 u(x, -k) = conj u(x, k) at a sensor point and in a direction alike, and a
 direction's data already hold its antipode's), and optionally perturbed by
 Gaussian noise seeded per sensor row.  A run builds one quadrature rule,
-and its data and factors share it (`_dataset_rows`).
+and its data and factors share it.
 
 The band k = m dk, m = 0..J, is equally spaced, so a dataset's column m is the
 power sum sum_q c_q z_q^m of one ratio z = e^{i dk phase} per quadrature node
 (`_band`), one running product c z^m per node (`_power_sums`), never a
-(J+1) x Q band.  Arbitrary wavenumbers (`radiated_field`, the probe, and the
-near indicator) take `_cis` of the phase.  On a tensor grid the far phase is
+(J+1) x Q band; `_laurent_rows` writes them over m = -J..J, as the data P(T 1)
+and `verify`'s Gram row, and `_horner` sums the analysis factor's and the
+indicator's polynomials.  Arbitrary wavenumbers (`radiated_field`, the probe, and
+the near indicator) take `_cis` of the phase.  On a tensor grid the far phase is
 linear, so there `_grid_cis` evaluates the kernel on the three axes alone, and a
 voxel's factor is the product of its three axis points'.  Every e^{i theta} comes
 from one vectorised kernel, `_expi`: a table of the N-th roots of unity times
 short polynomials, within 0.254 eps per part, in cache-sized blocks.  Only
-`phase`, `_spreading`, `_grid_cis` and `phase_range` (the phase's exact range
-over the closed support, which refuses a sensor point in it) branch on the kind.
+`MeasurementSet.__post_init__` (a far set's points must be unit vectors), `phase`,
+`_spreading`, `_grid_cis` and `phase_range` (the phase's exact range over the
+closed support, which refuses a sensor point in it) branch on the kind.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ def phase(kind: str, x, coords) -> np.ndarray:
     direction xhat: -xhat.y, summed in axis order.  The data kernel
     e^{i k phase} / spreading, the probe, the outer and middle factors and the
     indicator are all built from this map, so their signs agree by construction;
-    beside it only `_spreading`, `_grid_cis` and `phase_range` branch on the kind.
+    beside it only `MeasurementSet.__post_init__`, `_spreading`, `_grid_cis` and
+    `phase_range` branch on the kind.
     """
     y0, y1, y2 = coords
     if kind == "near":
@@ -319,11 +323,10 @@ def _grid_cis(kind: str, points, axes, k: float):
 
 
 def _band(kind: str, x, points, dk: float) -> tuple[np.ndarray, np.ndarray | float]:
-    """The band's ratio z = e^{i dk phase(y)} per point, from `_expi`, with the phase
-    map's spreading: the kernel at k = m dk is z^m / spreading (`_power_sums`)."""
+    """The band's ratio z = e^{i dk phase(y)} per point, with the phase map's spreading:
+    the kernel at k = m dk is z^m / spreading (`_power_sums`)."""
     ph = phase(kind, x, points.T)
-    theta = dk * ph
-    return _expi(theta, np.empty(theta.shape, dtype=complex)), _spreading(kind, ph)
+    return _cis(dk, ph), _spreading(kind, ph)
 
 
 def _power_sums(z: np.ndarray, c: np.ndarray, J: int) -> np.ndarray:
@@ -337,6 +340,29 @@ def _power_sums(z: np.ndarray, c: np.ndarray, J: int) -> np.ndarray:
         p *= z
         sums[..., m] = np.sum(p, axis=-1)
     return sums
+
+
+def _laurent_rows(z: np.ndarray, c: np.ndarray, J: int, zero_mode: str) -> np.ndarray:
+    """Rows over m = -J..J of sum_q c_q z_q^m for real c and unimodular z: the power sums
+    at m = 0..J, their `mirror` at m < 0, and column m = 0 zeroed if zero_mode is 'drop'
+    (else the continuous zero-frequency extension).  With c = weights * f / spreading these
+    are a sensor's data P(T 1); with c = weights, the Gram row of P P*."""
+    sums = _power_sums(z, c, J)
+    rows = np.concatenate([mirror(sums[..., :0:-1]), sums], axis=-1)
+    if zero_mode == "drop":
+        rows[..., J] = 0.0
+    return rows
+
+
+def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] w^n by Horner's rule in w, into one fresh accumulator and in a
+    fixed order of operations, for at least two coefficients."""
+    acc = coeffs[-1] * w  # the scalar on the left: the bits of a filled array times w
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= w
+        acc += c
+    return acc
 
 
 def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule, dk: float,
@@ -412,26 +438,13 @@ def mirror(positive: np.ndarray) -> np.ndarray:
 
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
     """Noiseless multi-frequency dataset for a scenario, on the one quadrature rule built
-    here; `verify` gives `_dataset_rows` the rule its factors use, so the two share nodes."""
+    here: each row is P(T 1), the `_laurent_rows` of its sensor's z (`_band`) against the
+    weights times T 1 = f / spreading, in blocks of whole rows of at most `_SLAB_VOXELS`
+    nodes.  A row depends on its own z and c alone, so `verify` writes sensor 0's alike."""
     rule = quadrature(scenario.support, scenario.h)
-    return _dataset_rows(scenario.measurement, scenario.support, rule, scenario.frequencies,
-                         scenario.zero_mode, scenario.seed)
-
-
-def _dataset_rows(sensors: MeasurementSet, support: SourceSupport, rule: QuadratureRule,
-                  grid: FrequencyGrid, zero_mode: str, seed: int) -> MultiFreqDataset:
-    """Noiseless multi-frequency dataset of the sensors on a given quadrature rule.
-
-    Columns m = 0..J are P(T 1): the power sums of each sensor's z (see `_band`) against
-    one real vector, the quadrature weights times T 1 = f / spreading, taken over blocks
-    of whole sensor rows of at most `_SLAB_VOXELS` nodes.  Negative columns are filled by
-    the mirror rule.  zero_mode='drop' zeroes the m = 0 column instead of using the
-    continuous zero-frequency extension.  A run's data and factors share one rule:
-    `verify._sensor_problem` passes the rule its factors use.
-    """
-    J = grid.count
-    amplitude = support.amplitude_at(rule.nodes)
-    values = np.zeros((len(sensors), 2 * J + 1), dtype=complex)
+    sensors, grid, J = scenario.measurement, scenario.frequencies, scenario.frequencies.count
+    amplitude = scenario.support.amplitude_at(rule.nodes)
+    values = np.empty((len(sensors), 2 * J + 1), dtype=complex)
     step = max(1, _SLAB_VOXELS // len(rule))
     for lo in range(0, len(sensors), step):
         block = sensors.array[lo:lo + step]
@@ -440,12 +453,9 @@ def _dataset_rows(sensors: MeasurementSet, support: SourceSupport, rule: Quadrat
         for i, x in enumerate(block):
             z[i], spreading = _band(sensors.kind, x, rule.nodes, grid.spacing)
             c[i] = rule.weights * (amplitude / spreading)
-        values[lo:lo + step, J:] = _power_sums(z, c, J)
-    values[:, J - 1::-1] = mirror(values[:, J + 1:])
-    if zero_mode == "drop":
-        values[:, J] = 0.0
+        values[lo:lo + step] = _laurent_rows(z, c, J, scenario.zero_mode)
     return MultiFreqDataset(sensors=sensors, grid=grid, values=values, noise_level=0.0,
-                            seed=seed)
+                            seed=scenario.seed)
 
 
 def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDataset:

@@ -27,6 +27,7 @@ from .forward import (
     _cis,
     _format_floats,
     _grid_cis,
+    _horner,
     _numbers,
     _reading,
     _samples,
@@ -141,22 +142,10 @@ def psf_discrete(t: float, grid: FrequencyGrid) -> complex:
     return complex(grid.spacing * np.sum(np.exp(1j * grid.nodes * t)))
 
 
-def _fejer(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|sum_n coeffs[n] w^n| by Horner's rule in w, in place and in a fixed order of
-    operations, for at least two coefficients.  For unimodular w and coeffs[m + J - 1]
-    the Laurent coefficient of w^m, |m| < J, this is the modulus of the Laurent sum,
-    since |w^{J-1}| = 1."""
-    acc = coeffs[-1] * w  # the scalar on the left: the bits of a filled array times w
-    acc += coeffs[-2]
-    for c in coeffs[-3::-1]:
-        acc *= w
-        acc += c
-    return np.abs(acc)
-
-
 def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorField:
     """Sum over sensors of |(N g, g)| with the phase-map probe, per voxel: the modulus of
-    the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m.
+    the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m,
+    summed by `_horner` as a polynomial: the form's factor w^{1-J} has modulus 1.
 
     The grid is taken one slab of axis-0 layers at a time, with each sensor's w on the
     slab from `_grid_cis` (the kernel at every voxel near, products of per-axis factors
@@ -172,7 +161,7 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
     for lo in range(0, axes[0].size, step):
         slab = total[lo * layer:(lo + step) * layer]
         for ell, c in enumerate(coeffs):
-            slab += _fejer(c, w(ell, lo, lo + step))
+            slab += np.abs(_horner(c, w(ell, lo, lo + step)))
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forward import FrequencyGrid, MultiFreqDataset, _band, _power_sums
+from .forward import FrequencyGrid, MultiFreqDataset, _band, _horner, _power_sums
 from .geometry import QuadratureRule, SourceSupport
 
 
@@ -100,8 +100,10 @@ class Factorization:
     (`apply_multiplier`) multiplies by f(y) / spreading(y), and P* (`analysis`)
     is P's adjoint, with the conjugate kernel.  The kernel at k_j = j dk is z^j
     for the sensor's `_band` ratio z, so P sums running products
-    (`_power_sums`) and P* runs Horner's rule in conj(z); neither builds a
-    J x Q kernel.  The sensor's data columns m = 1..J are P(T 1), bit for bit.
+    (`_power_sums`) and P* runs Horner's rule in conj(z) (`_horner`); neither
+    builds a J x Q kernel.  The sensor's data row is P(T 1): `_laurent_rows` of
+    z against the weights times `multiplier`, which `verify` writes from these
+    factors alone.
     """
 
     def __init__(self, kind: str, x, support: SourceSupport, rule: QuadratureRule,
@@ -118,10 +120,8 @@ class Factorization:
         return SupportFunction(rule=self.rule, samples=h.samples * self.multiplier)
 
     def analysis(self, phi: FreqFunction) -> SupportFunction:
-        # dk sum_j conj(z)^(j+1) phi_j by Horner's rule in conj(z), from j = J-1 down
+        # dk sum_j conj(z)^(j+1) phi_j: Horner's rule in conj(z), from j = J-1 down
         zc = np.conj(self.z)
-        out = phi.samples[-1] * zc
-        for p in phi.samples[-2::-1]:
-            out += p
-            out *= zc
+        out = _horner(phi.samples, zc)
+        out *= zc
         return SupportFunction(rule=self.rule, samples=phi.grid.spacing * out)

@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _dataset_rows,
-                      _header_lines, _power_sums, _spreading, band_error_bound, mirror,
-                      phase_range, radiated_field)
+from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_lines,
+                      _laurent_rows, _spreading, band_error_bound, mirror, phase_range,
+                      radiated_field)
 from .geometry import QuadratureRule, quadrature
 from .imaging import psf_closed_form, psf_discrete
 from .operators import (Factorization, FreqFunction, _toeplitz_block, _toeplitz_forms,
@@ -66,15 +66,15 @@ def _report(check: str, scenario: str, measured: float, tol: float, t0: float,
 
 
 class _Problem(NamedTuple):
-    """One sensor's noiseless one-row data, quadrature rule and factors (or None)."""
+    """One sensor's noiseless one-row data, quadrature rule and factors."""
 
     data: MultiFreqDataset
     rule: QuadratureRule
-    fac: Factorization | None
+    fac: Factorization
 
 
-def _sensor_problem(scenario, sensor: int = 0, factored: bool = True) -> _Problem:
-    """The problem of sensor `sensor` measuring alone; the factors only if `factored`.
+def _sensor_problem(scenario, sensor: int = 0) -> _Problem:
+    """The problem of sensor `sensor` measuring alone: its factors, and its row P(T 1).
 
     Row 0 of the noiseless data equals row `sensor` of the full dataset bit
     for bit.  The scenario certificates, which use it, hold for noiseless
@@ -82,13 +82,12 @@ def _sensor_problem(scenario, sensor: int = 0, factored: bool = True) -> _Proble
     """
     if scenario.noise_level != 0:
         raise ValueError("scenario certificates require a noiseless scenario")
-    x = scenario.measurement.points[sensor]
+    x, grid = scenario.measurement.points[sensor], scenario.frequencies
     rule = quadrature(scenario.support, scenario.h)
-    # the data and the factors each take the sensor's z from `_band` on the same rule
-    data = _dataset_rows(MeasurementSet(scenario.kind, (x,)), scenario.support, rule,
-                         scenario.frequencies, scenario.zero_mode, scenario.seed)
-    fac = (Factorization(scenario.kind, x, scenario.support, rule, scenario.frequencies)
-           if factored else None)
+    fac = Factorization(scenario.kind, x, scenario.support, rule, grid)
+    row = _laurent_rows(fac.z, rule.weights * fac.multiplier, grid.count, scenario.zero_mode)
+    data = MultiFreqDataset(sensors=MeasurementSet(scenario.kind, (x,)), grid=grid,
+                            values=row[None], seed=scenario.seed)
     return _Problem(data, rule, fac)
 
 
@@ -162,9 +161,7 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     data, rule, fac = problem or _sensor_problem(scenario, sensor)
     x = scenario.measurement.points[sensor]
     J, dk = scenario.frequencies.count, scenario.frequencies.spacing
-    gram = np.empty(2 * J + 1, dtype=complex)
-    gram[J:] = _power_sums(fac.z, rule.weights, J)
-    gram[J - 1::-1] = np.conj(gram[J + 1:])
+    gram = _laurent_rows(fac.z, rule.weights, J, "extend")
     c_f, C_f = scenario.support.amplitude_bounds()
     t_min, t_max = phase_range(scenario.kind, x, scenario.support)
     lower, upper = c_f / _spreading(scenario.kind, t_max), C_f / _spreading(scenario.kind, t_min)
@@ -245,10 +242,10 @@ def check_symmetries(scenario, problem: _Problem | None = None) -> VerificationR
 
     Each column is over the band error bound of column |m|; the zero column,
     which `zero_mode` sets, is left out.  `problem`, when given, is sensor 0's
-    `_sensor_problem`; its factors are not used.
+    `_sensor_problem`; the check reads its data and rule, not its factors.
     """
     t0 = time.perf_counter()
-    data, rule, _ = problem or _sensor_problem(scenario, 0, factored=False)
+    data, rule, _ = problem or _sensor_problem(scenario, 0)
     kind, x, grid = scenario.kind, scenario.measurement.points[0], data.grid
     exact = radiated_field(kind, scenario.support, rule, x, -grid.nodes)
     J = grid.count

@@ -8,8 +8,11 @@ with its `runtime_s` lines removed.  `test_artifact_ledger.py` regenerates
 the digests and names every one that moved.
 
 No sample comes from libm (`forward._expi` builds its table from IEEE sums and
-products), but `np.abs` and numpy's complex products may differ by platform, so
-the file records the numpy version and the machine it was written on.
+products), but `np.abs` and numpy's complex products may differ by platform: a
+build may fuse a complex product's multiply and add (FMA) on one CPU and not on
+another of the same machine name.  So the file records the numpy version, the
+machine, and `arith`, a digest of one fixed batch of complex products and moduli
+computed here; the test skips where any of the three differs.
 
 Rewrite the committed file (after a change that moves bits on purpose) from
 the root of a checkout with
@@ -38,7 +41,10 @@ SEEDS = (1, 3)
 
 
 def platform_key() -> dict[str, str]:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    a = np.linspace(0.1 + 0.7j, 2.9 - 1.3j, 4096)
+    b = np.linspace(-1.7 + 0.3j, 0.6 + 2.2j, 4096)
+    arith = hashlib.sha256((a * b).tobytes() + np.abs(a).tobytes()).hexdigest()[:16]
+    return {"numpy": np.__version__, "machine": platform.machine(), "arith": arith}
 
 
 def _workloads() -> dict:

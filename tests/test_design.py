@@ -1,16 +1,12 @@
 """Design guards over the package source: near and far are one algorithm with
 different phase maps, so only a fixed set of functions may branch on the kind; a
 command builds one quadrature rule, so only a fixed set of functions may build one;
-the band has one kernel, so only a fixed set of functions may call it; and every
-e^{i theta} comes from one vectorised kernel, so only the closed-form references
-may call `exp`."""
+the band has one kernel, one row writer and one Horner pass, so only a fixed set of
+functions may call each; and every e^{i theta} comes from one vectorised kernel,
+so only the closed-form references may call `exp`."""
 
 import ast
 from pathlib import Path
-
-import pytest
-
-import mfsampling as mf
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mfsampling"
 
@@ -23,15 +19,23 @@ KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_cis", "_spreading", "pha
 # `_sensor_problem`, and its data and factors share it.
 RULE_BUILDERS = ["_sensor_problem", "generate_dataset"]
 
-# The band's one kernel: running power sums feed the data, the synthesis factor and
-# the coercivity Gram row.
-POWER_SUM_CALLERS = ["_dataset_rows", "check_coercivity", "synthesis"]
+# The band's one kernel: running power sums feed the synthesis factor and the rows
+# over m = -J..J, which `_laurent_rows` alone writes.
+POWER_SUM_CALLERS = ["_laurent_rows", "synthesis"]
+
+# The rows: the dataset's P(T 1) in blocks, verify's one row P(T 1) from its factors,
+# and the coercivity Gram row (T = 1).
+ROW_WRITERS = ["_sensor_problem", "check_coercivity", "generate_dataset"]
+
+# One Horner pass: the analysis factor's polynomial in conj(z) and the indicator's in w.
+HORNER_CALLERS = ["analysis", "compute_indicator"]
 
 # `forward._expi` gives every e^{i theta} of the data, the factors, the probe and the
 # indicator; its table is built in double-double from one root of unity, with no call
 # to libm.  Only the point spread references, closed forms checked against the grid
-# sums, call `exp`.
+# sums, call `exp`; `_cis`, which takes rows of wavenumbers, alone calls `_expi`.
 EXP_CALLERS = ["check_psf", "psf_closed_form", "psf_discrete"]
+EXPI_CALLERS = ["_cis"]
 
 
 def _is_kind(node) -> bool:
@@ -75,31 +79,32 @@ def _callers(tree, name):
                     yield func.name
 
 
-def test_only_the_listed_functions_build_a_quadrature_rule():
+def _all_callers(name):
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "quadrature"))
-    assert sorted(found) == RULE_BUILDERS
+        found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), name))
+    return sorted(found)
+
+
+def test_only_the_listed_functions_build_a_quadrature_rule():
+    assert _all_callers("quadrature") == RULE_BUILDERS
 
 
 def test_only_the_listed_functions_sum_band_powers():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "_power_sums"))
-    assert sorted(found) == POWER_SUM_CALLERS
+    assert _all_callers("_power_sums") == POWER_SUM_CALLERS
+
+
+def test_only_the_listed_functions_write_band_rows():
+    assert _all_callers("_laurent_rows") == ROW_WRITERS
+
+
+def test_only_the_listed_functions_run_horner():
+    assert _all_callers("_horner") == HORNER_CALLERS
 
 
 def test_only_the_listed_functions_call_exp():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found.update(_callers(ast.parse(path.read_text(encoding="utf-8")), "exp"))
-    assert sorted(found) == EXP_CALLERS
+    assert _all_callers("exp") == EXP_CALLERS
 
 
-@pytest.mark.parametrize("kind", ["near", "far"])
-def test_band_ratio_is_cis_of_the_phase(kind):
-    # `_band` calls the kernel itself, not `_cis`, and gives the same bits
-    x = (4.5, -2.5, 1.5) if kind == "near" else (0.6, -0.48, 0.64)
-    nodes, dk = mf.quadrature(mf.Ball(center=(0.9, 0.4, -0.5), radius=0.6), 0.1).nodes, 0.75
-    z, _ = mf.forward._band(kind, x, nodes, dk)
-    assert z.tobytes() == mf.forward._cis(dk, mf.phase(kind, x, nodes.T)).tobytes()
+def test_only_the_listed_functions_call_expi():
+    assert _all_callers("_expi") == EXPI_CALLERS

@@ -396,22 +396,37 @@ class TestBand:
             assert cols.tobytes() == data.values[ell, J + 1:].tobytes()
 
     def test_data_and_factors_skip_exact_kernel(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("exact per-wavenumber kernel called")
+        # the band takes one ratio z per sensor and node from the kernel, whatever J:
+        # L Q elements for the data and Q for a factorization, never one per wavenumber
+        expi, sizes = mf.forward._expi, []
 
-        monkeypatch.setattr(mf.forward, "_cis", refuse)
+        def counted(theta, out):
+            sizes.append(theta.size)
+            return expi(theta, out)
+
+        def refuse(*args):
+            raise AssertionError("exact per-wavenumber field called")
+
+        monkeypatch.setattr(mf.forward, "_expi", counted)
         monkeypatch.setattr(mf.forward, "radiated_field", refuse)
         for kind in ("near", "far"):
-            s = offcentre_scenario(kind)
-            generate_dataset(s)
-            mf.Factorization(kind, s.measurement.points[0], s.support,
-                             quadrature(s.support, s.h), s.frequencies)
+            for J in (11, 48):
+                s = replace(three_sensor_scenario(kind),
+                            frequencies=FrequencyGrid(k_max=30.0, count=J))
+                rule = quadrature(s.support, s.h)
+                sizes.clear()
+                generate_dataset(s)
+                assert sum(sizes) == len(s.measurement) * len(rule)
+                sizes.clear()
+                mf.Factorization(kind, s.measurement.points[0], s.support, rule, s.frequencies)
+                assert sum(sizes) == len(rule)
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_rows_independent_of_blocks(self, monkeypatch, kind):
         # a row's bits depend on its own sensor alone: blocks of one row, of the cache
         # budget (at least 3 blocks, the last one short) and of all rows agree, and so
-        # does verify's one-sensor row
+        # does verify's one-sensor row, written from its factors by its own call; under
+        # either zero mode
         if kind == "near":  # the off-centre peanut, sensors around its middle
             support, h, points = offcentre_scenario(kind).support, 0.07, 4.0 * spiral(8)
             points += (1.3, 0.15, -0.15)
@@ -421,14 +436,15 @@ class TestBand:
                     measurement=MeasurementSet(kind, points))
         step = mf.forward._SLAB_VOXELS // len(quadrature(s.support, s.h))
         assert 1 < step < len(points) / 2 and len(points) % step  # 3 blocks, the last short
-        data = generate_dataset(s)
-        for budget in (1, 10**9):
-            monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", budget)
-            assert generate_dataset(s).values.tobytes() == data.values.tobytes()
-        monkeypatch.undo()
-        for ell in range(len(points)):
-            row = mf.verify._sensor_problem(s, ell).data.values[0]
-            assert row.tobytes() == data.values[ell].tobytes()
+        for s in (s, replace(s, zero_mode="drop")):
+            data = generate_dataset(s)
+            for budget in (1, 10**9):
+                monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", budget)
+                assert generate_dataset(s).values.tobytes() == data.values.tobytes()
+            monkeypatch.undo()
+            for ell in range(len(points)):
+                row = mf.verify._sensor_problem(s, ell).data.values[0]
+                assert row.tobytes() == data.values[ell].tobytes()
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_generate_peak_below_one_band(self, kind):

@@ -371,7 +371,7 @@ def _indicator_unslabbed(data, grid):
             w = mf.forward._cis(-dk, mf.phase(data.kind, x, grid.centers().T))
         else:
             w = mf.forward._grid_cis(data.kind, [x], axes, -dk)(0, 0, axes[0].size)
-        total += mf.imaging._fejer(weights * row[1:-1], w)
+        total += np.abs(mf.forward._horner(weights * row[1:-1], w))
     return total
 
 

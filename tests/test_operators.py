@@ -247,7 +247,7 @@ def test_one_sensor_rows_match_full_dataset(kind):
         frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1)
     full = mf.generate_dataset(s)
     for sensor in range(len(s.measurement)):
-        one = _sensor_problem(s, sensor, factored=False).data
+        one = _sensor_problem(s, sensor).data
         assert np.array_equal(one.values[0], full.values[sensor])
 
 

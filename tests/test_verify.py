@@ -251,21 +251,23 @@ class TestCheckSymmetries:
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_checks_generate_one_sensor(self, monkeypatch, kind):
-        # every certificate builds sensor 0's data alone, never all L rows
-        dataset_rows, sizes = mf.forward._dataset_rows, []
+        # every certificate writes sensor 0's rows alone (its data and its Gram row),
+        # never all L rows
+        laurent_rows, sizes = mf.forward._laurent_rows, []
 
-        def counted(sensors, *args):
-            sizes.append(len(sensors))
-            return dataset_rows(sensors, *args)
+        def counted(*args):
+            rows = laurent_rows(*args)
+            sizes.append(rows.size // rows.shape[-1])
+            return rows
 
         for module in (mf.forward, mf.operators, mf.verify, mf.cli):
-            if hasattr(module, "_dataset_rows"):
-                monkeypatch.setattr(module, "_dataset_rows", counted)
+            if hasattr(module, "_laurent_rows"):
+                monkeypatch.setattr(module, "_laurent_rows", counted)
         s = offcentre_scenario(kind)
         assert len(s.measurement) >= 3
         _, ok = run_verify(s)
         assert ok
-        assert sizes and max(sizes) <= 1
+        assert sizes == [1, 1]
 
     def test_nan_sample_fails(self):
         data = mf.generate_dataset(replace(mf.PRESETS["ball_pt3"], noise_level=0.0, h=0.2))
@@ -319,9 +321,9 @@ class TestTrialStreams:
 class TestRunVerify:
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_sensor_problem_built_once(self, monkeypatch, kind):
-        # one run takes sensor 0's ratio z from `_band` twice (data and factors) and
-        # builds its rule once, shared by data, factors and checks; the psf check alone
-        # does neither
+        # one run takes sensor 0's ratio z from `_band` once, for its factors, whose z
+        # the data row is written from, and builds its rule once, shared by data,
+        # factors and checks; the psf check alone does neither
         counts = {"_band": 0, "quadrature": 0}
         for name, original in (("_band", mf.forward._band),
                                ("quadrature", mf.geometry.quadrature)):
@@ -336,7 +338,7 @@ class TestRunVerify:
         s = offcentre_scenario(kind)
         reports, ok = run_verify(s)
         assert ok and len(reports) == 4
-        assert counts == {"_band": 2, "quadrature": 1}
+        assert counts == {"_band": 1, "quadrature": 1}
         counts.update(_band=0, quadrature=0)
         reports, ok = run_verify(s, only="psf")
         assert ok and len(reports) == 1
