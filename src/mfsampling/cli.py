@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from functools import partial
 
 from . import forward, imaging, verify
 from .forward import DatasetFormatError, add_noise, generate_dataset
@@ -36,21 +36,23 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
+def _overrides(args, fields: dict) -> dict:
+    """The scenario fields that --seed, --noise, --grid and --iso set, given its own
+    `fields`; `load_scenario` applies them before the one validation."""
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if getattr(args, "noise", None) is not None:
         updates["noise_level"] = args.noise
     if getattr(args, "grid", None) is not None:
-        b = scenario.sampling.bounds
+        b = fields["sampling"].bounds
         updates["sampling"] = SamplingGrid(bounds=b, resolution=(args.grid,) * 3)
     if getattr(args, "iso", None) is not None:
         try:
             updates["iso_values"] = tuple(float(v) for v in args.iso.split(","))
         except ValueError as exc:
             raise ConfigError(f"--iso: expected comma-separated numbers ({exc})") from exc
-    return replace(scenario, **updates) if updates else scenario
+    return updates
 
 
 def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
@@ -188,7 +190,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return EXIT_OK
 
-        scenario = _apply_overrides(load_scenario(args.config), args)
+        scenario = load_scenario(args.config, partial(_overrides, args))
 
         if args.command == "simulate":
             run_simulate(scenario, args.out)

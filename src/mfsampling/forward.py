@@ -15,7 +15,8 @@ power sum sum_q c_q z_q^m of one ratio z = e^{i dk phase} per quadrature node
 (J+1) x Q band; `_laurent_rows` writes them over m = -J..J, as the data P(T 1)
 and `verify`'s Gram row, and `_horner` sums the analysis factor's and the
 indicator's polynomials.  Arbitrary wavenumbers (`radiated_field`, the probe, and
-the near indicator) take `_cis` of the phase.  On a tensor grid the far phase is
+the near indicator) take `_cis` of the phase; `radiated_field` takes its wavenumbers
+in blocks of whole rows, never a J x Q array.  On a tensor grid the far phase is
 linear, so there `_grid_cis` evaluates the kernel on the three axes alone, and a
 voxel's factor is the product of its three axis points'.  Every e^{i theta} comes
 from one vectorised kernel, `_expi`: a table of the N-th roots of unity times
@@ -307,8 +308,9 @@ def _grid_cis(kind: str, points, axes, k: float):
     Near: `_cis` of the phase at every grid point of the layers.  Far: the phase is
     linear, so the grid's factors are the products (e0 e1) e2 of the axis factors
     e_a = e^{i k phase} on axis a with the other two coordinates zero, two complex
-    products per grid point; every sensor's axis factors come from one `_cis` of
-    their concatenated phases, taken here.
+    products per grid point, into one slab buffer kept across calls, which each call
+    overwrites; every sensor's axis factors come from one `_cis` of their concatenated
+    phases, taken here.
     """
     a0, a1, a2 = axes
     if kind == "near":
@@ -318,8 +320,16 @@ def _grid_cis(kind: str, points, axes, k: float):
     ph = np.concatenate([phase(kind, x, line) for x in points for line in lines])
     e0, e1, e2 = np.split(_cis(k, ph).reshape(len(points), -1), (a0.size, a0.size + a1.size),
                           axis=1)
-    return lambda ell, lo, hi: np.multiply.outer(np.multiply.outer(e0[ell, lo:hi], e1[ell]),
-                                                 e2[ell]).ravel()
+    buf = np.empty((0, a1.size, a2.size), dtype=complex)
+
+    def far(ell, lo, hi):
+        nonlocal buf
+        f0 = e0[ell, lo:hi]
+        if len(buf) < f0.size:
+            buf = np.empty((f0.size, a1.size, a2.size), dtype=complex)
+        return np.multiply.outer(np.multiply.outer(f0, e1[ell]), e2[ell],
+                                 out=buf[:f0.size]).ravel()
+    return far
 
 
 def _band(kind: str, x, points, dk: float) -> tuple[np.ndarray, np.ndarray | float]:
@@ -332,13 +342,14 @@ def _band(kind: str, x, points, dk: float) -> tuple[np.ndarray, np.ndarray | flo
 def _power_sums(z: np.ndarray, c: np.ndarray, J: int) -> np.ndarray:
     """Columns m = 0..J of sum_q c_q z_q^m over the last axis, for any leading shape: one
     running product per node, from c cast to complex, times z in place and in order, and
-    summed per row, so a row's bits depend on its own z and c alone."""
+    reduced per row into column m (`np.sum`'s reduction, without its wrapper), so a row's
+    bits depend on its own z and c alone."""
     p = np.array(c, dtype=complex)
     sums = np.empty(p.shape[:-1] + (J + 1,), dtype=complex)
-    sums[..., 0] = np.sum(p, axis=-1)
+    np.add.reduce(p, axis=-1, out=sums[..., 0])
     for m in range(1, J + 1):
         p *= z
-        sums[..., m] = np.sum(p, axis=-1)
+        np.add.reduce(p, axis=-1, out=sums[..., m])
     return sums
 
 
@@ -416,15 +427,24 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
 
     Quadrature of w * f * e^{i k phase} / spreading over the support; the near kernel is
     the outgoing point source, for x outside the closed support (`phase_range`), the far
-    kernel e^{-i k xhat.y}.  A scalar k gives a complex, an array of k an array of samples.
+    kernel e^{-i k xhat.y}.  A scalar k gives a complex, an array of k an array of samples
+    of its shape.  The wavenumbers go in blocks of whole rows of at most `_SLAB_VOXELS`
+    elements: `_cis`, times w f, divided by the spreading and summed per row, the bits of
+    the whole J x Q kernel without it.
     """
     phase_range(kind, x, support)
     ph = phase(kind, x, rule.nodes.T)
-    E = _cis(k, ph)
-    E *= rule.weights * support.amplitude_at(rule.nodes)  # in place: no J x Q temporaries
-    E /= _spreading(kind, ph)
-    u = np.sum(E, axis=-1)
-    return complex(u) if np.ndim(k) == 0 else u
+    wf, spreading = rule.weights * support.amplitude_at(rule.nodes), _spreading(kind, ph)
+    k = np.asarray(k, dtype=float)
+    u = np.empty(k.shape, dtype=complex)
+    ks, us = k.reshape(-1), u.reshape(-1)
+    step = max(1, _SLAB_VOXELS // ph.size)
+    for lo in range(0, ks.size, step):
+        E = _cis(ks[lo:lo + step], ph)
+        E *= wf
+        E /= spreading
+        np.add.reduce(E, axis=-1, out=us[lo:lo + step])
+    return complex(u) if u.ndim == 0 else u
 
 
 def mirror(positive: np.ndarray) -> np.ndarray:

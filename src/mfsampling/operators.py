@@ -69,6 +69,12 @@ def _toeplitz_forms(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
     return dk * dk * np.einsum("jl,tl,tj->t", block, G, np.conj(G))
 
 
+def _toeplitz_apply(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
+    """dk sum_l block[j, l] G[t, l] at each row t of a (T, J) array G: over the
+    `_toeplitz_block` of a row, the band convolution N applied to every row at once."""
+    return dk * np.einsum("jl,tl->tj", block, G)
+
+
 def _check_grid(data: MultiFreqDataset, g: FreqFunction) -> None:
     if g.grid != data.grid:
         raise ValueError("frequency grid mismatch between dataset and test function")
@@ -77,9 +83,8 @@ def _check_grid(data: MultiFreqDataset, g: FreqFunction) -> None:
 def apply_operator(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> FreqFunction:
     """Band convolution (N g)(k_j) = dk * sum_l values[sensor, j-l] g(k_l)."""
     _check_grid(data, g)
-    block = _toeplitz_block(data.values[sensor])
-    out = data.grid.spacing * np.einsum("jl,l->j", block, g.samples)
-    return FreqFunction(grid=data.grid, samples=out)
+    out = _toeplitz_apply(_toeplitz_block(data.values[sensor]), g.samples[None], data.grid.spacing)
+    return FreqFunction(grid=data.grid, samples=out[0])
 
 
 def quadratic_form(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> complex:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from .geometry import Ball, Cube, LShape, Peanut, RoundedCylinder, SourceSupport, Union
@@ -220,7 +220,9 @@ def _shape_lines(support: SourceSupport) -> list[str]:
     raise ConfigError(f"support {type(support).__name__} is not representable in config text")
 
 
-def parse_config_text(text: str) -> Scenario:
+def parse_config_text(text: str, updates: Callable[[dict], dict] | None = None) -> Scenario:
+    """The scenario config text describes.  `updates`, when given, maps the parsed fields
+    to those that replace them before the scenario is built, and so validated, once."""
     kv: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -285,7 +287,7 @@ def parse_config_text(text: str) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"key 'grid_bounds'/'grid_n': {exc}") from exc
 
-    return Scenario(
+    fields = dict(
         support=support,
         h=_floats("h", kv.get("h", "0.1"), 1)[0],
         measurement=measurement,
@@ -297,9 +299,12 @@ def parse_config_text(text: str) -> Scenario:
         iso_values=tuple(_floats("iso", kv.get("iso", "0.7"))),
         label=kv.get("label", ""),
     )
+    if updates is not None:
+        fields.update(updates(fields))
+    return Scenario(**fields)
 
 
-def parse_config(path) -> Scenario:
+def parse_config(path, updates: Callable[[dict], dict] | None = None) -> Scenario:
     # A byte that is not UTF-8 decodes to a lone surrogate: it may sit in a comment,
     # and elsewhere the parser names its line as non-ASCII.
     try:
@@ -307,7 +312,7 @@ def parse_config(path) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, updates)
 
 
 def write_config_text(s: Scenario) -> str:
@@ -402,9 +407,12 @@ def _build_presets() -> dict[str, Scenario]:
 PRESETS: dict[str, Scenario] = _build_presets()
 
 
-def load_scenario(name_or_path) -> Scenario:
-    """Resolve a preset name or read a config file."""
+def load_scenario(name_or_path, updates: Callable[[dict], dict] | None = None) -> Scenario:
+    """Resolve a preset name or read a config file, with the fields `updates` returns
+    (see `parse_config_text`) in place of its own; a preset is rebuilt only if they
+    change it."""
     key = str(name_or_path)
-    if key in PRESETS:
-        return PRESETS[key]
-    return parse_config(name_or_path)
+    if key not in PRESETS:
+        return parse_config(name_or_path, updates)
+    changes = updates(vars(PRESETS[key])) if updates is not None else {}
+    return replace(PRESETS[key], **changes) if changes else PRESETS[key]

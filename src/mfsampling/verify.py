@@ -7,7 +7,8 @@ Checks are deterministic given (scenario, seed).  The scenario certificates
 run on the noiseless data of sensor 0 alone, never all `L` rows: `run_verify`
 builds that row, its quadrature rule and its factors once per run and passes
 them to each check, and a check called on its own builds them itself.  Each
-check draws its random test functions as one batch from a seeded stream.
+check draws its random test functions as one batch from a seeded stream and
+applies the data operator to the whole batch at once.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_l
                       radiated_field)
 from .geometry import QuadratureRule, quadrature
 from .imaging import psf_closed_form, psf_discrete
-from .operators import (Factorization, FreqFunction, _toeplitz_block, _toeplitz_forms,
-                        apply_operator)
+from .operators import (Factorization, FreqFunction, _toeplitz_apply, _toeplitz_block,
+                        _toeplitz_forms)
 
 _FACTORIZATION_SALT = 0x8F1E
 _COERCIVITY_SALT = 0x51D3
@@ -112,18 +113,21 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
                         problem: _Problem | None = None) -> VerificationReport:
     """Certify N = P T P* on matched quadrature: max over random g of ||(N - PTP*)g|| / ||Ng||.
 
-    `problem`, when given, is `_sensor_problem(scenario, sensor)`; otherwise
-    the check builds it.
+    N is applied to all the trials in one `_toeplitz_apply` call, row by row the
+    bits of `apply_operator`; the exported factors are applied to one trial at
+    a time.  `problem`, when given, is `_sensor_problem(scenario, sensor)`;
+    otherwise the check builds it.
     """
     t0 = time.perf_counter()
     data, rule, fac = problem or _sensor_problem(scenario, sensor)
+    G = _draws(scenario, sensor, _FACTORIZATION_SALT)(trials)
+    NG = _toeplitz_apply(_toeplitz_block(data.values[0]), G, scenario.frequencies.spacing)
     residual = 0.0
-    for samples in _draws(scenario, sensor, _FACTORIZATION_SALT)(trials):
-        g = FreqFunction(scenario.frequencies, samples)
-        Ng = apply_operator(data, 0, g).samples
+    for samples, Ng in zip(G, NG):
         den = np.linalg.norm(Ng)
         if den == 0.0:
             raise ValueError("degenerate scenario: data operator annihilates a random test function")
+        g = FreqFunction(scenario.frequencies, samples)
         num = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g))).samples)
         residual = max(residual, float(num / den))
     return _report("factorization", scenario.summary(), residual, tol, t0,

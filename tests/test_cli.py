@@ -356,9 +356,9 @@ class TestCommandCounts:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_one_rule_and_no_rebuilt_scenario_per_command(self, monkeypatch, tmp_path, name):
-        # simulate and verify each build one quadrature rule and image none; verify
-        # validates its scenario once more for --noise alone, and no command builds a
-        # Ball beyond those its config parse makes
+        # simulate and verify each build one quadrature rule and image none; each
+        # command validates its scenario once, its flags (verify's --noise) applied
+        # before, and no command builds a Ball beyond those its config parse makes
         counts = dict.fromkeys(("quadrature", "validate", "Ball"), 0)
 
         def counting(key, original):
@@ -389,7 +389,7 @@ class TestCommandCounts:
             seen[argv[0]] = dict(counts)
         assert seen == {"simulate": {"quadrature": 1, "validate": 1, "Ball": parsed},
                         "image": {"quadrature": 0, "validate": 1, "Ball": parsed},
-                        "verify": {"quadrature": 1, "validate": 2, "Ball": parsed}}
+                        "verify": {"quadrature": 1, "validate": 1, "Ball": parsed}}
 
 
 class TestMainExitCodes:
@@ -451,6 +451,19 @@ class TestMainExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: key 'noise'")
         assert not out.exists()
+
+    def test_flags_replace_config_values_before_validation(self, tmp_path, capsys):
+        # the one validation sees the flags' values: a config key out of range alone is
+        # refused, and a flag that replaces it is accepted; a flag's own error exits 2
+        cfg, out = tmp_path / "c.cfg", tmp_path / "d.mfd"
+        cfg.write_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso = 1.5\n")
+        argv = ["simulate", "--config", str(cfg), "--grid", "4", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'iso'")
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'seed'")
+        assert not out.exists()
+        assert main(argv + ["--iso", "0.5"]) == 0
 
     @pytest.mark.parametrize("key, value", [("h", math.nan), ("h", math.inf),
                                             ("noise_level", math.nan), ("noise_level", math.inf)])

@@ -1,9 +1,9 @@
 """Design guards over the package source: near and far are one algorithm with
 different phase maps, so only a fixed set of functions may branch on the kind; a
 command builds one quadrature rule, so only a fixed set of functions may build one;
-the band has one kernel, one row writer and one Horner pass, so only a fixed set of
-functions may call each; and every e^{i theta} comes from one vectorised kernel,
-so only the closed-form references may call `exp`."""
+the band has one kernel, one row writer, one Horner pass and one Toeplitz apply, so
+only a fixed set of functions may call each; and every e^{i theta} comes from one
+vectorised kernel, so only the closed-form references may call `exp`."""
 
 import ast
 from pathlib import Path
@@ -29,6 +29,10 @@ ROW_WRITERS = ["_sensor_problem", "check_coercivity", "generate_dataset"]
 
 # One Horner pass: the analysis factor's polynomial in conj(z) and the indicator's in w.
 HORNER_CALLERS = ["analysis", "compute_indicator"]
+
+# One Toeplitz apply of the band convolution N: a single test function, or the
+# factorization certificate's whole batch of trials in one call.
+TOEPLITZ_APPLY_CALLERS = ["apply_operator", "check_factorization"]
 
 # `forward._expi` gives every e^{i theta} of the data, the factors, the probe and the
 # indicator; its table is built in double-double from one root of unity, with no call
@@ -100,6 +104,10 @@ def test_only_the_listed_functions_write_band_rows():
 
 def test_only_the_listed_functions_run_horner():
     assert _all_callers("_horner") == HORNER_CALLERS
+
+
+def test_only_the_listed_functions_apply_a_toeplitz_block():
+    assert _all_callers("_toeplitz_apply") == TOEPLITZ_APPLY_CALLERS
 
 
 def test_only_the_listed_functions_call_exp():

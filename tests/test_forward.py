@@ -477,6 +477,73 @@ class TestBand:
             tracemalloc.stop()
         assert peak < 1.25 * J * len(rule) * 16
 
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_radiated_field_peak_flat_in_J(self, kind):
+        # one block of whole rows of at most `_SLAB_VOXELS` elements at a time, so the
+        # peak is the block, Q-sized vectors and `_expi`'s scratch, whatever J: 0.66-0.73
+        # MiB with the scratch already made, about 1.3 MiB when the call makes it, against
+        # a J x Q band of 5.3 MiB at J = 48 and 21 MiB at J = 192 (numpy 2.4.6)
+        s = wide_band_scenario(kind)
+        rule = quadrature(s.support, s.h)
+        for J in (48, 192):
+            nodes = FrequencyGrid(k_max=30.0, count=J).nodes
+            tracemalloc.start()
+            try:
+                radiated_field(kind, s.support, rule, s.measurement.points[0], nodes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_radiated_field_blocks_leave_no_trace(self, monkeypatch, kind):
+        # blocks of one row, of the cache budget (2 blocks, the last short) and of all rows
+        # give the bits of the whole J x Q kernel, weighted, spread and summed per row; a
+        # 2-D k keeps its shape (its blocks cut its rows) and a scalar k gives a complex
+        s = replace(offcentre_scenario(kind), h=0.15,
+                    frequencies=FrequencyGrid(k_max=30.0, count=48))
+        if kind == "near":
+            s = replace(s, measurement=MeasurementSet("near", [(2.9, 1.3, -1.1)]))
+        rule, x = quadrature(s.support, s.h), s.measurement.points[0]
+        step = mf.forward._SLAB_VOXELS // len(rule)
+        assert 1 < step < 48 and 48 % step
+        ph = mf.phase(kind, x, rule.nodes.T)
+        k = -s.frequencies.nodes
+        E = mf.forward._cis(k, ph)
+        E *= rule.weights * s.support.amplitude_at(rule.nodes)
+        E /= mf.forward._spreading(kind, ph)
+        expected = np.sum(E, axis=-1)
+        for budget in (1, mf.forward._SLAB_VOXELS, 10**9):
+            monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", budget)
+            u = radiated_field(kind, s.support, rule, x, k)
+            assert u.shape == (48,) and u.tobytes() == expected.tobytes()
+            u = radiated_field(kind, s.support, rule, x, k[5])
+            assert type(u) is complex and u == expected[5]
+        monkeypatch.undo()
+        u = radiated_field(kind, s.support, rule, x, k.reshape(6, 8))
+        assert u.shape == (6, 8) and u.tobytes() == expected.tobytes()
+
+    def test_power_sums_match_per_column_sums(self):
+        # the in-place reductions give np.sum's bits, column by column: a 1-D row, a
+        # short last block of rows, and a single node
+        def reference(z, c, J):
+            p, cols = np.array(c, dtype=complex), []
+            for m in range(J + 1):
+                if m:
+                    p *= z
+                cols.append(np.sum(p, axis=-1))
+            return np.stack(cols, axis=-1)
+
+        s = offcentre_scenario("near")
+        rule = quadrature(s.support, s.h)
+        z = np.stack([mf.forward._band("near", x, rule.nodes, 0.7)[0]
+                      for x in s.measurement.points + ((0.5, -3.5, 3.0),)])
+        c = np.random.default_rng(5).standard_normal(z.shape)
+        for zz, cc in ((z[0], c[0]), (z, c), (z[1, :1], c[1, :1])):
+            sums = mf.forward._power_sums(zz, cc, 40)
+            assert sums.shape == zz.shape[:-1] + (41,)
+            assert sums.tobytes() == reference(zz, cc, 40).tobytes()
+
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 

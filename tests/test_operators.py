@@ -20,6 +20,7 @@ from mfsampling import (
     quadratic_form,
     quadrature,
 )
+from mfsampling.operators import _toeplitz_apply, _toeplitz_block
 from mfsampling.verify import _sensor_problem
 from conftest import freq_inner, support_inner, support_norm
 
@@ -76,6 +77,27 @@ class TestApplyNearOperator:
         g = FreqFunction(FrequencyGrid(k_max=11.0, count=7), np.zeros(7, dtype=complex))
         with pytest.raises(ValueError, match="grid mismatch"):
             apply_operator(ball_dataset, 0, g)
+
+
+@pytest.mark.parametrize("kind", ["near", "far"])
+def test_batch_apply_rows_match_apply_operator(kind):
+    # `check_factorization` applies N to all its trials in one call; each row has the bits
+    # of `apply_operator` on that trial alone, and of the one-row einsum it replaced
+    s = mf.Scenario(
+        support=Ball(center=(1.2, 0.4, 0.0), radius=0.5), h=0.2,
+        measurement=MeasurementSet(kind, [(3.0, -0.5, 0.5) if kind == "near"
+                                          else (0.6, -0.48, 0.64)]),
+        frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0, seed=1)
+    rng = np.random.default_rng(11)
+    G = (rng.standard_normal((20, 40)) + 1j * rng.standard_normal((20, 40))) / math.sqrt(2)
+    for zero_mode in ("extend", "drop"):
+        data = _sensor_problem(replace(s, zero_mode=zero_mode)).data
+        block, dk = _toeplitz_block(data.values[0]), data.grid.spacing
+        rows = _toeplitz_apply(block, G, dk)
+        for g, row in zip(G, rows):
+            one = apply_operator(data, 0, FreqFunction(data.grid, g)).samples
+            assert row.tobytes() == one.tobytes()
+            assert row.tobytes() == (dk * np.einsum("jl,l->j", block, g)).tobytes()
 
 
 class TestQuadraticForms:
