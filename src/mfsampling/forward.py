@@ -16,14 +16,14 @@ power sum sum_q c_q z_q^m of one ratio z = e^{i dk phase} per quadrature node
 and `verify`'s Gram row, and `_horner` sums the analysis factor's and the
 indicator's polynomials.  Arbitrary wavenumbers (`radiated_field`, the probe, and
 the near indicator) take `_cis` of the phase; `radiated_field` takes its wavenumbers
-in blocks of whole rows, never a J x Q array.  On a tensor grid the far phase is
-linear, so there `_grid_cis` evaluates the kernel on the three axes alone, and a
-voxel's factor is the product of its three axis points'.  Every e^{i theta} comes
-from one vectorised kernel, `_expi`: a table of the N-th roots of unity times
-short polynomials, within 0.254 eps per part, in cache-sized blocks.  Only
-`MeasurementSet.__post_init__` (a far set's points must be unit vectors), `phase`,
-`_spreading`, `_grid_cis` and `phase_range` (the phase's exact range over the
-closed support, which refuses a sensor point in it) branch on the kind.
+in blocks of whole rows, never a J x Q array.  `_grid_walk` walks the indicator's grid;
+the far phase is linear, so there it evaluates the kernel on the three axes alone.
+Every e^{i theta} comes from one vectorised kernel, `_expi`: a table of the N-th roots
+of unity times short polynomials, within 0.254 eps per part.  Every cache-sized loop
+takes its blocks of whole rows from `_row_blocks`.  Only `MeasurementSet.__post_init__`
+(a far set's points must be unit vectors), `phase`, `_spreading`, `_grid_walk` and
+`phase_range` (the phase's exact range over the closed support, which refuses a sensor
+point in it) branch on the kind.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ if TYPE_CHECKING:
 
 DATASET_MAGIC = "mfsampling-dataset v1"
 _UNIT_TOL = 1e-12
-# Elements per cache-sized slab, sensor rows x nodes here and voxels in `imaging`: small
-# enough that a slab's working arrays stay in cache, large enough to amortize each call.
+# Elements per cache-sized slab (`_row_blocks`): small enough that a slab's working
+# arrays stay in cache, large enough to amortize each call.
 _SLAB_VOXELS = 16384
 
 
@@ -122,7 +122,7 @@ def phase(kind: str, x, coords) -> np.ndarray:
     direction xhat: -xhat.y, summed in axis order.  The data kernel
     e^{i k phase} / spreading, the probe, the outer and middle factors and the
     indicator are all built from this map, so their signs agree by construction;
-    beside it only `MeasurementSet.__post_init__`, `_spreading`, `_grid_cis` and
+    beside it only `MeasurementSet.__post_init__`, `_spreading`, `_grid_walk` and
     `phase_range` branch on the kind.
     """
     y0, y1, y2 = coords
@@ -150,6 +150,13 @@ def phase_range(kind: str, x, support: SourceSupport) -> tuple[float, float]:
 def _spreading(kind: str, ph: np.ndarray) -> np.ndarray | float:
     """The kernel's spreading at phase ph: 4 pi |x - y| near, 1.0 far."""
     return 4 * math.pi * ph if kind == "near" else 1.0
+
+
+def _row_blocks(rows: int, row_size: int):
+    """Slices of whole rows over 0..rows, in order: each of at least one row and at most
+    `_SLAB_VOXELS` elements, unless one row alone exceeds them."""
+    step = max(1, _SLAB_VOXELS // row_size)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 # e^{i theta} = T[n] e^{i phi} with theta = n 2 pi / N + phi, |phi| <= pi / N (`_expi`).
@@ -228,8 +235,8 @@ def _scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _expi(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """e^{i theta} into `out` (C-contiguous complex, theta's size), in blocks of
-    `_SLAB_VOXELS`.
+    """e^{i theta} into `out` (C-contiguous complex, theta's size), one `_row_blocks`
+    slab of elements at a time.
 
     n = rint(theta N / 2 pi) picks T = e^{2 pi i n / N} (`_cis_table`, as T_hi + T_lo),
     phi = (theta - n C1) - (n C2 + n C3), and E = (cos phi - 1) + i sin phi by
@@ -255,8 +262,8 @@ def _expi(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     flat, dest = theta.reshape(-1), out.reshape(-1)
     e, lo, j = _scratch(min(flat.size, _SLAB_VOXELS))
-    for start in range(0, flat.size, _SLAB_VOXELS):
-        t, o = flat[start:start + _SLAB_VOXELS], dest[start:start + _SLAB_VOXELS]
+    for block in _row_blocks(flat.size, 1):
+        t, o = flat[block], dest[block]
         b = t.size
         eb, lb, jb = e[:b], lo[:b], j[:b]
         # scratch reals: n and phi, then the sine, in the output block; p and the cosine in lo's
@@ -291,45 +298,43 @@ def _expi(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _cis(k: float | np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """e^{i k ph}, rows k by columns ph, from `_expi` a block of whole rows at a time."""
+    """e^{i k ph}, rows k by columns ph, from one `_expi` of their outer product: every
+    caller passes a single row or at most one slab of elements (`radiated_field`)."""
     k, ph = np.asarray(k, dtype=float), np.asarray(ph, dtype=float)
-    out = np.empty(k.shape + ph.shape, dtype=complex)
-    rows, ks, cols = out.reshape(k.size, ph.size), k.reshape(-1, 1), ph.reshape(-1)
-    step = max(1, _SLAB_VOXELS // max(1, cols.size))
-    for lo in range(0, k.size, step):
-        _expi(ks[lo:lo + step] * cols, rows[lo:lo + step])
-    return out
+    return _expi(np.multiply.outer(k, ph), np.empty(k.shape + ph.shape, dtype=complex))
 
 
-def _grid_cis(kind: str, points, axes, k: float):
-    """e^{i k phase} of each sensor on the tensor grid of three axis vectors: a function
-    of (l, lo, hi) that gives sensor l's on axis-0 layers lo:hi, flattened row-major.
+def _grid_walk(kind: str, points, axes, k: float):
+    """e^{i k phase} of each sensor on the tensor grid of three axis vectors: yields
+    (voxels, l, w), sensor l's w on the slab `voxels` of the row-major grid, sensor by
+    sensor within each slab of whole axis-0 layers (`_row_blocks`), slab after slab.
 
-    Near: `_cis` of the phase at every grid point of the layers.  Far: the phase is
-    linear, so the grid's factors are the products (e0 e1) e2 of the axis factors
-    e_a = e^{i k phase} on axis a with the other two coordinates zero, two complex
-    products per grid point, into one slab buffer kept across calls, which each call
-    overwrites; every sensor's axis factors come from one `_cis` of their concatenated
-    phases, taken here.
+    Near: `_cis` of the phase at every voxel of the slab.  Far: the phase is linear, so
+    w is the product (e0 e1) e2 of the axis factors e_a = e^{i k phase} on axis a with
+    the other two coordinates zero, two complex products per voxel, into one slab
+    buffer kept for the walk, which each step overwrites; every sensor's axis factors
+    come from one `_cis` of their concatenated phases, taken before the first slab.
     """
     a0, a1, a2 = axes
-    if kind == "near":
-        return lambda ell, lo, hi: _cis(k, phase(kind, points[ell],
-                                                 np.ix_(a0[lo:hi], a1, a2)).ravel())
-    lines = ((a0, 0.0, 0.0), (0.0, a1, 0.0), (0.0, 0.0, a2))
-    ph = np.concatenate([phase(kind, x, line) for x in points for line in lines])
-    e0, e1, e2 = np.split(_cis(k, ph).reshape(len(points), -1), (a0.size, a0.size + a1.size),
-                          axis=1)
-    buf = np.empty((0, a1.size, a2.size), dtype=complex)
-
-    def far(ell, lo, hi):
-        nonlocal buf
-        f0 = e0[ell, lo:hi]
-        if len(buf) < f0.size:
-            buf = np.empty((f0.size, a1.size, a2.size), dtype=complex)
-        return np.multiply.outer(np.multiply.outer(f0, e1[ell]), e2[ell],
-                                 out=buf[:f0.size]).ravel()
-    return far
+    layer = a1.size * a2.size
+    if kind == "far":
+        lines = ((a0, 0.0, 0.0), (0.0, a1, 0.0), (0.0, 0.0, a2))
+        ph = np.concatenate([phase(kind, x, line) for x in points for line in lines])
+        e0, e1, e2 = np.split(_cis(k, ph).reshape(len(points), -1),
+                              (a0.size, a0.size + a1.size), axis=1)
+        buf = np.empty((0, a1.size, a2.size), dtype=complex)
+    for rows in _row_blocks(a0.size, layer):
+        voxels = slice(rows.start * layer, rows.stop * layer)
+        for ell, x in enumerate(points):
+            if kind == "near":
+                w = _cis(k, phase(kind, x, np.ix_(a0[rows], a1, a2)).ravel())
+            else:
+                f0 = e0[ell, rows]
+                if len(buf) < f0.size:  # the first slab is the largest
+                    buf = np.empty((f0.size, a1.size, a2.size), dtype=complex)
+                w = np.multiply.outer(np.multiply.outer(f0, e1[ell]), e2[ell],
+                                      out=buf[:f0.size]).ravel()
+            yield voxels, ell, w
 
 
 def _band(kind: str, x, points, dk: float) -> tuple[np.ndarray, np.ndarray | float]:
@@ -428,9 +433,9 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     Quadrature of w * f * e^{i k phase} / spreading over the support; the near kernel is
     the outgoing point source, for x outside the closed support (`phase_range`), the far
     kernel e^{-i k xhat.y}.  A scalar k gives a complex, an array of k an array of samples
-    of its shape.  The wavenumbers go in blocks of whole rows of at most `_SLAB_VOXELS`
-    elements: `_cis`, times w f, divided by the spreading and summed per row, the bits of
-    the whole J x Q kernel without it.
+    of its shape.  The wavenumbers go in `_row_blocks` of Q-sized rows: `_cis`, times w f,
+    divided by the spreading and summed per row, the bits of the whole J x Q kernel
+    without it.
     """
     phase_range(kind, x, support)
     ph = phase(kind, x, rule.nodes.T)
@@ -438,12 +443,11 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     k = np.asarray(k, dtype=float)
     u = np.empty(k.shape, dtype=complex)
     ks, us = k.reshape(-1), u.reshape(-1)
-    step = max(1, _SLAB_VOXELS // ph.size)
-    for lo in range(0, ks.size, step):
-        E = _cis(ks[lo:lo + step], ph)
+    for rows in _row_blocks(ks.size, ph.size):
+        E = _cis(ks[rows], ph)
         E *= wf
         E /= spreading
-        np.add.reduce(E, axis=-1, out=us[lo:lo + step])
+        np.add.reduce(E, axis=-1, out=us[rows])
     return complex(u) if u.ndim == 0 else u
 
 
@@ -459,21 +463,20 @@ def mirror(positive: np.ndarray) -> np.ndarray:
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
     """Noiseless multi-frequency dataset for a scenario, on the one quadrature rule built
     here: each row is P(T 1), the `_laurent_rows` of its sensor's z (`_band`) against the
-    weights times T 1 = f / spreading, in blocks of whole rows of at most `_SLAB_VOXELS`
-    nodes.  A row depends on its own z and c alone, so `verify` writes sensor 0's alike."""
+    weights times T 1 = f / spreading, in `_row_blocks` of Q-node rows.  A row depends on
+    its own z and c alone, so `verify` writes sensor 0's alike."""
     rule = quadrature(scenario.support, scenario.h)
     sensors, grid, J = scenario.measurement, scenario.frequencies, scenario.frequencies.count
-    amplitude = scenario.support.amplitude_at(rule.nodes)
+    amplitude, points = scenario.support.amplitude_at(rule.nodes), sensors.array
     values = np.empty((len(sensors), 2 * J + 1), dtype=complex)
-    step = max(1, _SLAB_VOXELS // len(rule))
-    for lo in range(0, len(sensors), step):
-        block = sensors.array[lo:lo + step]
+    for rows in _row_blocks(len(sensors), len(rule)):
+        block = points[rows]
         z = np.empty((len(block), len(rule)), dtype=complex)
         c = np.empty(z.shape)
         for i, x in enumerate(block):
             z[i], spreading = _band(sensors.kind, x, rule.nodes, grid.spacing)
             c[i] = rule.weights * (amplitude / spreading)
-        values[lo:lo + step] = _laurent_rows(z, c, J, scenario.zero_mode)
+        values[rows] = _laurent_rows(z, c, J, scenario.zero_mode)
     return MultiFreqDataset(sensors=sensors, grid=grid, values=values, noise_level=0.0,
                             seed=scenario.seed)
 

@@ -5,9 +5,9 @@ unimodular probe built from the sensor's phase map t (distance for near-field
 sensors, negated projection for far-field directions) and the moduli are
 summed over sensors.  At that probe the form is w^{1-J} times the polynomial
 dk^2 sum_{|m|<J} (J - |m|) u_m w^{m+J-1} in w = e^{-i dk t}; as |w| = 1, one
-Horner pass gives its modulus.  For a near sensor w is `forward`'s vectorised
-complex exponential at every voxel; a far phase is linear, so there w is a product
-of per-axis factors, taken once per run, at two complex products per voxel.
+Horner pass gives its modulus.  `forward._grid_walk` gives w slab by slab: a near
+sensor's is the vectorised complex exponential at every voxel; a far phase is linear,
+so there w is a product of per-axis factors, at two complex products per voxel.
 Includes the band-limited point spread profile, field normalization, plane slicing,
 iso-thresholding, and file export.
 """
@@ -23,10 +23,9 @@ import numpy as np
 from .forward import (
     FrequencyGrid,
     MultiFreqDataset,
-    _SLAB_VOXELS,
     _cis,
     _format_floats,
-    _grid_cis,
+    _grid_walk,
     _horner,
     _numbers,
     _reading,
@@ -147,21 +146,17 @@ def compute_indicator(data: MultiFreqDataset, grid: SamplingGrid) -> IndicatorFi
     the Fejer polynomial in w = e^{-i dk phase(z)} with coefficients dk^2 (J - |m|) u_m,
     summed by `_horner` as a polynomial: the form's factor w^{1-J} has modulus 1.
 
-    The grid is taken one slab of axis-0 layers at a time, with each sensor's w on the
-    slab from `_grid_cis` (the kernel at every voxel near, products of per-axis factors
-    taken once far); each voxel sums its sensors in sensor order."""
+    Each sensor's w comes slab by slab from `_grid_walk` (the kernel at every voxel
+    near, products of per-axis factors taken once far), and each slab of the total adds
+    it in place; each voxel sums its sensors in sensor order."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     coeffs = [weights * row[1:-1] for row in data.values]
     axes = [grid.axis_centers(a) for a in range(3)]
-    w = _grid_cis(data.kind, data.sensors.array, axes, -dk)
-    layer = axes[1].size * axes[2].size
-    step = max(1, _SLAB_VOXELS // layer)
     total = np.zeros(grid.size)
-    for lo in range(0, axes[0].size, step):
-        slab = total[lo * layer:(lo + step) * layer]
-        for ell, c in enumerate(coeffs):
-            slab += np.abs(_horner(c, w(ell, lo, lo + step)))
+    for voxels, ell, w in _grid_walk(data.kind, data.sensors.array, axes, -dk):
+        slab = total[voxels]  # a view: `total[voxels] +=` would copy it back
+        slab += np.abs(_horner(coeffs[ell], w))
     return IndicatorField(grid=grid, values=total, normalized=False)
 
 

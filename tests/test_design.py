@@ -2,8 +2,9 @@
 different phase maps, so only a fixed set of functions may branch on the kind; a
 command builds one quadrature rule, so only a fixed set of functions may build one;
 the band has one kernel, one row writer, one Horner pass and one Toeplitz apply, so
-only a fixed set of functions may call each; and every e^{i theta} comes from one
-vectorised kernel, so only the closed-form references may call `exp`."""
+only a fixed set of functions may call each; every e^{i theta} comes from one
+vectorised kernel, so only the closed-form references may call `exp`; and every
+cache-sized loop takes its blocks from one slab rule, which alone reads the budget."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mfsampling"
 # The phase map and what cannot be written through it: validation, the spreading,
 # the far grid's per-axis exponentials and the phase range.  The config reader and
 # writer take each kind's keys from one table.
-KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_cis", "_spreading", "phase", "phase_range"]
+KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_walk", "_spreading", "phase", "phase_range"]
 
 # `simulate` builds its rule in `generate_dataset`; a `verify` run builds one in
 # `_sensor_problem`, and its data and factors share it.
@@ -40,6 +41,14 @@ TOEPLITZ_APPLY_CALLERS = ["apply_operator", "check_factorization"]
 # sums, call `exp`; `_cis`, which takes rows of wavenumbers, alone calls `_expi`.
 EXP_CALLERS = ["check_psf", "psf_closed_form", "psf_discrete"]
 EXPI_CALLERS = ["_cis"]
+
+# One slab rule, `forward._row_blocks`: blocks of whole rows of at most `_SLAB_VOXELS`
+# elements, for the kernel's elements, the walk's grid layers, the data's sensors and
+# `radiated_field`'s wavenumbers.  The indicator takes its slabs from the one grid walk.
+# Beside the rule only `_expi`'s scratch sizing reads the budget.
+ROW_BLOCK_CALLERS = ["_expi", "_grid_walk", "generate_dataset", "radiated_field"]
+GRID_WALK_CALLERS = ["compute_indicator"]
+SLAB_BUDGET_READERS = ["forward._expi", "forward._row_blocks"]
 
 
 def _is_kind(node) -> bool:
@@ -116,3 +125,31 @@ def test_only_the_listed_functions_call_exp():
 
 def test_only_the_listed_functions_call_expi():
     assert _all_callers("_expi") == EXPI_CALLERS
+
+
+def test_only_the_listed_functions_take_row_blocks():
+    assert _all_callers("_row_blocks") == ROW_BLOCK_CALLERS
+
+
+def test_only_the_listed_functions_walk_the_grid():
+    assert _all_callers("_grid_walk") == GRID_WALK_CALLERS
+
+
+def _readers(tree, name, module, func="<module>"):
+    """`module.function` of each load, attribute or import of `name` in tree, named by
+    its innermost enclosing function."""
+    for node in ast.iter_child_nodes(tree):
+        if ((isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))):
+            yield f"{module}.{func}"
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _readers(node, name, module, inner)
+
+
+def test_only_the_slab_rule_and_the_kernel_scratch_read_the_budget():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_readers(ast.parse(path.read_text(encoding="utf-8")), "_SLAB_VOXELS",
+                              path.stem))
+    assert sorted(found) == SLAB_BUDGET_READERS

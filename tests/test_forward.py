@@ -462,8 +462,8 @@ class TestBand:
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_radiated_field_peak_near_its_output(self, kind):
-        # `_cis` fills the J x Q output a block of whole rows at a time, and `_expi`
-        # works in cache-sized blocks, so no J x Q temporary is built.  The peak is
+        # `radiated_field` takes the J x Q kernel a block of whole rows at a time, and
+        # `_expi` works in cache-sized blocks, so no J x Q temporary is built.  The peak is
         # 1.09-1.19 times the output here; forming the whole phase array and its
         # exponential at once reaches 1.53.
         s = wide_band_scenario(kind)
@@ -653,16 +653,52 @@ class TestExpi:
                     assert abs(Decimal(h) + Decimal(l) - exact) <= Decimal(2) ** -96
 
     def test_blocks_and_shapes_leave_bits(self, monkeypatch):
-        # the kernel is elementwise: its blocks, and `_cis`'s blocks of whole rows,
-        # do not change a bit
+        # the kernel is elementwise: its blocks, which may cut `_cis`'s rows, do not
+        # change a bit
         k, ph = np.linspace(-9.0, 30.0, 37), np.random.default_rng(5).uniform(-4, 7, 50)
         whole = mf.forward._cis(k, ph)
         assert whole.shape == (37, 50)
-        monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", 64)  # blocks of 1 row, rows cut
+        monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", 64)  # blocks cut the rows of 50
         assert mf.forward._cis(k, ph).tobytes() == whole.tobytes()
         theta = np.multiply.outer(k, ph)
         flat = mf.forward._expi(theta.ravel(), np.empty(theta.size, dtype=complex))
         assert flat.tobytes() == whole.tobytes()
+
+    def test_scratch_kept_across_calls(self, monkeypatch):
+        # two calls of at most one slab get the same scratch arrays back: fresh scratch
+        # per call can cost more in page faults than the kernel itself
+        scratch, got = mf.forward._scratch, []
+
+        def recording(size):
+            got.append(scratch(size))
+            return got[-1]
+
+        monkeypatch.setattr(mf.forward, "_scratch", recording)
+        theta = np.linspace(-9.0, 30.0, mf.forward._SLAB_VOXELS)
+        for size in (theta.size, 37):
+            mf.forward._expi(theta[:size], np.empty(size, dtype=complex))
+        assert len(got) == 2 and all(a is b for a, b in zip(*got))
+
+
+class TestRowBlocks:
+    """`forward._row_blocks`, the one slab rule: whole rows in order, each slice at least
+    one row and at most the budget's elements, unless one row alone exceeds it."""
+
+    @pytest.mark.parametrize("budget", [1, 110, mf.forward._SLAB_VOXELS, 10**9])
+    def test_whole_rows_within_budget(self, budget, monkeypatch):
+        monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", budget)
+        # row sizes that divide the budget, that do not, and that exceed it
+        for row_size in (1, 2, 3, 11, 55, 110, 111, 7208, budget, budget + 1):
+            assert list(mf.forward._row_blocks(0, row_size)) == []
+            for rows in (1, 2, 7, 37, 1000):
+                blocks = list(mf.forward._row_blocks(rows, row_size))
+                assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+                assert all(b.step is None and b.stop <= rows for b in blocks)
+                for b in blocks:
+                    n = b.stop - b.start
+                    assert n >= 1 and (n == 1 or n * row_size <= budget)
+                for b in blocks[:-1]:  # full: one more row would pass the budget
+                    assert (b.stop - b.start + 1) * row_size > budget
 
 
 class TestAddNoise:

@@ -315,7 +315,8 @@ class TestGridPhases:
 
 
 class TestGridCis:
-    """The indicator's w: `_cis` of `phase` near, per-axis products far."""
+    """The indicator's w from `_grid_walk`: `_cis` of `phase` near, per-axis products
+    far, into one slab buffer kept for the walk."""
 
     def test_far_product_within_rounding_of_cis(self):
         # Four exponentials (three factors and the reference), each within 0.254 eps
@@ -331,7 +332,8 @@ class TestGridCis:
         eps = np.finfo(float).eps
         for x in s.measurement.array:
             t = mf.phase("far", x, centers.T)
-            w = mf.forward._grid_cis("far", [x], axes, -dk)(0, 0, axes[0].size)
+            w = np.concatenate([w.copy() for _, _, w in
+                                mf.forward._grid_walk("far", [x], axes, -dk)])
             err = np.abs(w - mf.forward._cis(-dk, t))
             spread = dk * np.abs(centers * x).sum(axis=1)
             assert np.all(err <= 6 * eps * (1 + spread + dk * np.abs(t)))
@@ -340,7 +342,7 @@ class TestGridCis:
     def test_indicator_exponential_count(self, kind, monkeypatch):
         # near: one exponential per voxel and sensor; far: one per axis point and
         # sensor, taken once for all slabs
-        monkeypatch.setattr(mf.imaging, "_SLAB_VOXELS", 110)  # 4 slabs of the 7 layers
+        monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", 110)  # 4 slabs of the 7 layers
         s = _offcentre_scenario(kind, resolution=(7, 11, 5))
         data = generate_dataset(s)
         cis, count = mf.forward._cis, [0]
@@ -358,10 +360,21 @@ class TestGridCis:
         else:
             assert count[0] == L * (7 + 11 + 5)
 
+    def test_far_walk_keeps_one_slab_buffer(self, monkeypatch):
+        # every far w of a walk is a view of one buffer, overwritten at each step: a fresh
+        # block per slab can cost more in page faults than the two products that fill it
+        monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", 110)  # 4 slabs of the 7 layers
+        s = _offcentre_scenario("far", resolution=(7, 11, 5))
+        axes = [s.sampling.axis_centers(a) for a in range(3)]
+        steps = list(mf.forward._grid_walk("far", s.measurement.array, axes,
+                                           -s.frequencies.spacing))
+        assert len({voxels.start for voxels, _, _ in steps}) >= 3
+        assert all(np.shares_memory(w, steps[0][2]) for _, _, w in steps)
+
 
 def _indicator_unslabbed(data, grid):
     """The indicator over all voxels at once: w from `phase` on the grid's centers
-    near, and from `_grid_cis` on all of the grid's layers far."""
+    near, and from `_grid_walk`'s slabs, copied and joined, far."""
     J, dk = data.grid.count, data.grid.spacing
     weights = dk * dk * (J - np.abs(np.arange(1 - J, J)))
     axes = [grid.axis_centers(a) for a in range(3)]
@@ -370,7 +383,8 @@ def _indicator_unslabbed(data, grid):
         if data.kind == "near":
             w = mf.forward._cis(-dk, mf.phase(data.kind, x, grid.centers().T))
         else:
-            w = mf.forward._grid_cis(data.kind, [x], axes, -dk)(0, 0, axes[0].size)
+            w = np.concatenate([w.copy() for _, _, w in
+                                mf.forward._grid_walk(data.kind, [x], axes, -dk)])
         total += np.abs(mf.forward._horner(weights * row[1:-1], w))
     return total
 
@@ -387,7 +401,7 @@ class TestIndicatorSlabs:
     ])
     def test_same_bytes_as_unslabbed(self, kind, resolution, slab_voxels, monkeypatch):
         if slab_voxels is not None:
-            monkeypatch.setattr(mf.imaging, "_SLAB_VOXELS", slab_voxels)
+            monkeypatch.setattr(mf.forward, "_SLAB_VOXELS", slab_voxels)
         s = _offcentre_scenario(kind, resolution=resolution)
         data = add_noise(generate_dataset(s), 0.05, 3)
         field = compute_indicator(data, s.sampling)
