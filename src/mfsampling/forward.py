@@ -433,20 +433,20 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     Quadrature of w * f * e^{i k phase} / spreading over the support; the near kernel is
     the outgoing point source, for x outside the closed support (`phase_range`), the far
     kernel e^{-i k xhat.y}.  A scalar k gives a complex, an array of k an array of samples
-    of its shape.  The wavenumbers go in `_row_blocks` of Q-sized rows: `_cis`, times w f,
-    divided by the spreading and summed per row, the bits of the whole J x Q kernel
-    without it.
+    of its shape.  The nodes' coefficients c = w (f / spreading), the data's P(T 1)
+    weights, are folded once into a complex vector; the wavenumbers go in `_row_blocks`
+    of Q-sized rows, each `_cis` times c in place and summed per row, the bits of the
+    whole J x Q kernel without it.
     """
     phase_range(kind, x, support)
     ph = phase(kind, x, rule.nodes.T)
-    wf, spreading = rule.weights * support.amplitude_at(rule.nodes), _spreading(kind, ph)
+    c = (rule.weights * (support.amplitude_at(rule.nodes) / _spreading(kind, ph))).astype(complex)
     k = np.asarray(k, dtype=float)
     u = np.empty(k.shape, dtype=complex)
     ks, us = k.reshape(-1), u.reshape(-1)
     for rows in _row_blocks(ks.size, ph.size):
         E = _cis(ks[rows], ph)
-        E *= wf
-        E /= spreading
+        E *= c
         np.add.reduce(E, axis=-1, out=us[rows])
     return complex(u) if u.ndim == 0 else u
 

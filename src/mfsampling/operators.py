@@ -64,9 +64,10 @@ def _toeplitz_block(row: np.ndarray) -> np.ndarray:
 
 
 def _toeplitz_forms(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
-    """dk^2 sum_{j,l} block[j, l] G[t, l] conj G[t, j], each in O(J^2): over the `_toeplitz_block`
-    of a row, the band convolution's quadratic form at each row t of a (T, J) array G."""
-    return dk * dk * np.einsum("jl,tl,tj->t", block, G, np.conj(G))
+    """(N g, g) = dk sum_j (N g)_j conj g_j at each row g of a (T, J) array G, over the
+    `_toeplitz_block` of a row: one `_toeplitz_apply` of every row, then a row-wise dot,
+    each in O(J^2)."""
+    return dk * np.einsum("tj,tj->t", _toeplitz_apply(block, G, dk), np.conj(G))
 
 
 def _toeplitz_apply(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:

@@ -8,7 +8,9 @@ run on the noiseless data of sensor 0 alone, never all `L` rows: `run_verify`
 builds that row, its quadrature rule and its factors once per run and passes
 them to each check, and a check called on its own builds them itself.  Each
 check draws its random test functions as one batch from a seeded stream and
-applies the data operator to the whole batch at once.
+applies the data operator to the whole batch at once, in one Toeplitz apply
+(`operators._toeplitz_apply`); the coercivity forms are that apply's row-wise
+dots with the conjugate test functions.
 """
 
 from __future__ import annotations
@@ -158,7 +160,8 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     The kernel at k = m dk is z^m, with real weights, so ||P* g||^2 = (P P* g, g),
     and P P* is the band convolution whose column m is sum_q w_q z_q^m: the
     data's P(T 1) with T = 1, and sum_q w_q at m = 0 whatever `zero_mode`.
-    Both forms cost O(J^2) per trial, and all trials run as one batch.
+    Each form is one `_toeplitz_forms` batch, O(J^2) per trial: one Toeplitz
+    apply of all trials, then a row-wise dot with their conjugates.
     `problem`, when given, is `_sensor_problem(scenario, sensor)`.
     """
     t0 = time.perf_counter()
@@ -244,8 +247,10 @@ def check_symmetries(scenario, problem: _Problem | None = None) -> VerificationR
     """Certify the columns m = -1..-J that `mirror` writes into sensor 0's data, the
     conjugates of its positive columns, against `radiated_field` at k = m dk.
 
-    Each column is over the band error bound of column |m|; the zero column,
-    which `zero_mode` sets, is left out.  `problem`, when given, is sensor 0's
+    `radiated_field` weighs its exponentials with the coefficients the data's
+    power sums use, so what differs is the power sums' rounding against `_cis`; each
+    column is over the band error bound of column |m|.  The zero column, which
+    `zero_mode` sets, is left out.  `problem`, when given, is sensor 0's
     `_sensor_problem`; the check reads its data and rule, not its factors.
     """
     t0 = time.perf_counter()

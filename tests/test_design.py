@@ -31,9 +31,10 @@ ROW_WRITERS = ["_sensor_problem", "check_coercivity", "generate_dataset"]
 # One Horner pass: the analysis factor's polynomial in conj(z) and the indicator's in w.
 HORNER_CALLERS = ["analysis", "compute_indicator"]
 
-# One Toeplitz apply of the band convolution N: a single test function, or the
-# factorization certificate's whole batch of trials in one call.
-TOEPLITZ_APPLY_CALLERS = ["apply_operator", "check_factorization"]
+# One Toeplitz apply of the band convolution N: a single test function, the
+# factorization certificate's whole batch of trials in one call, and the forms
+# (N g, g), each a row-wise dot of that apply with conj(g).
+TOEPLITZ_APPLY_CALLERS = ["_toeplitz_forms", "apply_operator", "check_factorization"]
 
 # `forward._expi` gives every e^{i theta} of the data, the factors, the probe and the
 # indicator; its table is built in double-double from one root of unity, with no call

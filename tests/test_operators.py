@@ -20,7 +20,7 @@ from mfsampling import (
     quadratic_form,
     quadrature,
 )
-from mfsampling.operators import _toeplitz_apply, _toeplitz_block
+from mfsampling.operators import _toeplitz_apply, _toeplitz_block, _toeplitz_forms
 from mfsampling.verify import _sensor_problem
 from conftest import freq_inner, support_inner, support_norm
 
@@ -82,7 +82,10 @@ class TestApplyNearOperator:
 @pytest.mark.parametrize("kind", ["near", "far"])
 def test_batch_apply_rows_match_apply_operator(kind):
     # `check_factorization` applies N to all its trials in one call; each row has the bits
-    # of `apply_operator` on that trial alone, and of the one-row einsum it replaced
+    # of `apply_operator` on that trial alone, and of the one-row einsum it replaced.  The
+    # forms (N g, g) of the batch, that apply's row-wise dot with conj(g), are each
+    # trial's dk vdot(g, N g) within 1e-14 of the dot's scale dk sum_j |g_j (N g)_j|
+    # (relative to the form itself, a cancelling one reads up to 1.6e-14)
     s = mf.Scenario(
         support=Ball(center=(1.2, 0.4, 0.0), radius=0.5), h=0.2,
         measurement=MeasurementSet(kind, [(3.0, -0.5, 0.5) if kind == "near"
@@ -93,11 +96,13 @@ def test_batch_apply_rows_match_apply_operator(kind):
     for zero_mode in ("extend", "drop"):
         data = _sensor_problem(replace(s, zero_mode=zero_mode)).data
         block, dk = _toeplitz_block(data.values[0]), data.grid.spacing
-        rows = _toeplitz_apply(block, G, dk)
-        for g, row in zip(G, rows):
+        rows, forms = _toeplitz_apply(block, G, dk), _toeplitz_forms(block, G, dk)
+        for g, row, form in zip(G, rows, forms):
             one = apply_operator(data, 0, FreqFunction(data.grid, g)).samples
             assert row.tobytes() == one.tobytes()
             assert row.tobytes() == (dk * np.einsum("jl,l->j", block, g)).tobytes()
+            scale = dk * np.sum(np.abs(g * one))
+            assert abs(form - dk * np.vdot(g, one)) <= 1e-14 * scale
 
 
 class TestQuadraticForms:
