@@ -337,11 +337,12 @@ def _grid_walk(kind: str, points, axes, k: float):
             yield voxels, ell, w
 
 
-def _band(kind: str, x, points, dk: float) -> tuple[np.ndarray, np.ndarray | float]:
-    """The band's ratio z = e^{i dk phase(y)} per point, with the phase map's spreading:
-    the kernel at k = m dk is z^m / spreading (`_power_sums`)."""
-    ph = phase(kind, x, points.T)
-    return _cis(dk, ph), _spreading(kind, ph)
+def _band(kind: str, x, rule: QuadratureRule, dk: float) -> tuple[np.ndarray, np.ndarray]:
+    """The band's ratio z = e^{i dk phase(y)} per node, and the middle factor's multiplier
+    f / spreading: the kernel at k = m dk is z^m (`_power_sums`), and T multiplies by f
+    over the phase map's spreading."""
+    ph = phase(kind, x, rule.nodes.T)
+    return _cis(dk, ph), rule.amplitude / _spreading(kind, ph)
 
 
 def _power_sums(z: np.ndarray, c: np.ndarray, J: int) -> np.ndarray:
@@ -381,8 +382,7 @@ def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule, dk: float,
-                     J: int) -> np.ndarray:
+def band_error_bound(kind: str, x, rule: QuadratureRule, dk: float, J: int) -> np.ndarray:
     """Per-column bound on a power sum's rounding against exact exponentials, m = 0..J.
 
     Column m of `_power_sums` sums c z^m, reached by m products from c with
@@ -391,7 +391,7 @@ def band_error_bound(kind: str, x, support: SourceSupport, rule: QuadratureRule,
     sum|c_q|, with c_q = w_q f_q / spreading_q the column's quadrature coefficients.
     """
     ph = phase(kind, x, rule.nodes.T)
-    c = np.sum(np.abs(rule.weights * support.amplitude_at(rule.nodes) / _spreading(kind, ph)))
+    c = np.sum(np.abs(rule.weights * rule.amplitude / _spreading(kind, ph)))
     m = np.arange(J + 1)
     return 1e-15 * (m + 1) * (1 + m * dk * np.abs(ph).max()) * c
 
@@ -440,7 +440,7 @@ def radiated_field(kind: str, support: SourceSupport, rule: QuadratureRule, x,
     """
     phase_range(kind, x, support)
     ph = phase(kind, x, rule.nodes.T)
-    c = (rule.weights * (support.amplitude_at(rule.nodes) / _spreading(kind, ph))).astype(complex)
+    c = (rule.weights * (rule.amplitude / _spreading(kind, ph))).astype(complex)
     k = np.asarray(k, dtype=float)
     u = np.empty(k.shape, dtype=complex)
     ks, us = k.reshape(-1), u.reshape(-1)
@@ -462,20 +462,20 @@ def mirror(positive: np.ndarray) -> np.ndarray:
 
 def generate_dataset(scenario: "Scenario") -> MultiFreqDataset:
     """Noiseless multi-frequency dataset for a scenario, on the one quadrature rule built
-    here: each row is P(T 1), the `_laurent_rows` of its sensor's z (`_band`) against the
-    weights times T 1 = f / spreading, in `_row_blocks` of Q-node rows.  A row depends on
-    its own z and c alone, so `verify` writes sensor 0's alike."""
+    here: each row is P(T 1), the `_laurent_rows` of its sensor's z against the weights
+    times T 1 = f / spreading (both from `_band`, f from the rule), in `_row_blocks` of
+    Q-node rows.  A row depends on its own z and c alone, so `verify` writes sensor 0's
+    alike."""
     rule = quadrature(scenario.support, scenario.h)
     sensors, grid, J = scenario.measurement, scenario.frequencies, scenario.frequencies.count
-    amplitude, points = scenario.support.amplitude_at(rule.nodes), sensors.array
-    values = np.empty((len(sensors), 2 * J + 1), dtype=complex)
+    points, values = sensors.array, np.empty((len(sensors), 2 * J + 1), dtype=complex)
     for rows in _row_blocks(len(sensors), len(rule)):
         block = points[rows]
         z = np.empty((len(block), len(rule)), dtype=complex)
         c = np.empty(z.shape)
         for i, x in enumerate(block):
-            z[i], spreading = _band(sensors.kind, x, rule.nodes, grid.spacing)
-            c[i] = rule.weights * (amplitude / spreading)
+            z[i], c[i] = _band(sensors.kind, x, rule, grid.spacing)
+        c *= rule.weights
         values[rows] = _laurent_rows(z, c, J, scenario.zero_mode)
     return MultiFreqDataset(sensors=sensors, grid=grid, values=values, noise_level=0.0,
                             seed=scenario.seed)

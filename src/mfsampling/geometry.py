@@ -302,10 +302,12 @@ class Union(_Parts):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Midpoint voxel rule: interior voxel centers with equal weights h^3."""
+    """The discrete source: interior voxel centers y_q, equal weights h^3, and the
+    source density f(y_q) sampled there, once, by the pass that picks the nodes."""
 
     nodes: np.ndarray  # (Q, 3)
     weights: np.ndarray  # (Q,)
+    amplitude: np.ndarray  # (Q,) f at the nodes
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -318,17 +320,21 @@ class QuadratureRule:
 def quadrature(support: SourceSupport, h: float) -> QuadratureRule:
     """Voxelize the support's bounding box at spacing h, keeping interior midpoints.
 
-    Nodes are emitted in lexicographic voxel-index order; every weight is h^3.
-    Raises GeometryError when no voxel midpoint lies inside the support.
+    One `amplitude_at` pass over the box's voxel centers samples f and picks the
+    nodes: every component's amplitude is nonzero, so f != 0 is membership.  Nodes
+    are emitted in lexicographic voxel-index order; every weight is h^3.  Raises
+    ValueError for a non-finite or nonpositive h, and GeometryError when no voxel
+    midpoint lies inside the support.
     """
-    h = float(h)
+    h = _finite(h)
     if h <= 0:
         raise ValueError("quadrature spacing h must be positive")
     lo, hi = support.bounding_box()
     counts = [max(1, int(np.ceil((hi[a] - lo[a]) / h - 1e-12))) for a in range(3)]
     pts = _grid_points([lo[a] + (np.arange(counts[a]) + 0.5) * h for a in range(3)])
-    inside = support.contains_points(pts)
+    f = support.amplitude_at(pts)
+    inside = f != 0
     nodes = pts[inside]
     if len(nodes) == 0:
         raise GeometryError(f"spacing h={h} too coarse: no voxel midpoint inside the support")
-    return QuadratureRule(nodes=nodes, weights=np.full(len(nodes), h**3))
+    return QuadratureRule(nodes=nodes, weights=np.full(len(nodes), h**3), amplitude=f[inside])

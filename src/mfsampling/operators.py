@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .forward import FrequencyGrid, MultiFreqDataset, _band, _horner, _power_sums
-from .geometry import QuadratureRule, SourceSupport
+from .geometry import QuadratureRule
 
 
 @dataclass(frozen=True)
@@ -103,20 +103,18 @@ class Factorization:
     """One sensor's factors of its data operator, N = P T P* on matched quadrature.
 
     P (`synthesis`) maps support to band with kernel e^{i k phase(y)}, T
-    (`apply_multiplier`) multiplies by f(y) / spreading(y), and P* (`analysis`)
-    is P's adjoint, with the conjugate kernel.  The kernel at k_j = j dk is z^j
-    for the sensor's `_band` ratio z, so P sums running products
-    (`_power_sums`) and P* runs Horner's rule in conj(z) (`_horner`); neither
-    builds a J x Q kernel.  The sensor's data row is P(T 1): `_laurent_rows` of
+    (`apply_multiplier`) multiplies by f(y) / spreading(y), with f the rule's
+    `amplitude`, and P* (`analysis`) is P's adjoint, with the conjugate kernel.
+    `_band` gives the multiplier and the sensor's ratio z; the kernel at
+    k_j = j dk is z^j, so P sums running products (`_power_sums`) and P* runs
+    Horner's rule in conj(z) (`_horner`); neither builds a J x Q kernel.  The sensor's data row is P(T 1): `_laurent_rows` of
     z against the weights times `multiplier`, which `verify` writes from these
     factors alone.
     """
 
-    def __init__(self, kind: str, x, support: SourceSupport, rule: QuadratureRule,
-                 grid: FrequencyGrid):
+    def __init__(self, kind: str, x, rule: QuadratureRule, grid: FrequencyGrid):
         self.rule, self.grid = rule, grid
-        self.z, spreading = _band(kind, x, rule.nodes, grid.spacing)
-        self.multiplier = support.amplitude_at(rule.nodes) / spreading
+        self.z, self.multiplier = _band(kind, x, rule, grid.spacing)
 
     def synthesis(self, psi: SupportFunction) -> FreqFunction:
         out = _power_sums(self.z, self.rule.weights * psi.samples, self.grid.count)[1:]

@@ -87,7 +87,7 @@ def _sensor_problem(scenario, sensor: int = 0) -> _Problem:
         raise ValueError("scenario certificates require a noiseless scenario")
     x, grid = scenario.measurement.points[sensor], scenario.frequencies
     rule = quadrature(scenario.support, scenario.h)
-    fac = Factorization(scenario.kind, x, scenario.support, rule, grid)
+    fac = Factorization(scenario.kind, x, rule, grid)
     row = _laurent_rows(fac.z, rule.weights * fac.multiplier, grid.count, scenario.zero_mode)
     data = MultiFreqDataset(sensors=MeasurementSet(scenario.kind, (x,)), grid=grid,
                             values=row[None], seed=scenario.seed)
@@ -258,6 +258,6 @@ def check_symmetries(scenario, problem: _Problem | None = None) -> VerificationR
     kind, x, grid = scenario.kind, scenario.measurement.points[0], data.grid
     exact = radiated_field(kind, scenario.support, rule, x, -grid.nodes)
     J = grid.count
-    bound = band_error_bound(kind, x, scenario.support, rule, grid.spacing, J)[1:]
+    bound = band_error_bound(kind, x, rule, grid.spacing, J)[1:]
     ratio = float(np.max(np.abs(data.values[0, J - 1::-1] - exact) / bound))
     return _report("symmetries", scenario.summary(), ratio, 1.0, t0)

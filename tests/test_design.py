@@ -1,8 +1,9 @@
 """Design guards over the package source: near and far are one algorithm with
 different phase maps, so only a fixed set of functions may branch on the kind; a
-command builds one quadrature rule, so only a fixed set of functions may build one;
-the band has one kernel, one row writer, one Horner pass and one Toeplitz apply, so
-only a fixed set of functions may call each; every e^{i theta} comes from one
+command builds one quadrature rule, so only a fixed set of functions may build one,
+and the rule samples the source, so only the rule's builder may sample it; the band
+has one kernel, one row writer, one Horner pass and one Toeplitz apply, so only a
+fixed set of functions may call each; every e^{i theta} comes from one
 vectorised kernel, so only the closed-form references may call `exp`; and every
 cache-sized loop takes its blocks from one slab rule, which alone reads the budget."""
 
@@ -19,6 +20,11 @@ KIND_BRANCHES = ["MeasurementSet.__post_init__", "_grid_walk", "_spreading", "ph
 # `simulate` builds its rule in `generate_dataset`; a `verify` run builds one in
 # `_sensor_problem`, and its data and factors share it.
 RULE_BUILDERS = ["_sensor_problem", "generate_dataset"]
+
+# The rule is the discrete source: `quadrature` samples f once, in the pass over the
+# voxel centers that picks the nodes, and the data, factors and certificates read
+# `rule.amplitude`.
+AMPLITUDE_SAMPLERS = ["quadrature"]
 
 # The band's one kernel: running power sums feed the synthesis factor and the rows
 # over m = -J..J, which `_laurent_rows` alone writes.
@@ -102,6 +108,10 @@ def _all_callers(name):
 
 def test_only_the_listed_functions_build_a_quadrature_rule():
     assert _all_callers("quadrature") == RULE_BUILDERS
+
+
+def test_only_the_listed_functions_sample_the_source():
+    assert _all_callers("amplitude_at") == AMPLITUDE_SAMPLERS
 
 
 def test_only_the_listed_functions_sum_band_powers():

@@ -52,7 +52,7 @@ def point_source(k, x, y):
     """The outgoing point-source kernel e^{ik|x-y|} / (4 pi |x-y|), as the near field of a
     one-node rule at y with unit weight inside a small unit-amplitude ball."""
     y = tuple(float(c) for c in y)
-    rule = QuadratureRule(nodes=np.array([y]), weights=np.ones(1))
+    rule = QuadratureRule(nodes=np.array([y]), weights=np.ones(1), amplitude=np.ones(1))
     return radiated_field("near", Ball(center=y, radius=1e-3), rule, x, k)
 
 
@@ -449,7 +449,7 @@ class TestBand:
         for ell, x in enumerate(s.measurement.array):
             exact = np.array([radiated_field(kind, s.support, rule, x, m * dk)
                               for m in range(J + 1)])
-            bound = band_error_bound(kind, x, s.support, rule, dk, J)
+            bound = band_error_bound(kind, x, rule, dk, J)
             assert np.all(np.abs(data.values[ell, J:] - exact) <= bound)
 
     @pytest.mark.parametrize("kind", ["near", "far"])
@@ -461,7 +461,7 @@ class TestBand:
         rule = quadrature(s.support, s.h)
         J = data.grid.count
         for ell, x in enumerate(s.measurement.array):
-            fac = mf.Factorization(kind, x, s.support, rule, data.grid)
+            fac = mf.Factorization(kind, x, rule, data.grid)
             cols = fac.synthesis(mf.SupportFunction(rule, fac.multiplier)).samples
             assert cols.tobytes() == data.values[ell, J + 1:].tobytes()
 
@@ -488,7 +488,7 @@ class TestBand:
                 generate_dataset(s)
                 assert sum(sizes) == len(s.measurement) * len(rule)
                 sizes.clear()
-                mf.Factorization(kind, s.measurement.points[0], s.support, rule, s.frequencies)
+                mf.Factorization(kind, s.measurement.points[0], rule, s.frequencies)
                 assert sum(sizes) == len(rule)
 
     @pytest.mark.parametrize("kind", ["near", "far"])
@@ -606,7 +606,7 @@ class TestBand:
 
         s = offcentre_scenario("near")
         rule = quadrature(s.support, s.h)
-        z = np.stack([mf.forward._band("near", x, rule.nodes, 0.7)[0]
+        z = np.stack([mf.forward._band("near", x, rule, 0.7)[0]
                       for x in s.measurement.points + ((0.5, -3.5, 3.0),)])
         c = np.random.default_rng(5).standard_normal(z.shape)
         for zz, cc in ((z[0], c[0]), (z, c), (z[1, :1], c[1, :1])):

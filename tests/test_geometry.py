@@ -203,14 +203,25 @@ class TestQuadrature:
             quadrature(Ball(center=(0, 0, 0), radius=1.0), 10.0)
 
     def test_nonpositive_spacing(self):
-        with pytest.raises(ValueError, match="positive"):
-            quadrature(Ball(center=(0, 0, 0), radius=1.0), 0.0)
+        # a non-finite spacing is refused as such, not as a coarse or unconvertible one
+        for h, message in ((0.0, "positive"), (math.nan, "finite"), (math.inf, "finite"),
+                           (-math.inf, "finite")):
+            with pytest.raises(ValueError, match=message):
+                quadrature(Ball(center=(0, 0, 0), radius=1.0), h)
 
-    @pytest.mark.parametrize("support", ALL_SHAPES, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("support", ALL_SHAPES + [
+        pytest.param(Union(parts=(Ball(center=(-0.4, 0.0, 0.0), radius=1.0, amplitude=2.0),
+                                  Ball(center=(0.4, 0.0, 0.0), radius=1.0, amplitude=3.0))),
+                     id="overlapping_Union")], ids=lambda s: type(s).__name__)
     def test_all_nodes_inside(self, support):
+        # the pass that picks the nodes samples f there, with the bits of `amplitude_at`;
+        # where components overlap, the first one's amplitude wins
         rule = quadrature(support, 0.15)
         assert np.all(support.contains_points(rule.nodes))
         assert np.all(rule.weights == 0.15**3)
+        assert rule.amplitude.tobytes() == support.amplitude_at(rule.nodes).tobytes()
+        first = next(support.components())
+        assert np.all(rule.amplitude[first.contains_points(rule.nodes)] == first.amplitude)
 
     def test_volume_convergence_ball(self):
         ball = Ball(center=(0, 0, 0), radius=1.0)

@@ -188,8 +188,7 @@ class TestIndicatorNear:
     def test_sandwich_at_probe_lattice(self, ball_scenario, ball_dataset, unit_ball):
         from mfsampling import Factorization, quadrature
         x = (3.0, 0.0, 0.0)
-        fac = Factorization("near", x, unit_ball, quadrature(unit_ball, ball_scenario.h),
-                            ball_dataset.grid)
+        fac = Factorization("near", x, quadrature(unit_ball, ball_scenario.h), ball_dataset.grid)
         lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
         for z in [(0, 0, 0), (0.5, 0.5, 0), (-1, 0.2, 0.8), (2, 2, 2), (-2.5, 0, 1)]:
             g = probe("near", x, z, ball_dataset.grid)

@@ -142,7 +142,7 @@ class TestAdjointness:
     def test_synthesis_analysis_pair(self, unit_ball, ball_scenario, kind, x, seed):
         rule = quadrature(unit_ball, 0.2)
         grid = ball_scenario.frequencies
-        fac = Factorization(kind, x, unit_ball, rule, grid)
+        fac = Factorization(kind, x, rule, grid)
         rng = np.random.default_rng(seed)
         for _ in range(100):
             psi = random_support(rule, rng)
@@ -154,11 +154,10 @@ class TestAdjointness:
 
     def test_single_node_synthesis(self, ball_scenario):
         rule = QuadratureRule(nodes=np.array([[0.0, 0.0, 0.0]]),
-                              weights=np.array([0.125]))
+                              weights=np.array([0.125]), amplitude=np.ones(1))
         psi = SupportFunction(rule, np.array([1.0 + 0j]))
         grid = ball_scenario.frequencies
-        out = Factorization("near", (3.0, 0.0, 0.0), Ball(center=(0.0, 0.0, 0.0), radius=0.5),
-                            rule, grid).synthesis(psi)
+        out = Factorization("near", (3.0, 0.0, 0.0), rule, grid).synthesis(psi)
         assert np.allclose(out.samples, 0.125 * np.exp(1j * grid.nodes * 3.0), rtol=1e-15)
 
 
@@ -166,23 +165,20 @@ class TestMiddleOperator:
     def test_zero(self, unit_ball):
         rule = quadrature(unit_ball, 0.25)
         h = SupportFunction(rule, np.zeros(len(rule), dtype=complex))
-        out = Factorization("near", (3.0, 0.0, 0.0), unit_ball, rule,
-                            _GRID).apply_multiplier(h)
+        out = Factorization("near", (3.0, 0.0, 0.0), rule, _GRID).apply_multiplier(h)
         assert np.all(out.samples == 0)
 
     def test_single_node_multiplier(self):
-        ball = Ball(center=(2.0, 0.0, 0.0), radius=0.1)
         rule = QuadratureRule(nodes=np.array([[2.0, 0.0, 0.0]]),
-                              weights=np.array([1e-3]))
+                              weights=np.array([1e-3]), amplitude=np.ones(1))
         h = SupportFunction(rule, np.array([1.0 + 0j]))
-        out = Factorization("near", (0.0, 0.0, 0.0), ball, rule,
-                            _GRID).apply_multiplier(h)
+        out = Factorization("near", (0.0, 0.0, 0.0), rule, _GRID).apply_multiplier(h)
         assert out.samples[0] == pytest.approx(1 / (8 * math.pi), rel=1e-14)
 
     def test_self_adjoint(self, unit_ball):
         rule = quadrature(unit_ball, 0.2)
         rng = np.random.default_rng(13)
-        fac = Factorization("near", (3.0, 0.0, 0.0), unit_ball, rule, _GRID)
+        fac = Factorization("near", (3.0, 0.0, 0.0), rule, _GRID)
         for _ in range(20):
             h1, h2 = random_support(rule, rng), random_support(rule, rng)
             lhs = support_inner(fac.apply_multiplier(h1), h2)
@@ -195,7 +191,7 @@ class TestMiddleOperator:
         x = (3.0, 0.0, 0.0)
         r1, r2 = mf.phase_range("near", x, unit_ball)
         lo, hi = 1 / (4 * math.pi * r2), 1 / (4 * math.pi * r1)
-        fac = Factorization("near", x, unit_ball, rule, _GRID)
+        fac = Factorization("near", x, rule, _GRID)
         rng = np.random.default_rng(17)
         for _ in range(50):
             h = random_support(rule, rng)
@@ -283,7 +279,7 @@ class TestSandwich:
         rule = quadrature(unit_ball, ball_scenario.h)
         x = (3.0, 0.0, 0.0)
         lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
-        fac = Factorization("near", x, unit_ball, rule, ball_dataset.grid)
+        fac = Factorization("near", x, rule, ball_dataset.grid)
         rng = np.random.default_rng(23)
         for _ in range(100):
             g = random_freq(ball_dataset.grid, rng)
@@ -294,7 +290,7 @@ class TestSandwich:
     def test_far_sandwich_unit_amplitude(self, far_ball_scenario, far_ball_dataset, unit_ball):
         # with f = 1 the far ratio collapses to exactly 1
         rule = quadrature(unit_ball, far_ball_scenario.h)
-        fac = Factorization("far", far_ball_scenario.measurement.array[0], unit_ball, rule,
+        fac = Factorization("far", far_ball_scenario.measurement.array[0], rule,
                             far_ball_dataset.grid)
         rng = np.random.default_rng(29)
         for _ in range(50):
@@ -308,7 +304,7 @@ class TestSandwich:
                          support=Ball(center=(0.0, 0.0, 0.0), radius=1.0, amplitude=2.0))
         data = mf.generate_dataset(scaled)
         rule = quadrature(scaled.support, scaled.h)
-        fac = Factorization("far", scaled.measurement.array[0], scaled.support, rule, data.grid)
+        fac = Factorization("far", scaled.measurement.array[0], rule, data.grid)
         rng = np.random.default_rng(31)
         phi = random_freq(data.grid, rng)
         denom = support_norm(fac.analysis(phi)) ** 2

@@ -58,7 +58,7 @@ def coercivity_denominators(scenario, trials):
 def analysis_norms(scenario, gs):
     """||P* g||^2 through the exported analysis factor of sensor 0."""
     rule = mf.quadrature(scenario.support, scenario.h)
-    fac = mf.Factorization(scenario.kind, scenario.measurement.points[0], scenario.support, rule,
+    fac = mf.Factorization(scenario.kind, scenario.measurement.points[0], rule,
                            scenario.frequencies)
     return np.array([support_norm(fac.analysis(g)) ** 2 for g in gs])
 
@@ -323,8 +323,9 @@ class TestRunVerify:
     def test_sensor_problem_built_once(self, monkeypatch, kind):
         # one run takes sensor 0's ratio z from `_band` once, for its factors, whose z
         # the data row is written from, and builds its rule once, shared by data,
-        # factors and checks; the psf check alone does neither
-        counts = {"_band": 0, "quadrature": 0}
+        # factors and checks, sampling f once in it; the psf check alone does none
+        counts = {"_band": 0, "quadrature": 0, "amplitude_at": 0}
+        sample = mf.geometry.SourceSupport.amplitude_at
         for name, original in (("_band", mf.forward._band),
                                ("quadrature", mf.geometry.quadrature)):
             def counted(*args, _name=name, _original=original):
@@ -335,14 +336,20 @@ class TestRunVerify:
                            mf.cli):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
+
+        def counted_sample(support, points):
+            counts["amplitude_at"] += 1
+            return sample(support, points)
+
+        monkeypatch.setattr(mf.geometry.SourceSupport, "amplitude_at", counted_sample)
         s = offcentre_scenario(kind)
         reports, ok = run_verify(s)
         assert ok and len(reports) == 4
-        assert counts == {"_band": 1, "quadrature": 1}
-        counts.update(_band=0, quadrature=0)
+        assert counts == {"_band": 1, "quadrature": 1, "amplitude_at": 1}
+        counts.update(_band=0, quadrature=0, amplitude_at=0)
         reports, ok = run_verify(s, only="psf")
         assert ok and len(reports) == 1
-        assert counts == {"_band": 0, "quadrature": 0}
+        assert counts == {"_band": 0, "quadrature": 0, "amplitude_at": 0}
 
     def test_shared_problem_same_reports(self):
         # the checks report the same numbers whether they share the run's problem or
