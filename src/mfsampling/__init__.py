@@ -30,7 +30,6 @@ from .forward import (
 from .operators import (
     Factorization,
     FreqFunction,
-    SupportFunction,
     apply_operator,
     far_quadratic_form,
     near_quadratic_form,

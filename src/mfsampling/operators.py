@@ -3,7 +3,8 @@
 The data-driven operator convolves a sensor's multi-frequency samples
 against a frequency function over the band; it factors exactly (on
 matched quadrature) into an outer synthesis/analysis pair and a middle
-multiplication operator; `verify` certifies that.  All reductions run in a
+multiplication operator, which act on plain arrays; `verify` certifies that.
+The operator's band functions are `FreqFunction`s.  All reductions run in a
 fixed order so results are reproducible across platforms and thread counts.
 """
 
@@ -31,22 +32,6 @@ class FreqFunction:
             raise ValueError(f"expected {self.grid.count} samples, got shape {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ValueError("frequency samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-
-@dataclass(frozen=True)
-class SupportFunction:
-    """Samples of a support-domain function on quadrature nodes."""
-
-    rule: QuadratureRule
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        if s.shape != (len(self.rule),):
-            raise ValueError(f"expected {len(self.rule)} samples, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("support samples must be finite")
         object.__setattr__(self, "samples", s)
 
 
@@ -102,30 +87,37 @@ near_quadratic_form = far_quadratic_form = quadratic_form
 class Factorization:
     """One sensor's factors of its data operator, N = P T P* on matched quadrature.
 
-    P (`synthesis`) maps support to band with kernel e^{i k phase(y)}, T
-    (`apply_multiplier`) multiplies by f(y) / spreading(y), with f the rule's
-    `amplitude`, and P* (`analysis`) is P's adjoint, with the conjugate kernel.
+    The factors act on arrays: P (`synthesis`) maps (Q,) support samples to (J,)
+    band samples with kernel e^{i k phase(y)}, T (`apply_multiplier`) multiplies
+    (Q,) samples by f(y) / spreading(y), with f the rule's `amplitude`, and P*
+    (`analysis`), P's adjoint with the conjugate kernel, maps (J,) to (Q,).
     `_band` gives the multiplier and the sensor's ratio z; the kernel at
     k_j = j dk is z^j, so P sums running products (`_power_sums`) and P* runs
-    Horner's rule in conj(z) (`_horner`); neither builds a J x Q kernel.  The sensor's data row is P(T 1): `_laurent_rows` of
-    z against the weights times `multiplier`, which `verify` writes from these
-    factors alone.
+    Horner's rule in conj(z) (`_horner`); neither builds a J x Q kernel.  conj(z)
+    and complex copies of the multiplier and weights are taken once, here: a
+    complex times a real array's complex copy has the bits of numpy's own
+    promotion.  The sensor's data row is P(T 1): `_laurent_rows` of z against
+    the weights times `multiplier`, which `verify` writes from these factors alone.
     """
 
     def __init__(self, kind: str, x, rule: QuadratureRule, grid: FrequencyGrid):
         self.rule, self.grid = rule, grid
         self.z, self.multiplier = _band(kind, x, rule, grid.spacing)
+        self._zc = np.conj(self.z)
+        self._multiplier_c = self.multiplier.astype(complex)
+        self._weights_c = rule.weights.astype(complex)
 
-    def synthesis(self, psi: SupportFunction) -> FreqFunction:
-        out = _power_sums(self.z, self.rule.weights * psi.samples, self.grid.count)[1:]
-        return FreqFunction(grid=self.grid, samples=out)
+    def synthesis(self, psi: np.ndarray) -> np.ndarray:
+        return _power_sums(self.z, self._weights_c * psi, self.grid.count)[1:]
 
-    def apply_multiplier(self, h: SupportFunction) -> SupportFunction:
-        return SupportFunction(rule=self.rule, samples=h.samples * self.multiplier)
+    def apply_multiplier(self, h: np.ndarray) -> np.ndarray:
+        return h * self._multiplier_c
 
-    def analysis(self, phi: FreqFunction) -> SupportFunction:
+    def analysis(self, phi: np.ndarray) -> np.ndarray:
         # dk sum_j conj(z)^(j+1) phi_j: Horner's rule in conj(z), from j = J-1 down
-        zc = np.conj(self.z)
-        out = _horner(phi.samples, zc)
-        out *= zc
-        return SupportFunction(rule=self.rule, samples=phi.grid.spacing * out)
+        if len(phi) != self.grid.count:
+            raise ValueError(f"expected {self.grid.count} band samples, got {len(phi)}")
+        out = _horner(phi, self._zc)
+        out *= self._zc
+        out *= self.grid.spacing
+        return out

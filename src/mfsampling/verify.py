@@ -10,7 +10,8 @@ them to each check, and a check called on its own builds them itself.  Each
 check draws its random test functions as one batch from a seeded stream and
 applies the data operator to the whole batch at once, in one Toeplitz apply
 (`operators._toeplitz_apply`); the coercivity forms are that apply's row-wise
-dots with the conjugate test functions.
+dots with the conjugate test functions, and the factorization check hands
+each row of the batch, a plain array, straight to the factors.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_l
                       radiated_field)
 from .geometry import QuadratureRule, quadrature
 from .imaging import psf_closed_form, psf_discrete
-from .operators import (Factorization, FreqFunction, _toeplitz_apply, _toeplitz_block,
-                        _toeplitz_forms)
+from .operators import Factorization, _toeplitz_apply, _toeplitz_block, _toeplitz_forms
 
 _FACTORIZATION_SALT = 0x8F1E
 _COERCIVITY_SALT = 0x51D3
@@ -116,24 +116,23 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
     """Certify N = P T P* on matched quadrature: max over random g of ||(N - PTP*)g|| / ||Ng||.
 
     N is applied to all the trials in one `_toeplitz_apply` call, row by row the
-    bits of `apply_operator`; the exported factors are applied to one trial at
-    a time.  `problem`, when given, is `_sensor_problem(scenario, sensor)`;
-    otherwise the check builds it.
+    bits of `apply_operator`; the exported factors are applied to one trial, a
+    row of that batch, at a time.  The maximum propagates NaN, so a trial whose
+    factors return a non-finite sample fails the check.  `problem`, when given,
+    is `_sensor_problem(scenario, sensor)`; otherwise the check builds it.
     """
     t0 = time.perf_counter()
     data, rule, fac = problem or _sensor_problem(scenario, sensor)
     G = _draws(scenario, sensor, _FACTORIZATION_SALT)(trials)
     NG = _toeplitz_apply(_toeplitz_block(data.values[0]), G, scenario.frequencies.spacing)
-    residual = 0.0
-    for samples, Ng in zip(G, NG):
+    ratios = np.empty(trials)
+    for t, (g, Ng) in enumerate(zip(G, NG)):
         den = np.linalg.norm(Ng)
         if den == 0.0:
             raise ValueError("degenerate scenario: data operator annihilates a random test function")
-        g = FreqFunction(scenario.frequencies, samples)
-        num = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g))).samples)
-        residual = max(residual, float(num / den))
-    return _report("factorization", scenario.summary(), residual, tol, t0,
-                   {"trials": float(trials), "sensor": float(sensor)})
+        ratios[t] = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g)))) / den
+    return _report("factorization", scenario.summary(), float(np.max(ratios, initial=0.0)), tol,
+                   t0, {"trials": float(trials), "sensor": float(sensor)})
 
 
 def _nondegenerate(draw, gram_block: np.ndarray, dk: float, trials: int):

@@ -462,7 +462,7 @@ class TestBand:
         J = data.grid.count
         for ell, x in enumerate(s.measurement.array):
             fac = mf.Factorization(kind, x, rule, data.grid)
-            cols = fac.synthesis(mf.SupportFunction(rule, fac.multiplier)).samples
+            cols = fac.synthesis(fac.multiplier)
             assert cols.tobytes() == data.values[ell, J + 1:].tobytes()
 
     def test_data_and_factors_skip_exact_kernel(self, monkeypatch):

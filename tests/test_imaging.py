@@ -192,7 +192,7 @@ class TestIndicatorNear:
         lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
         for z in [(0, 0, 0), (0.5, 0.5, 0), (-1, 0.2, 0.8), (2, 2, 2), (-2.5, 0, 1)]:
             g = probe("near", x, z, ball_dataset.grid)
-            denom = support_norm(fac.analysis(g)) ** 2
+            denom = support_norm(fac.rule.weights, fac.analysis(g.samples)) ** 2
             ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 

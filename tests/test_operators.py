@@ -13,13 +13,14 @@ from mfsampling import (
     MeasurementSet,
     MultiFreqDataset,
     QuadratureRule,
-    SupportFunction,
     apply_operator,
     check_factorization,
     probe,
     quadratic_form,
     quadrature,
 )
+from mfsampling.cli import main
+from mfsampling.forward import _horner, _power_sums
 from mfsampling.operators import _toeplitz_apply, _toeplitz_block, _toeplitz_forms
 from mfsampling.verify import _sensor_problem
 from conftest import freq_inner, support_inner, support_norm
@@ -34,8 +35,7 @@ def random_freq(grid, rng):
 
 def random_support(rule, rng):
     n = len(rule)
-    return SupportFunction(rule, (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                           / math.sqrt(2))
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
 
 
 @pytest.fixture(scope="module")
@@ -147,33 +147,33 @@ class TestAdjointness:
         for _ in range(100):
             psi = random_support(rule, rng)
             phi = random_freq(grid, rng)
-            lhs = freq_inner(fac.synthesis(psi), phi)
-            rhs = support_inner(psi, fac.analysis(phi))
+            lhs = freq_inner(FreqFunction(grid, fac.synthesis(psi)), phi)
+            rhs = support_inner(rule.weights, psi, fac.analysis(phi.samples))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) / scale < 1e-12
 
     def test_single_node_synthesis(self, ball_scenario):
         rule = QuadratureRule(nodes=np.array([[0.0, 0.0, 0.0]]),
                               weights=np.array([0.125]), amplitude=np.ones(1))
-        psi = SupportFunction(rule, np.array([1.0 + 0j]))
+        psi = np.array([1.0 + 0j])
         grid = ball_scenario.frequencies
         out = Factorization("near", (3.0, 0.0, 0.0), rule, grid).synthesis(psi)
-        assert np.allclose(out.samples, 0.125 * np.exp(1j * grid.nodes * 3.0), rtol=1e-15)
+        assert np.allclose(out, 0.125 * np.exp(1j * grid.nodes * 3.0), rtol=1e-15)
 
 
 class TestMiddleOperator:
     def test_zero(self, unit_ball):
         rule = quadrature(unit_ball, 0.25)
-        h = SupportFunction(rule, np.zeros(len(rule), dtype=complex))
+        h = np.zeros(len(rule), dtype=complex)
         out = Factorization("near", (3.0, 0.0, 0.0), rule, _GRID).apply_multiplier(h)
-        assert np.all(out.samples == 0)
+        assert np.all(out == 0)
 
     def test_single_node_multiplier(self):
         rule = QuadratureRule(nodes=np.array([[2.0, 0.0, 0.0]]),
                               weights=np.array([1e-3]), amplitude=np.ones(1))
-        h = SupportFunction(rule, np.array([1.0 + 0j]))
+        h = np.array([1.0 + 0j])
         out = Factorization("near", (0.0, 0.0, 0.0), rule, _GRID).apply_multiplier(h)
-        assert out.samples[0] == pytest.approx(1 / (8 * math.pi), rel=1e-14)
+        assert out[0] == pytest.approx(1 / (8 * math.pi), rel=1e-14)
 
     def test_self_adjoint(self, unit_ball):
         rule = quadrature(unit_ball, 0.2)
@@ -181,8 +181,8 @@ class TestMiddleOperator:
         fac = Factorization("near", (3.0, 0.0, 0.0), rule, _GRID)
         for _ in range(20):
             h1, h2 = random_support(rule, rng), random_support(rule, rng)
-            lhs = support_inner(fac.apply_multiplier(h1), h2)
-            rhs = support_inner(h1, fac.apply_multiplier(h2))
+            lhs = support_inner(rule.weights, fac.apply_multiplier(h1), h2)
+            rhs = support_inner(rule.weights, h1, fac.apply_multiplier(h2))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-30)
 
     def test_sign_definite_bounds(self, unit_ball):
@@ -195,9 +195,9 @@ class TestMiddleOperator:
         rng = np.random.default_rng(17)
         for _ in range(50):
             h = random_support(rule, rng)
-            val = support_inner(fac.apply_multiplier(h), h)
+            val = support_inner(rule.weights, fac.apply_multiplier(h), h)
             assert abs(val.imag) <= 1e-14 * abs(val)
-            ratio = abs(val) / support_norm(h) ** 2
+            ratio = abs(val) / support_norm(rule.weights, h) ** 2
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 
 
@@ -235,14 +235,39 @@ class TestFactorization:
         assert check_factorization(s).measured <= 1e-10
 
         def analysis(self, phi):
-            out = phi.samples[-1] * self.z
-            for p in phi.samples[-2::-1]:
+            out = phi[-1] * self.z
+            for p in phi[-2::-1]:
                 out += p
                 out *= self.z
-            return SupportFunction(rule=self.rule, samples=phi.grid.spacing * out)
+            return self.grid.spacing * out
 
         monkeypatch.setattr(Factorization, "analysis", analysis)
         assert check_factorization(s).measured > 1e-3
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_nan_trial_fails(self, ball_scenario, far_ball_scenario, monkeypatch, tmp_path,
+                             capsys, kind):
+        # the residual is the maximum over every trial's ratio, NaN included: one trial whose
+        # analysis returns a NaN sample reads `measured nan`, fails, and `verify` exits 1
+        s = ball_scenario if kind == "near" else far_ball_scenario
+        analysis, calls = Factorization.analysis, []
+
+        def poisoned(self, phi):
+            out = analysis(self, phi)
+            calls.append(len(calls))
+            if calls[-1] % 20 == 7:  # the eighth of each check's 20 trials
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(Factorization, "analysis", poisoned)
+        report = check_factorization(s)
+        assert math.isnan(report.measured) and not report.passed
+        cfg = tmp_path / "s.cfg"
+        mf.write_config(s, cfg)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg), "--only", "factorization"]) == 1
+        assert "measured: nan" in capsys.readouterr().out
+        assert len(calls) == 40
 
     def test_zero_mode_drop_breaks_identity(self, ball_scenario):
         # without the zero-frequency column the diagonal is missing: large residual
@@ -256,6 +281,38 @@ class TestFactorization:
         a = check_factorization(ball_scenario, trials=5).measured
         b = check_factorization(ball_scenario, trials=5).measured
         assert a == b
+
+
+def offcentre_factors(kind):
+    """Sensor factors of an off-centre ball on a 40-frequency band."""
+    rule = quadrature(Ball(center=(0.6, -0.3, 0.2), radius=0.5), 0.1)
+    x = (3.0, -0.5, 0.5) if kind == "near" else (0.6, -0.48, 0.64)
+    return Factorization(kind, x, rule, FrequencyGrid(k_max=30.0, count=40))
+
+
+class TestArrayFactors:
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_bits_of_the_promoting_expressions(self, kind):
+        # conj(z) and the complex copies of the multiplier and weights, taken once, give
+        # each factor the bytes of the expression that conjugates and promotes per call
+        fac = offcentre_factors(kind)
+        rng = np.random.default_rng(43)
+        phi, h = random_freq(fac.grid, rng).samples, random_support(fac.rule, rng)
+        zc, dk = np.conj(fac.z), fac.grid.spacing
+        assert fac.analysis(phi).tobytes() == (dk * (_horner(phi, zc) * zc)).tobytes()
+        assert fac.apply_multiplier(h).tobytes() == (h * fac.multiplier).tobytes()
+        expected = _power_sums(fac.z, fac.rule.weights * h, fac.grid.count)[1:]
+        assert fac.synthesis(h).tobytes() == expected.tobytes()
+
+    def test_wrong_length_refused(self):
+        fac = offcentre_factors("near")
+        J, Q = fac.grid.count, len(fac.rule)
+        for n in (J - 1, J + 1):
+            with pytest.raises(ValueError, match=f"expected {J} band samples"):
+                fac.analysis(np.zeros(n, dtype=complex))
+        for apply in (fac.synthesis, fac.apply_multiplier):
+            with pytest.raises(ValueError):
+                apply(np.zeros(Q + 1, dtype=complex))
 
 
 @pytest.mark.parametrize("kind", ["near", "far"])
@@ -283,7 +340,7 @@ class TestSandwich:
         rng = np.random.default_rng(23)
         for _ in range(100):
             g = random_freq(ball_dataset.grid, rng)
-            denom = support_norm(fac.analysis(g)) ** 2
+            denom = support_norm(rule.weights, fac.analysis(g.samples)) ** 2
             ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 
@@ -295,7 +352,7 @@ class TestSandwich:
         rng = np.random.default_rng(29)
         for _ in range(50):
             phi = random_freq(far_ball_dataset.grid, rng)
-            denom = support_norm(fac.analysis(phi)) ** 2
+            denom = support_norm(rule.weights, fac.analysis(phi.samples)) ** 2
             ratio = abs(quadratic_form(far_ball_dataset, 0, phi)) / denom
             assert ratio == pytest.approx(1.0, rel=1e-10)
 
@@ -307,6 +364,6 @@ class TestSandwich:
         fac = Factorization("far", scaled.measurement.array[0], rule, data.grid)
         rng = np.random.default_rng(31)
         phi = random_freq(data.grid, rng)
-        denom = support_norm(fac.analysis(phi)) ** 2
+        denom = support_norm(rule.weights, fac.analysis(phi.samples)) ** 2
         ratio = abs(quadratic_form(data, 0, phi)) / denom
         assert ratio == pytest.approx(2.0, rel=1e-10)

@@ -60,7 +60,7 @@ def analysis_norms(scenario, gs):
     rule = mf.quadrature(scenario.support, scenario.h)
     fac = mf.Factorization(scenario.kind, scenario.measurement.points[0], rule,
                            scenario.frequencies)
-    return np.array([support_norm(fac.analysis(g)) ** 2 for g in gs])
+    return np.array([support_norm(rule.weights, fac.analysis(g.samples)) ** 2 for g in gs])
 
 
 class TestCheckFactorization:
