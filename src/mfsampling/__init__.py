@@ -29,7 +29,6 @@ from .forward import (
 )
 from .operators import (
     Factorization,
-    FreqFunction,
     apply_operator,
     far_quadratic_form,
     near_quadratic_form,

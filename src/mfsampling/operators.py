@@ -3,36 +3,20 @@
 The data-driven operator convolves a sensor's multi-frequency samples
 against a frequency function over the band; it factors exactly (on
 matched quadrature) into an outer synthesis/analysis pair and a middle
-multiplication operator, which act on plain arrays; `verify` certifies that.
-The operator's band functions are `FreqFunction`s.  All reductions run in a
-fixed order so results are reproducible across platforms and thread counts.
+multiplication operator; `verify` certifies that.  Band functions are (J,)
+complex arrays on the positive frequency nodes, support functions (Q,) arrays on
+a rule's nodes.  All reductions run in a fixed order so results are
+reproducible across platforms and thread counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .forward import FrequencyGrid, MultiFreqDataset, _band, _horner, _power_sums
 from .geometry import QuadratureRule
-
-
-@dataclass(frozen=True)
-class FreqFunction:
-    """Samples of a band function on the positive frequency nodes."""
-
-    grid: FrequencyGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        if s.shape != (self.grid.count,):
-            raise ValueError(f"expected {self.grid.count} samples, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("frequency samples must be finite")
-        object.__setattr__(self, "samples", s)
 
 
 @lru_cache(maxsize=16)
@@ -61,23 +45,32 @@ def _toeplitz_apply(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
     return dk * np.einsum("jl,tl->tj", block, G)
 
 
-def _check_grid(data: MultiFreqDataset, g: FreqFunction) -> None:
-    if g.grid != data.grid:
-        raise ValueError("frequency grid mismatch between dataset and test function")
+def _check_length(a: np.ndarray, n: int, what: str) -> None:
+    if len(a) != n:
+        raise ValueError(f"expected {n} {what}, got {len(a)}")
 
 
-def apply_operator(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> FreqFunction:
-    """Band convolution (N g)(k_j) = dk * sum_l values[sensor, j-l] g(k_l)."""
-    _check_grid(data, g)
-    out = _toeplitz_apply(_toeplitz_block(data.values[sensor]), g.samples[None], data.grid.spacing)
-    return FreqFunction(grid=data.grid, samples=out[0])
+def _band_function(data: MultiFreqDataset, g) -> np.ndarray:
+    """g as complex samples on the data's J nodes, refusing a wrong shape or a non-finite
+    sample.  An array carries no k_max: only its count can meet the grid."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (data.grid.count,):
+        raise ValueError(f"expected {data.grid.count} band samples, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("band samples must be finite")
+    return g
 
 
-def quadratic_form(data: MultiFreqDataset, sensor: int, g: FreqFunction) -> complex:
-    """(N g, g) under the discrete band inner product."""
-    _check_grid(data, g)
-    return complex(_toeplitz_forms(_toeplitz_block(data.values[sensor]), g.samples[None],
-                                   g.grid.spacing)[0])
+def apply_operator(data: MultiFreqDataset, sensor: int, g: np.ndarray) -> np.ndarray:
+    """Band convolution (N g)(k_j) = dk * sum_l values[sensor, j-l] g(k_l), (J,) to (J,)."""
+    return _toeplitz_apply(_toeplitz_block(data.values[sensor]), _band_function(data, g)[None],
+                           data.grid.spacing)[0]
+
+
+def quadratic_form(data: MultiFreqDataset, sensor: int, g: np.ndarray) -> complex:
+    """(N g, g) under the discrete band inner product, at (J,) band samples g."""
+    return complex(_toeplitz_forms(_toeplitz_block(data.values[sensor]),
+                                   _band_function(data, g)[None], data.grid.spacing)[0])
 
 
 # Former per-kind names, still called by the benchmark's oracle.
@@ -90,7 +83,8 @@ class Factorization:
     The factors act on arrays: P (`synthesis`) maps (Q,) support samples to (J,)
     band samples with kernel e^{i k phase(y)}, T (`apply_multiplier`) multiplies
     (Q,) samples by f(y) / spreading(y), with f the rule's `amplitude`, and P*
-    (`analysis`), P's adjoint with the conjugate kernel, maps (J,) to (Q,).
+    (`analysis`), P's adjoint with the conjugate kernel, maps (J,) to (Q,); each
+    refuses another length.
     `_band` gives the multiplier and the sensor's ratio z; the kernel at
     k_j = j dk is z^j, so P sums running products (`_power_sums`) and P* runs
     Horner's rule in conj(z) (`_horner`); neither builds a J x Q kernel.  conj(z)
@@ -108,15 +102,16 @@ class Factorization:
         self._weights_c = rule.weights.astype(complex)
 
     def synthesis(self, psi: np.ndarray) -> np.ndarray:
+        _check_length(psi, len(self.rule), "support samples")
         return _power_sums(self.z, self._weights_c * psi, self.grid.count)[1:]
 
     def apply_multiplier(self, h: np.ndarray) -> np.ndarray:
+        _check_length(h, len(self.rule), "support samples")
         return h * self._multiplier_c
 
     def analysis(self, phi: np.ndarray) -> np.ndarray:
         # dk sum_j conj(z)^(j+1) phi_j: Horner's rule in conj(z), from j = J-1 down
-        if len(phi) != self.grid.count:
-            raise ValueError(f"expected {self.grid.count} band samples, got {len(phi)}")
+        _check_length(phi, self.grid.count, "band samples")
         out = _horner(phi, self._zc)
         out *= self._zc
         out *= self.grid.spacing

@@ -119,8 +119,11 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
     bits of `apply_operator`; the exported factors are applied to one trial, a
     row of that batch, at a time.  The maximum propagates NaN, so a trial whose
     factors return a non-finite sample fails the check.  `problem`, when given,
-    is `_sensor_problem(scenario, sensor)`; otherwise the check builds it.
+    is `_sensor_problem(scenario, sensor)`; otherwise the check builds it.  A
+    maximum over no trial certifies nothing, so `trials` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"a certificate needs at least one trial, got {trials}")
     t0 = time.perf_counter()
     data, rule, fac = problem or _sensor_problem(scenario, sensor)
     G = _draws(scenario, sensor, _FACTORIZATION_SALT)(trials)
@@ -131,8 +134,8 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
         if den == 0.0:
             raise ValueError("degenerate scenario: data operator annihilates a random test function")
         ratios[t] = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g)))) / den
-    return _report("factorization", scenario.summary(), float(np.max(ratios, initial=0.0)), tol,
-                   t0, {"trials": float(trials), "sensor": float(sensor)})
+    return _report("factorization", scenario.summary(), float(np.max(ratios)), tol, t0,
+                   {"trials": float(trials), "sensor": float(sensor)})
 
 
 def _nondegenerate(draw, gram_block: np.ndarray, dk: float, trials: int):
@@ -161,8 +164,10 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     data's P(T 1) with T = 1, and sum_q w_q at m = 0 whatever `zero_mode`.
     Each form is one `_toeplitz_forms` batch, O(J^2) per trial: one Toeplitz
     apply of all trials, then a row-wise dot with their conjugates.
-    `problem`, when given, is `_sensor_problem(scenario, sensor)`.
+    `problem`, when given, is `_sensor_problem(scenario, sensor)`; `trials` >= 1.
     """
+    if trials < 1:
+        raise ValueError(f"a certificate needs at least one trial, got {trials}")
     t0 = time.perf_counter()
     data, rule, fac = problem or _sensor_problem(scenario, sensor)
     x = scenario.measurement.points[sensor]
@@ -176,8 +181,8 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     ratios = np.abs(_toeplitz_forms(_toeplitz_block(data.values[0]), G, dk)) / norms
     violations = np.maximum((lower - ratios) / lower, (ratios - upper) / upper)
     return _report("coercivity", scenario.summary(), float(np.max(violations, initial=0.0)),
-                   tol, t0, {"ratio_min": float(np.min(ratios, initial=math.inf)),
-                             "ratio_max": float(np.max(ratios, initial=-math.inf)),
+                   tol, t0, {"ratio_min": float(np.min(ratios)),
+                             "ratio_max": float(np.max(ratios)),
                              "lower_bound": lower, "upper_bound": upper,
                              "trials": float(trials)})
 

@@ -62,11 +62,9 @@ def far_ball_dataset(far_ball_scenario):
     return mf.generate_dataset(far_ball_scenario)
 
 
-def freq_inner(a, b) -> complex:
-    """Discrete band inner product dk * sum a conj(b) of two `FreqFunction`s."""
-    if a.grid != b.grid:
-        raise ValueError("frequency grid mismatch")
-    return complex(a.grid.spacing * np.sum(a.samples * np.conj(b.samples)))
+def freq_inner(a, b, dk) -> complex:
+    """Discrete band inner product dk * sum a conj(b) of two (J,) band sample arrays."""
+    return complex(dk * np.sum(a * np.conj(b)))
 
 
 def support_inner(weights, u, v) -> complex:

@@ -41,23 +41,23 @@ class TestTestFunctions:
     def test_near_probe_at_sensor(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
         g = probe("near", (3.0, 0.0, 0.0), (3.0, 0.0, 0.0), grid)
-        assert np.array_equal(g.samples, np.ones(11, dtype=complex))
+        assert np.array_equal(g, np.ones(11, dtype=complex))
 
     def test_near_probe_unimodular(self):
         grid = FrequencyGrid(k_max=7.0, count=9)
         g = probe("near", (3.0, 0.0, 0.0), (0.4, -1.2, 0.7), grid)
-        assert np.allclose(np.abs(g.samples), 1.0, rtol=1e-15)
+        assert np.allclose(np.abs(g), 1.0, rtol=1e-15)
 
     def test_near_probe_phases(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
         g = probe("near", (3.0, 0.0, 0.0), (0.0, 0.0, 0.0), grid)
         expected = np.exp(3j * np.arange(1, 12))
-        assert np.allclose(g.samples, expected, rtol=1e-14)
+        assert np.allclose(g, expected, rtol=1e-14)
 
     def test_far_probe_at_origin(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
         phi = probe("far", (0.0, 1.0, 0.0), (0.0, 0.0, 0.0), grid)
-        assert np.array_equal(phi.samples, np.ones(11, dtype=complex))
+        assert np.array_equal(phi, np.ones(11, dtype=complex))
 
     def test_far_probe_matches_near_probe_on_equal_argument(self):
         # the far phase -xhat.z = 1.5 for xhat = e1, z = (-1.5,0,0) equals the
@@ -65,7 +65,7 @@ class TestTestFunctions:
         grid = FrequencyGrid(k_max=11.0, count=11)
         phi = probe("far", (1.0, 0.0, 0.0), (-1.5, 0.0, 0.0), grid)
         g = probe("near", (3.0, 0.0, 0.0), (1.5, 0.0, 0.0), grid)
-        assert np.allclose(phi.samples, g.samples, rtol=1e-15)
+        assert np.allclose(phi, g, rtol=1e-15)
 
     def test_far_probe_requires_unit_direction(self):
         grid = FrequencyGrid(k_max=11.0, count=11)
@@ -157,6 +157,25 @@ class TestIndicatorNear:
                       for ell, x in enumerate(data.sensors.array))
             assert abs(field.values[v] - ref) <= 1e-12 * max(ref, 1e-30)
 
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_benchmark_oracle_call_shape(self, kind):
+        # the benchmark's oracle sums the per-kind aliases over the sensors, one probe
+        # each, at a seeded sample of voxels plus the argmax
+        scenario = _offcentre_scenario(kind, resolution=(12, 10, 9))
+        data = add_noise(generate_dataset(scenario), 0.05, 3)
+        field = compute_indicator(data, scenario.sampling)
+        if kind == "near":
+            form, test_function = mf.near_quadratic_form, mf.near_test_function
+        else:
+            form, test_function = mf.far_quadratic_form, mf.far_test_function
+        sample = np.random.default_rng(5).choice(field.grid.size, size=32, replace=False)
+        index = np.append(sample, np.argmax(field.values))
+        sensors = data.sensors.array
+        for v, z in zip(index, field.grid.centers()[index]):
+            ref = sum(abs(form(data, ell, test_function(sensors[ell], z, data.grid)))
+                      for ell in range(len(sensors)))
+            assert abs(field.values[v] - ref) <= 1e-12 * ref
+
     def test_nonnegative(self, ball_dataset):
         field = compute_indicator(ball_dataset, SamplingGrid.cube(3.0, 8))
         assert np.all(field.values >= 0)
@@ -192,7 +211,7 @@ class TestIndicatorNear:
         lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
         for z in [(0, 0, 0), (0.5, 0.5, 0), (-1, 0.2, 0.8), (2, 2, 2), (-2.5, 0, 1)]:
             g = probe("near", x, z, ball_dataset.grid)
-            denom = support_norm(fac.rule.weights, fac.analysis(g.samples)) ** 2
+            denom = support_norm(fac.rule.weights, fac.analysis(g)) ** 2
             ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 

@@ -8,7 +8,6 @@ import mfsampling as mf
 from mfsampling import (
     Ball,
     Factorization,
-    FreqFunction,
     FrequencyGrid,
     MeasurementSet,
     MultiFreqDataset,
@@ -29,8 +28,7 @@ _GRID = FrequencyGrid(k_max=11.0, count=11)
 
 
 def random_freq(grid, rng):
-    return FreqFunction(grid, (rng.standard_normal(grid.count)
-                               + 1j * rng.standard_normal(grid.count)) / math.sqrt(2))
+    return (rng.standard_normal(grid.count) + 1j * rng.standard_normal(grid.count)) / math.sqrt(2)
 
 
 def random_support(rule, rng):
@@ -50,33 +48,45 @@ def toy_near_dataset():
 
 class TestApplyNearOperator:
     def test_zero_input(self, ball_dataset):
-        g = FreqFunction(ball_dataset.grid, np.zeros(11, dtype=complex))
-        out = apply_operator(ball_dataset, 0, g)
-        assert np.all(out.samples == 0)
+        out = apply_operator(ball_dataset, 0, np.zeros(11, dtype=complex))
+        assert np.all(out == 0)
 
     def test_hand_2x2(self, toy_near_dataset):
         vm1, v0, vp1 = -0.2 + 0.1j, 0.5 + 0.0j, 0.1 + 0.7j
         g1, g2 = 1.0 + 2.0j, -1.0j
-        g = FreqFunction(toy_near_dataset.grid, np.array([g1, g2]))
-        out = apply_operator(toy_near_dataset, 0, g)
+        out = apply_operator(toy_near_dataset, 0, np.array([g1, g2]))
         # dk = 1; row j collects values[j - l]
         expected = np.array([v0 * g1 + vm1 * g2, vp1 * g1 + v0 * g2])
-        assert np.allclose(out.samples, expected, rtol=1e-15, atol=0)
+        assert np.allclose(out, expected, rtol=1e-15, atol=0)
 
     def test_linearity(self, ball_dataset):
         rng = np.random.default_rng(2)
         g1, g2 = random_freq(ball_dataset.grid, rng), random_freq(ball_dataset.grid, rng)
         a, b = 1.3 - 0.2j, -0.7 + 2.1j
-        combo = FreqFunction(ball_dataset.grid, a * g1.samples + b * g2.samples)
-        lhs = apply_operator(ball_dataset, 0, combo).samples
-        rhs = (a * apply_operator(ball_dataset, 0, g1).samples
-               + b * apply_operator(ball_dataset, 0, g2).samples)
+        lhs = apply_operator(ball_dataset, 0, a * g1 + b * g2)
+        rhs = a * apply_operator(ball_dataset, 0, g1) + b * apply_operator(ball_dataset, 0, g2)
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_grid_mismatch(self, ball_dataset):
-        g = FreqFunction(FrequencyGrid(k_max=11.0, count=7), np.zeros(7, dtype=complex))
-        with pytest.raises(ValueError, match="grid mismatch"):
+        g = np.zeros(7, dtype=complex)  # the samples of a 7-frequency grid
+        with pytest.raises(ValueError, match="expected 11 band samples"):
             apply_operator(ball_dataset, 0, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_sample_refused(self, ball_dataset, far_ball_dataset, bad):
+        # the one validation of `apply_operator` and `quadratic_form`, near and far
+        g = np.ones(11, dtype=complex)
+        g[4] = bad
+        for data in (ball_dataset, far_ball_dataset):
+            for op in (apply_operator, quadratic_form):
+                with pytest.raises(ValueError, match="must be finite"):
+                    op(data, 0, g)
+
+    def test_wrong_shape_refused(self, ball_dataset):
+        for g in (np.ones(1), np.ones(12), np.ones((1, 11)), np.ones((11, 1))):
+            for op in (apply_operator, quadratic_form):
+                with pytest.raises(ValueError, match="expected 11 band samples"):
+                    op(ball_dataset, 0, g)
 
 
 @pytest.mark.parametrize("kind", ["near", "far"])
@@ -98,7 +108,7 @@ def test_batch_apply_rows_match_apply_operator(kind):
         block, dk = _toeplitz_block(data.values[0]), data.grid.spacing
         rows, forms = _toeplitz_apply(block, G, dk), _toeplitz_forms(block, G, dk)
         for g, row, form in zip(G, rows, forms):
-            one = apply_operator(data, 0, FreqFunction(data.grid, g)).samples
+            one = apply_operator(data, 0, g)
             assert row.tobytes() == one.tobytes()
             assert row.tobytes() == (dk * np.einsum("jl,l->j", block, g)).tobytes()
             scale = dk * np.sum(np.abs(g * one))
@@ -107,15 +117,14 @@ def test_batch_apply_rows_match_apply_operator(kind):
 
 class TestQuadraticForms:
     def test_zero(self, ball_dataset):
-        g = FreqFunction(ball_dataset.grid, np.zeros(11, dtype=complex))
-        assert quadratic_form(ball_dataset, 0, g) == 0
+        assert quadratic_form(ball_dataset, 0, np.zeros(11, dtype=complex)) == 0
 
     def test_matches_inner_product(self, ball_dataset):
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = random_freq(ball_dataset.grid, rng)
             qf = quadratic_form(ball_dataset, 0, g)
-            ip = freq_inner(apply_operator(ball_dataset, 0, g), g)
+            ip = freq_inner(apply_operator(ball_dataset, 0, g), g, ball_dataset.grid.spacing)
             assert abs(qf - ip) <= 1e-14 * abs(qf)
 
     def test_positive_at_center_probe(self, ball_dataset):
@@ -123,15 +132,13 @@ class TestQuadraticForms:
         assert abs(quadratic_form(ball_dataset, 0, g)) > 0
 
     def test_far_zero(self, far_ball_dataset):
-        phi = FreqFunction(far_ball_dataset.grid, np.zeros(11, dtype=complex))
-        assert quadratic_form(far_ball_dataset, 0, phi) == 0
+        assert quadratic_form(far_ball_dataset, 0, np.zeros(11, dtype=complex)) == 0
 
     def test_homogeneity(self, ball_dataset):
         rng = np.random.default_rng(9)
         g = random_freq(ball_dataset.grid, rng)
         alpha = 2.7
-        scaled = FreqFunction(ball_dataset.grid, alpha * g.samples)
-        assert quadratic_form(ball_dataset, 0, scaled) == pytest.approx(
+        assert quadratic_form(ball_dataset, 0, alpha * g) == pytest.approx(
             alpha**2 * quadratic_form(ball_dataset, 0, g), rel=1e-12)
 
 
@@ -147,8 +154,8 @@ class TestAdjointness:
         for _ in range(100):
             psi = random_support(rule, rng)
             phi = random_freq(grid, rng)
-            lhs = freq_inner(FreqFunction(grid, fac.synthesis(psi)), phi)
-            rhs = support_inner(rule.weights, psi, fac.analysis(phi.samples))
+            lhs = freq_inner(fac.synthesis(psi), phi, grid.spacing)
+            rhs = support_inner(rule.weights, psi, fac.analysis(phi))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) / scale < 1e-12
 
@@ -297,7 +304,7 @@ class TestArrayFactors:
         # each factor the bytes of the expression that conjugates and promotes per call
         fac = offcentre_factors(kind)
         rng = np.random.default_rng(43)
-        phi, h = random_freq(fac.grid, rng).samples, random_support(fac.rule, rng)
+        phi, h = random_freq(fac.grid, rng), random_support(fac.rule, rng)
         zc, dk = np.conj(fac.z), fac.grid.spacing
         assert fac.analysis(phi).tobytes() == (dk * (_horner(phi, zc) * zc)).tobytes()
         assert fac.apply_multiplier(h).tobytes() == (h * fac.multiplier).tobytes()
@@ -305,14 +312,16 @@ class TestArrayFactors:
         assert fac.synthesis(h).tobytes() == expected.tobytes()
 
     def test_wrong_length_refused(self):
+        # length 1 included: one sample would broadcast over every node or frequency
         fac = offcentre_factors("near")
         J, Q = fac.grid.count, len(fac.rule)
-        for n in (J - 1, J + 1):
-            with pytest.raises(ValueError, match=f"expected {J} band samples"):
+        for n in (1, J - 1, J + 1):
+            with pytest.raises(ValueError, match=f"expected {J} band samples, got {n}$"):
                 fac.analysis(np.zeros(n, dtype=complex))
         for apply in (fac.synthesis, fac.apply_multiplier):
-            with pytest.raises(ValueError):
-                apply(np.zeros(Q + 1, dtype=complex))
+            for n in (1, Q - 1, Q + 1):
+                with pytest.raises(ValueError, match=f"expected {Q} support samples, got {n}$"):
+                    apply(np.zeros(n, dtype=complex))
 
 
 @pytest.mark.parametrize("kind", ["near", "far"])
@@ -340,7 +349,7 @@ class TestSandwich:
         rng = np.random.default_rng(23)
         for _ in range(100):
             g = random_freq(ball_dataset.grid, rng)
-            denom = support_norm(rule.weights, fac.analysis(g.samples)) ** 2
+            denom = support_norm(rule.weights, fac.analysis(g)) ** 2
             ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
             assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
 
@@ -352,7 +361,7 @@ class TestSandwich:
         rng = np.random.default_rng(29)
         for _ in range(50):
             phi = random_freq(far_ball_dataset.grid, rng)
-            denom = support_norm(rule.weights, fac.analysis(phi.samples)) ** 2
+            denom = support_norm(rule.weights, fac.analysis(phi)) ** 2
             ratio = abs(quadratic_form(far_ball_dataset, 0, phi)) / denom
             assert ratio == pytest.approx(1.0, rel=1e-10)
 
@@ -364,6 +373,6 @@ class TestSandwich:
         fac = Factorization("far", scaled.measurement.array[0], rule, data.grid)
         rng = np.random.default_rng(31)
         phi = random_freq(data.grid, rng)
-        denom = support_norm(rule.weights, fac.analysis(phi.samples)) ** 2
+        denom = support_norm(rule.weights, fac.analysis(phi)) ** 2
         ratio = abs(quadratic_form(data, 0, phi)) / denom
         assert ratio == pytest.approx(2.0, rel=1e-10)

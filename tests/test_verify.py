@@ -7,7 +7,6 @@ from dataclasses import replace
 import mfsampling as mf
 from mfsampling import (
     Ball,
-    FreqFunction,
     FrequencyGrid,
     MeasurementSet,
     add_noise,
@@ -39,20 +38,18 @@ def offcentre_scenario(kind):
 
 
 def coercivity_denominators(scenario, trials):
-    """The test functions g that check_coercivity draws, each with the ||P* g||^2 it
-    divides by, as the check computes it."""
+    """The (trials, J) test functions G that check_coercivity draws, and the ||P* g||^2
+    it divides each row by, as the check computes them."""
     nondegenerate, seen = mf.verify._nondegenerate, []
 
     def recorded(*args):
-        G, norms = nondegenerate(*args)
-        seen.extend((FreqFunction(scenario.frequencies, g), value)
-                    for g, value in zip(G, norms))
-        return G, norms
+        seen.append(nondegenerate(*args))
+        return seen[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mf.verify, "_nondegenerate", recorded)
         check_coercivity(scenario, trials=trials)
-    return seen
+    return seen[0]
 
 
 def analysis_norms(scenario, gs):
@@ -60,7 +57,7 @@ def analysis_norms(scenario, gs):
     rule = mf.quadrature(scenario.support, scenario.h)
     fac = mf.Factorization(scenario.kind, scenario.measurement.points[0], rule,
                            scenario.frequencies)
-    return np.array([support_norm(rule.weights, fac.analysis(g.samples)) ** 2 for g in gs])
+    return np.array([support_norm(rule.weights, fac.analysis(g)) ** 2 for g in gs])
 
 
 class TestCheckFactorization:
@@ -81,6 +78,14 @@ class TestCheckFactorization:
     def test_far_scenario(self, far_ball_scenario):
         report = check_factorization(far_ball_scenario, trials=10)
         assert report.passed
+
+    def test_no_trial_refused(self, ball_scenario, monkeypatch):
+        # a maximum over no trial would read 0.0 and pass: the check refuses before it
+        # builds the sensor's problem
+        monkeypatch.setattr(mf.verify, "_sensor_problem", None)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
+                check_factorization(ball_scenario, trials=trials)
 
 
 class TestCheckCoercivity:
@@ -112,6 +117,13 @@ class TestCheckCoercivity:
         with pytest.raises(ValueError, match="noiseless"):
             check_coercivity(replace(ball_scenario, noise_level=0.01))
 
+    def test_no_trial_refused(self, ball_scenario, monkeypatch):
+        # as for the factorization check: no evidence, no certificate, and no work done
+        monkeypatch.setattr(mf.verify, "_sensor_problem", None)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
+                check_coercivity(ball_scenario, trials=trials)
+
     def test_kernel_calls_independent_of_trials(self, ball_scenario, monkeypatch):
         # the factors' ratio z comes from `_band` once per check, not once per trial
         band, calls = mf.forward._band, []
@@ -135,10 +147,9 @@ class TestCheckCoercivity:
         # the O(J^2) denominator (P P* g, g) is ||P* g||^2 of the exported factor; with
         # zero_mode = drop its zero column is still sum w_q, not the data's 0
         s = replace(offcentre_scenario(kind), zero_mode=zero_mode)
-        seen = coercivity_denominators(s, trials=50)
-        assert len(seen) == 50
-        exact = analysis_norms(s, [g for g, _ in seen])
-        gram = np.array([value for _, value in seen])
+        G, gram = coercivity_denominators(s, trials=50)
+        assert len(G) == 50
+        exact = analysis_norms(s, G)
         assert np.all(np.abs(gram - exact) <= 1e-13 * exact)
 
     @pytest.mark.parametrize("kind", ["near", "far"])
@@ -312,9 +323,9 @@ class TestTrialStreams:
             return forced
 
         monkeypatch.setattr(mf.verify, "_draws", zero_first)
-        seen = coercivity_denominators(s, trials=20)
-        assert len(seen) == 20
-        assert np.array_equal(np.array([g.samples for g, _ in seen]), stream[1:])
+        G, _ = coercivity_denominators(s, trials=20)
+        assert len(G) == 20
+        assert np.array_equal(G, stream[1:])
         assert check_coercivity(s, trials=20).passed
 
 
