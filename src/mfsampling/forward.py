@@ -349,8 +349,9 @@ def _power_sums(z: np.ndarray, c: np.ndarray, J: int) -> np.ndarray:
     """Columns m = 0..J of sum_q c_q z_q^m over the last axis, for any leading shape: one
     running product per node, from c cast to complex, times z in place and in order, and
     reduced per row into column m (`np.sum`'s reduction, without its wrapper), so a row's
-    bits depend on its own z and c alone."""
-    p = np.array(c, dtype=complex)
+    bits depend on its own z and c alone.  A complex c is that running product, so it is
+    overwritten; a real c is cast into a new array and left as it was."""
+    p = np.asarray(c, dtype=complex)
     sums = np.empty(p.shape[:-1] + (J + 1,), dtype=complex)
     np.add.reduce(p, axis=-1, out=sums[..., 0])
     for m in range(1, J + 1):

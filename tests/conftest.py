@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -99,3 +100,42 @@ def radial_profile_deviation(field, x, bin_width):
     profile = np.interp(d, centers_d[valid], sums[valid] / cnts[valid])
     return float(np.abs(field.values - profile).max())
 
+
+@pytest.fixture
+def split(monkeypatch):
+    """`split(cpus)` makes `compute_indicator` take min(cpus, layers) processes on any
+    grid, as if this process ran on `cpus` CPUs and every grid paid for a fork, and
+    returns the list that each fork in this process appends its worker's pid to."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def force(cpus):
+        monkeypatch.setattr(mf.imaging, "_WORKER_STEPS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    return force
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_workers(monkeypatch):
+    """Make the indicator's `_horner` raise in every process but this one."""
+    parent, horner = os.getpid(), mf.imaging._horner
+
+    def failing(coeffs, w):
+        if os.getpid() != parent:
+            raise FloatingPointError("injected worker fault")
+        return horner(coeffs, w)
+
+    monkeypatch.setattr(mf.imaging, "_horner", failing)

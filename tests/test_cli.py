@@ -28,6 +28,7 @@ from mfsampling import (
 )
 from mfsampling.cli import main, run_image, run_simulate, run_verify
 from mfsampling.scenario import parse_config_text, write_config_text
+from conftest import assert_no_child, fail_in_workers
 
 
 class TestPresets:
@@ -566,6 +567,43 @@ class TestMainExitCodes:
         assert rc == 0
         data, meta = read_dataset(out)
         assert data.noise_level == 0.0
+
+
+class TestImageWorkers:
+    """`image` in worker processes writes the serial run's bytes, and a failed worker
+    fails the command with no field written."""
+
+    ARGS = ["--config", "ball_pt3", "--grid", "9"]  # 3 sensors; 9 layers split 4 + 5
+
+    def _image(self, tmp_path, prefix):
+        return main(["image", *self.ARGS, "--data", str(tmp_path / "d.mfd"),
+                     "--out", str(tmp_path / prefix)])
+
+    def test_split_writes_the_serial_bytes(self, tmp_path, split, capsys):
+        assert main(["simulate", *self.ARGS, "--out", str(tmp_path / "d.mfd")]) == 0
+        assert self._image(tmp_path, "serial") == 0
+        forks = split(2)
+        assert self._image(tmp_path, "split") == 0
+        assert len(forks) == 1
+        assert_no_child()
+        serial = sorted(tmp_path.glob("serial*"))
+        assert len(serial) == 6  # field, three slices, two masks
+        for path in serial:
+            twin = path.with_name(path.name.replace("serial", "split", 1))
+            assert twin.read_bytes() == path.read_bytes(), path.name
+
+    def test_failing_worker_fails_the_command(self, tmp_path, split, monkeypatch, capsys):
+        assert main(["simulate", *self.ARGS, "--out", str(tmp_path / "d.mfd")]) == 0
+        forks = split(2)
+        fail_in_workers(monkeypatch)
+        capsys.readouterr()
+        assert self._image(tmp_path, "r") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: indicator worker ")
+        assert "(axis-0 layers 4..8) exited with status 1" in err
+        assert len(forks) == 1
+        assert_no_child()
+        assert list(tmp_path.glob("r*")) == []
 
 
 def _with_line(blob: bytes, prefix: bytes, line: bytes) -> bytes:

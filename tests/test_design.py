@@ -4,8 +4,9 @@ command builds one quadrature rule, so only a fixed set of functions may build o
 and the rule samples the source, so only the rule's builder may sample it; the band
 has one kernel, one row writer, one Horner pass and one Toeplitz apply, so only a
 fixed set of functions may call each; every e^{i theta} comes from one
-vectorised kernel, so only the closed-form references may call `exp`; and every
-cache-sized loop takes its blocks from one slab rule, which alone reads the budget."""
+vectorised kernel, so only the closed-form references may call `exp`; every
+cache-sized loop takes its blocks from one slab rule, which alone reads the budget; and
+only the indicator forks, and reaps what it forks."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,11 @@ EXPI_CALLERS = ["_cis"]
 ROW_BLOCK_CALLERS = ["_expi", "_grid_walk", "generate_dataset", "radiated_field"]
 GRID_WALK_CALLERS = ["compute_indicator"]
 SLAB_BUDGET_READERS = ["forward._expi", "forward._row_blocks"]
+
+# The indicator's voxels are independent, so its axis-0 layers may be walked in worker
+# processes: the one function that walks the grid forks them, and reaps each before it
+# returns or raises.
+FORK_CALLERS = ["compute_indicator"]
 
 
 def _is_kind(node) -> bool:
@@ -144,6 +150,10 @@ def test_only_the_listed_functions_take_row_blocks():
 
 def test_only_the_listed_functions_walk_the_grid():
     assert _all_callers("_grid_walk") == GRID_WALK_CALLERS
+
+
+def test_only_the_listed_functions_fork():
+    assert _all_callers("fork") == FORK_CALLERS
 
 
 def _readers(tree, name, module, func="<module>"):

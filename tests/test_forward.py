@@ -614,6 +614,22 @@ class TestBand:
             assert sums.shape == zz.shape[:-1] + (41,)
             assert sums.tobytes() == reference(zz, cc, 40).tobytes()
 
+    def test_real_c_unchanged_and_complex_c_overwritten(self):
+        # a real c, which every `_laurent_rows` caller passes, is cast into a new array;
+        # a complex c (the synthesis factor's fresh product) is the running product itself
+        s = offcentre_scenario("near")
+        rule = quadrature(s.support, s.h)
+        z, multiplier = mf.forward._band("near", s.measurement.points[0], rule, 0.7)
+        c = rule.weights * multiplier
+        before = c.copy()
+        mf.forward._laurent_rows(z, c, 11, "extend")
+        assert c.tobytes() == before.tobytes()
+        cc, last = c.astype(complex), c.astype(complex)
+        for _ in range(11):
+            last *= z
+        mf.forward._power_sums(z, cc, 11)
+        assert cc.tobytes() == last.tobytes()
+
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from mfsampling import (
     quadratic_form,
     threshold_mask,
 )
-from conftest import radial_profile_deviation, support_norm
+from conftest import (assert_no_child, fail_in_workers, radial_profile_deviation,
+                      support_norm)
 
 
 class TestSamplingGrid:
@@ -424,6 +428,94 @@ class TestIndicatorSlabs:
         data = add_noise(generate_dataset(s), 0.05, 3)
         field = compute_indicator(data, s.sampling)
         assert field.values.tobytes() == _indicator_unslabbed(data, s.sampling).tobytes()
+
+
+class TestIndicatorWorkers:
+    """Ranges of axis-0 layers in worker processes give the serial field to the bit, and
+    every worker is reaped before `compute_indicator` returns or raises."""
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    @pytest.mark.parametrize("resolution, cpus, workers", [
+        ((7, 11, 5), 2, 2),  # layers 0..2 and 3..6
+        ((7, 11, 5), 3, 3),  # layers 0..1, 2..3 and 4..6
+        ((2, 11, 5), 3, 2),  # fewer layers than CPUs: one layer each
+        ((9, 11, 5), 8, 8),  # eight workers, likely more than the cores: all add at once
+    ])
+    def test_same_bytes_as_serial(self, kind, resolution, cpus, workers, split):
+        s = _offcentre_scenario(kind, resolution=resolution)
+        data = add_noise(generate_dataset(s), 0.05, 3)
+        serial = compute_indicator(data, s.sampling)
+        forks = split(cpus)
+        field = compute_indicator(data, s.sampling)
+        assert len(forks) == workers - 1
+        assert_no_child()
+        assert field.values.tobytes() == serial.values.tobytes()
+
+    def test_failing_worker_raises_and_leaves_no_child(self, split, monkeypatch):
+        s = _offcentre_scenario("near", resolution=(7, 11, 5))
+        data = generate_dataset(s)
+        forks = split(3)
+        fail_in_workers(monkeypatch)
+        with pytest.raises(ChildProcessError, match=r"layers 2\.\.3\) exited with status 1; "
+                                                    r".*layers 4\.\.6\) exited with status 1$"):
+            compute_indicator(data, s.sampling)
+        assert len(forks) == 2
+        assert_no_child()
+
+    def test_failing_own_range_kills_the_workers(self, split, monkeypatch):
+        # the caller's own exception propagates, and its workers, which would take 30 s
+        # each, are killed and reaped at once
+        s = _offcentre_scenario("far", resolution=(7, 11, 5))
+        data = generate_dataset(s)
+        forks = split(3)
+        parent = os.getpid()
+
+        def failing(coeffs, w):
+            if os.getpid() == parent:
+                raise FloatingPointError("injected fault in the caller's range")
+            time.sleep(30)
+
+        monkeypatch.setattr(mf.imaging, "_horner", failing)
+        start = time.monotonic()
+        with pytest.raises(FloatingPointError, match="caller's range"):
+            compute_indicator(data, s.sampling)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 2
+        assert_no_child()
+
+    def test_live_thread_keeps_the_serial_path(self, split):
+        s = _offcentre_scenario("near", resolution=(7, 11, 5))
+        data = add_noise(generate_dataset(s), 0.05, 3)
+        serial = compute_indicator(data, s.sampling)
+        forks = split(3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            field = compute_indicator(data, s.sampling)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert field.values.tobytes() == serial.values.tobytes()
+
+    @pytest.mark.parametrize("layers, steps, workers", [
+        (48, 48**3 * 14 * 21, 2),  # image_dense: V L (2J - 1) = 32.5M steps
+        (16, 16**3 * 24 * 95, 1),  # wideband: 9.3M
+        (32, 32**3 * 7 * 21, 1),  # far_offcentre: 4.8M
+        (1, 48**3 * 14 * 21, 1),  # one layer
+    ], ids=["image_dense", "wideband", "far_offcentre", "one_layer"])
+    def test_worker_count(self, monkeypatch, layers, steps, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert mf.imaging._workers(layers, steps) == workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # `taskset -c 0`
+        assert mf.imaging._workers(layers, steps) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert mf.imaging._workers(layers, steps) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert mf.imaging._workers(layers, steps) == 1
 
 
 class TestNormalize:
