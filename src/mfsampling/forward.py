@@ -563,9 +563,13 @@ def _reading(path, magic: str, repeated=()):
 
 
 def _samples(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """A container's payload as finite samples of `shape`."""
     if min(shape) < 0 or len(payload) != 8 * math.prod(shape):
         raise ValueError(f"payload size mismatch: {len(payload)} bytes for shape {shape}")
-    return np.frombuffer(payload, dtype="<f8").reshape(shape)
+    samples = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("payload holds a non-finite sample")
+    return samples
 
 
 def _numbers(text: str, count: int | None, number=float) -> tuple:

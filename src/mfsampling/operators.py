@@ -27,22 +27,18 @@ def _toeplitz_index(J: int) -> np.ndarray:
     return idx
 
 
-def _toeplitz_block(row: np.ndarray) -> np.ndarray:
-    """J x J block B[j, l] = row[j - l] of a row over the difference columns m = -J..J."""
-    return row[_toeplitz_index(len(row) // 2)]
+def _toeplitz_forms(row: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
+    """(N g, g) = dk sum_j (N g)_j conj g_j at each row g of a (T, J) array G, with N
+    the band convolution of a row over the difference columns m = -J..J: one
+    `_toeplitz_apply` of every row, then a row-wise dot, each in O(J^2)."""
+    return dk * np.einsum("tj,tj->t", _toeplitz_apply(row, G, dk), np.conj(G))
 
 
-def _toeplitz_forms(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
-    """(N g, g) = dk sum_j (N g)_j conj g_j at each row g of a (T, J) array G, over the
-    `_toeplitz_block` of a row: one `_toeplitz_apply` of every row, then a row-wise dot,
-    each in O(J^2)."""
-    return dk * np.einsum("tj,tj->t", _toeplitz_apply(block, G, dk), np.conj(G))
-
-
-def _toeplitz_apply(block: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
-    """dk sum_l block[j, l] G[t, l] at each row t of a (T, J) array G: over the
-    `_toeplitz_block` of a row, the band convolution N applied to every row at once."""
-    return dk * np.einsum("jl,tl->tj", block, G)
+def _toeplitz_apply(row: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
+    """dk sum_l row[j - l] G[t, l] at each row t of a (T, J) array G: the band
+    convolution N of a row over the difference columns m = -J..J, applied to every
+    row of G at once through the row's J x J block."""
+    return dk * np.einsum("jl,tl->tj", row[_toeplitz_index(len(row) // 2)], G)
 
 
 def _check_length(a: np.ndarray, n: int, what: str) -> None:
@@ -63,14 +59,14 @@ def _band_function(data: MultiFreqDataset, g) -> np.ndarray:
 
 def apply_operator(data: MultiFreqDataset, sensor: int, g: np.ndarray) -> np.ndarray:
     """Band convolution (N g)(k_j) = dk * sum_l values[sensor, j-l] g(k_l), (J,) to (J,)."""
-    return _toeplitz_apply(_toeplitz_block(data.values[sensor]), _band_function(data, g)[None],
+    return _toeplitz_apply(data.values[sensor], _band_function(data, g)[None],
                            data.grid.spacing)[0]
 
 
 def quadratic_form(data: MultiFreqDataset, sensor: int, g: np.ndarray) -> complex:
     """(N g, g) under the discrete band inner product, at (J,) band samples g."""
-    return complex(_toeplitz_forms(_toeplitz_block(data.values[sensor]),
-                                   _band_function(data, g)[None], data.grid.spacing)[0])
+    return complex(_toeplitz_forms(data.values[sensor], _band_function(data, g)[None],
+                                   data.grid.spacing)[0])
 
 
 # Former per-kind names, still called by the benchmark's oracle.

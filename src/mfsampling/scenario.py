@@ -59,6 +59,8 @@ class Scenario:
                               "leading or trailing space, which config text cannot carry")
         if self.zero_mode not in ("extend", "drop"):
             raise ConfigError("key 'zero_mode': must be 'extend' or 'drop'")
+        if not self.iso_values:
+            raise ConfigError("key 'iso': expected at least one value")
         for v in self.iso_values:
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"key 'iso': value {v} must lie strictly between 0 and 1")

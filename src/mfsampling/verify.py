@@ -4,14 +4,14 @@ point-spread-profile bounds, and data symmetries.
 Every check reduces to a single `measured <= tolerance` comparison;
 composite checks report the worst subcheck over its own tolerance, against 1.
 Checks are deterministic given (scenario, seed).  The scenario certificates
-run on the noiseless data of sensor 0 alone, never all `L` rows: `run_verify`
+run on the noiseless data row of sensor 0 alone, never all `L` rows: `run_verify`
 builds that row, its quadrature rule and its factors once per run and passes
 them to each check, and a check called on its own builds them itself.  Each
-check draws its random test functions as one batch from a seeded stream and
-applies the data operator to the whole batch at once, in one Toeplitz apply
-(`operators._toeplitz_apply`); the coercivity forms are that apply's row-wise
-dots with the conjugate test functions, and the factorization check hands
-each row of the batch, a plain array, straight to the factors.
+check draws exactly `trials` test functions as one batch from a seeded stream,
+redrawing none, and applies the data operator to the whole batch at once, in one
+Toeplitz apply (`operators._toeplitz_apply`); the coercivity forms are that
+apply's row-wise dots with the conjugate test functions, and the factorization
+check hands each row of the batch, a plain array, straight to the factors.
 """
 
 from __future__ import annotations
@@ -24,18 +24,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forward import (FrequencyGrid, MeasurementSet, MultiFreqDataset, _header_lines,
-                      _laurent_rows, _spreading, band_error_bound, mirror, phase_range,
-                      radiated_field)
+from .forward import (FrequencyGrid, MultiFreqDataset, _header_lines, _laurent_rows,
+                      _spreading, band_error_bound, mirror, phase_range, radiated_field)
 from .geometry import QuadratureRule, quadrature
 from .imaging import psf_closed_form, psf_discrete
-from .operators import Factorization, _toeplitz_apply, _toeplitz_block, _toeplitz_forms
+from .operators import Factorization, _toeplitz_apply, _toeplitz_forms
 
 _FACTORIZATION_SALT = 0x8F1E
 _COERCIVITY_SALT = 0x51D3
 _PSF_FINE_COUNT = 4000
-_PSF_CONVERGENCE_TS = (0.5, 1.0, 5.0)
-_PSF_ENVELOPE_TS = np.linspace(-100.0, 100.0, 10_000)  # an even count: t = 0 is not a sample
+# the psf's samples t, in units of 1 / k_max: the profile is k_max times a function of k_max t
+_PSF_CONVERGENCE_TS = (5.5, 11.0, 55.0)
+_PSF_ENVELOPE_TS = np.linspace(-1100.0, 1100.0, 10_000)  # an even count: t = 0 is not a sample
 
 
 @dataclass
@@ -69,9 +69,9 @@ def _report(check: str, scenario: str, measured: float, tol: float, t0: float,
 
 
 class _Problem(NamedTuple):
-    """One sensor's noiseless one-row data, quadrature rule and factors."""
+    """One sensor's noiseless data row over m = -J..J, quadrature rule and factors."""
 
-    data: MultiFreqDataset
+    row: np.ndarray
     rule: QuadratureRule
     fac: Factorization
 
@@ -79,9 +79,8 @@ class _Problem(NamedTuple):
 def _sensor_problem(scenario, sensor: int = 0) -> _Problem:
     """The problem of sensor `sensor` measuring alone: its factors, and its row P(T 1).
 
-    Row 0 of the noiseless data equals row `sensor` of the full dataset bit
-    for bit.  The scenario certificates, which use it, hold for noiseless
-    data only.
+    The row equals row `sensor` of the full noiseless dataset bit for bit.  The
+    scenario certificates, which use it, hold for noiseless data only.
     """
     if scenario.noise_level != 0:
         raise ValueError("scenario certificates require a noiseless scenario")
@@ -89,9 +88,7 @@ def _sensor_problem(scenario, sensor: int = 0) -> _Problem:
     rule = quadrature(scenario.support, scenario.h)
     fac = Factorization(scenario.kind, x, rule, grid)
     row = _laurent_rows(fac.z, rule.weights * fac.multiplier, grid.count, scenario.zero_mode)
-    data = MultiFreqDataset(sensors=MeasurementSet(scenario.kind, (x,)), grid=grid,
-                            values=row[None], seed=scenario.seed)
-    return _Problem(data, rule, fac)
+    return _Problem(row, rule, fac)
 
 
 def _draws(scenario, sensor: int, salt: int):
@@ -118,39 +115,24 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
     N is applied to all the trials in one `_toeplitz_apply` call, row by row the
     bits of `apply_operator`; the exported factors are applied to one trial, a
     row of that batch, at a time.  The maximum propagates NaN, so a trial whose
-    factors return a non-finite sample fails the check.  `problem`, when given,
+    factors return a non-finite sample fails the check; one with N g = 0 has no
+    ratio and fails it with inf, as in `check_coercivity`.  `problem`, when given,
     is `_sensor_problem(scenario, sensor)`; otherwise the check builds it.  A
     maximum over no trial certifies nothing, so `trials` must be at least 1.
     """
     if trials < 1:
         raise ValueError(f"a certificate needs at least one trial, got {trials}")
     t0 = time.perf_counter()
-    data, rule, fac = problem or _sensor_problem(scenario, sensor)
+    row, rule, fac = problem or _sensor_problem(scenario, sensor)
     G = _draws(scenario, sensor, _FACTORIZATION_SALT)(trials)
-    NG = _toeplitz_apply(_toeplitz_block(data.values[0]), G, scenario.frequencies.spacing)
+    NG = _toeplitz_apply(row, G, scenario.frequencies.spacing)
     ratios = np.empty(trials)
     for t, (g, Ng) in enumerate(zip(G, NG)):
         den = np.linalg.norm(Ng)
-        if den == 0.0:
-            raise ValueError("degenerate scenario: data operator annihilates a random test function")
-        ratios[t] = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g)))) / den
+        residual = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g))))
+        ratios[t] = residual / den if den > 0 else math.inf
     return _report("factorization", scenario.summary(), float(np.max(ratios)), tol, t0,
                    {"trials": float(trials), "sensor": float(sensor)})
-
-
-def _nondegenerate(draw, gram_block: np.ndarray, dk: float, trials: int):
-    """The stream's first `trials` test functions with ||P* g||^2 > 1e-30, and those norms.
-
-    ||P* g||^2 is the form (P P* g, g) over `gram_block`.  A draw at or below
-    1e-30 is skipped and the stream continues.
-    """
-    G, norms = np.empty((0, gram_block.shape[0]), dtype=complex), np.empty(0)
-    while len(G) < trials:
-        more = draw(trials - len(G))
-        forms = _toeplitz_forms(gram_block, more, dk).real
-        keep = forms > 1e-30
-        G, norms = np.concatenate((G, more[keep])), np.concatenate((norms, forms[keep]))
-    return G, norms
 
 
 def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 1e-10,
@@ -163,23 +145,26 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     and P P* is the band convolution whose column m is sum_q w_q z_q^m: the
     data's P(T 1) with T = 1, and sum_q w_q at m = 0 whatever `zero_mode`.
     Each form is one `_toeplitz_forms` batch, O(J^2) per trial: one Toeplitz
-    apply of all trials, then a row-wise dot with their conjugates.
+    apply of all trials, then a row-wise dot with their conjugates.  A draw whose
+    ||P* g||^2 is not positive has no ratio (NaN) and fails the check with inf.
     `problem`, when given, is `_sensor_problem(scenario, sensor)`; `trials` >= 1.
     """
     if trials < 1:
         raise ValueError(f"a certificate needs at least one trial, got {trials}")
     t0 = time.perf_counter()
-    data, rule, fac = problem or _sensor_problem(scenario, sensor)
+    row, rule, fac = problem or _sensor_problem(scenario, sensor)
     x = scenario.measurement.points[sensor]
     J, dk = scenario.frequencies.count, scenario.frequencies.spacing
     gram = _laurent_rows(fac.z, rule.weights, J, "extend")
     c_f, C_f = scenario.support.amplitude_bounds()
     t_min, t_max = phase_range(scenario.kind, x, scenario.support)
     lower, upper = c_f / _spreading(scenario.kind, t_max), C_f / _spreading(scenario.kind, t_min)
-    G, norms = _nondegenerate(_draws(scenario, sensor, _COERCIVITY_SALT),
-                              _toeplitz_block(gram), dk, trials)
-    ratios = np.abs(_toeplitz_forms(_toeplitz_block(data.values[0]), G, dk)) / norms
-    violations = np.maximum((lower - ratios) / lower, (ratios - upper) / upper)
+    G = _draws(scenario, sensor, _COERCIVITY_SALT)(trials)
+    norms = _toeplitz_forms(gram, G, dk).real
+    positive = norms > 0  # False at a NaN norm too
+    ratios = np.abs(_toeplitz_forms(row, G, dk)) / np.where(positive, norms, math.nan)
+    violations = np.where(positive, np.maximum((lower - ratios) / lower,
+                                               (ratios - upper) / upper), math.inf)
     return _report("coercivity", scenario.summary(), float(np.max(violations, initial=0.0)),
                    tol, t0, {"ratio_min": float(np.min(ratios)),
                              "ratio_max": float(np.max(ratios)),
@@ -192,14 +177,16 @@ def check_psf(grid: FrequencyGrid) -> VerificationReport:
     and convergence of the grid analogue to the closed form.
 
     Subchecks are normalized by their individual tolerances; the report
-    passes when the worst normalized ratio is at most 1.
+    passes when the worst normalized ratio is at most 1.  The samples t and the
+    first zero's tolerance are in units of 1 / k_max, free of the unit of length.
     """
     t0 = time.perf_counter()
     k_max = grid.k_max
     peak_err = abs(abs(psf_closed_form(0.0, k_max)) - k_max)
 
-    mag = np.abs(psf_closed_form(_PSF_ENVELOPE_TS, k_max))
-    envelope = np.minimum(k_max, 2.0 / np.abs(_PSF_ENVELOPE_TS))
+    ts = _PSF_ENVELOPE_TS / k_max
+    mag = np.abs(psf_closed_form(ts, k_max))
+    envelope = np.minimum(k_max, 2.0 / np.abs(ts))
     bound_violation = float(np.max((mag - envelope) / envelope, initial=0.0))
     strict_violation = float(np.max(mag - k_max * (1 - 1e-15), initial=0.0))
 
@@ -217,13 +204,13 @@ def check_psf(grid: FrequencyGrid) -> VerificationReport:
     conv_ratio = max(
         abs(psf_discrete(t, fine) - psf_closed_form(t, k_max)
             - 0.5 * dk * (cmath.exp(1j * k_max * t) - 1.0)) / (dk * dk * abs(t) / 6)
-        for t in _PSF_CONVERGENCE_TS)
+        for t in (kt / k_max for kt in _PSF_CONVERGENCE_TS))
 
     subchecks = {
         "peak_error": (peak_err, 1e-300),  # exact equality demanded
         "envelope_violation": (bound_violation, 1e-12),
         "strict_peak_violation": (strict_violation, 1e-12),
-        "first_zero_error": (zero_err, 1e-12),
+        "first_zero_error": (zero_err, 1e-12 * t_zero),
         "convergence_remainder_ratio": (conv_ratio, 1.1),
     }
     ratios = {name: (0.0 if v == 0 else v / tol) for name, (v, tol) in subchecks.items()}
@@ -255,13 +242,13 @@ def check_symmetries(scenario, problem: _Problem | None = None) -> VerificationR
     power sums use, so what differs is the power sums' rounding against `_cis`; each
     column is over the band error bound of column |m|.  The zero column, which
     `zero_mode` sets, is left out.  `problem`, when given, is sensor 0's
-    `_sensor_problem`; the check reads its data and rule, not its factors.
+    `_sensor_problem`; the check reads its row and rule, not its factors.
     """
     t0 = time.perf_counter()
-    data, rule, _ = problem or _sensor_problem(scenario, 0)
-    kind, x, grid = scenario.kind, scenario.measurement.points[0], data.grid
+    row, rule, _ = problem or _sensor_problem(scenario, 0)
+    kind, x, grid = scenario.kind, scenario.measurement.points[0], scenario.frequencies
     exact = radiated_field(kind, scenario.support, rule, x, -grid.nodes)
     J = grid.count
     bound = band_error_bound(kind, x, rule, grid.spacing, J)[1:]
-    ratio = float(np.max(np.abs(data.values[0, J - 1::-1] - exact) / bound))
+    ratio = float(np.max(np.abs(row[J - 1::-1] - exact) / bound))
     return _report("symmetries", scenario.summary(), ratio, 1.0, t0)

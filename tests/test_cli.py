@@ -236,6 +236,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key 'iso'"):
             parse_config_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso = 1.5\n")
 
+    def test_empty_iso_refused(self):
+        # no iso value means no mask, and config text that writes `iso = `
+        with pytest.raises(ConfigError, match="key 'iso': expected at least one value"):
+            parse_config_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso =\n")
+        with pytest.raises(ConfigError, match="key 'iso': expected at least one value"):
+            replace(PRESETS["ball_pt1"], iso_values=())
+
     def test_comments_ignored(self):
         s = parse_config_text("# experiment\nshape = ball  # unit\nradius = 1\nsensors = 3 0 0\n")
         assert isinstance(s.support, Ball)
@@ -466,6 +473,16 @@ class TestMainExitCodes:
         assert not out.exists()
         assert main(argv + ["--iso", "0.5"]) == 0
 
+    def test_empty_iso_exit_two(self, tmp_path, capsys):
+        cfg, data = tmp_path / "c.cfg", tmp_path / "d.mfd"
+        cfg.write_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso =\ngrid_n = 4\n")
+        assert main(["simulate", "--config", str(cfg), "--iso", "0.5", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["image", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'iso': expected at least")
+        assert list(tmp_path.glob("r*")) == []
+
     @pytest.mark.parametrize("key, value", [("h", math.nan), ("h", math.inf),
                                             ("noise_level", math.nan), ("noise_level", math.inf)])
     def test_non_finite_scenario_field_refused(self, key, value):
@@ -627,6 +644,8 @@ class TestCorruptFiles:
     FIELDS = {
         "missing_normalized": lambda b: b.replace(b"normalized: true\n", b"", 1),
         "truncated_payload": lambda b: b[:-8],
+        "nan_sample": lambda b: b[:-8] + struct.pack("<d", math.nan),
+        "inf_sample": lambda b: b[:-8] + struct.pack("<d", math.inf),
     }
     ARGS = ["--config", "ball_pt1", "--noise", "0", "--grid", "8"]
 

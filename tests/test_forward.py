@@ -513,7 +513,7 @@ class TestBand:
                 assert generate_dataset(s).values.tobytes() == data.values.tobytes()
             monkeypatch.undo()
             for ell in range(len(points)):
-                row = mf.verify._sensor_problem(s, ell).data.values[0]
+                row = mf.verify._sensor_problem(s, ell).row
                 assert row.tobytes() == data.values[ell].tobytes()
 
     @pytest.mark.parametrize("kind", ["near", "far"])

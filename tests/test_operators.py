@@ -20,7 +20,7 @@ from mfsampling import (
 )
 from mfsampling.cli import main
 from mfsampling.forward import _horner, _power_sums
-from mfsampling.operators import _toeplitz_apply, _toeplitz_block, _toeplitz_forms
+from mfsampling.operators import _toeplitz_apply, _toeplitz_forms
 from mfsampling.verify import _sensor_problem
 from conftest import freq_inner, support_inner, support_norm
 
@@ -103,10 +103,12 @@ def test_batch_apply_rows_match_apply_operator(kind):
         frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0, seed=1)
     rng = np.random.default_rng(11)
     G = (rng.standard_normal((20, 40)) + 1j * rng.standard_normal((20, 40))) / math.sqrt(2)
+    J = s.frequencies.count
     for zero_mode in ("extend", "drop"):
-        data = _sensor_problem(replace(s, zero_mode=zero_mode)).data
-        block, dk = _toeplitz_block(data.values[0]), data.grid.spacing
-        rows, forms = _toeplitz_apply(block, G, dk), _toeplitz_forms(block, G, dk)
+        data = mf.generate_dataset(replace(s, zero_mode=zero_mode))
+        u, dk = data.values[0], data.grid.spacing
+        block = u[np.subtract.outer(np.arange(J), np.arange(J)) + J]  # u[j - l]
+        rows, forms = _toeplitz_apply(u, G, dk), _toeplitz_forms(u, G, dk)
         for g, row, form in zip(G, rows, forms):
             one = apply_operator(data, 0, g)
             assert row.tobytes() == one.tobytes()
@@ -336,8 +338,7 @@ def test_one_sensor_rows_match_full_dataset(kind):
         frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1)
     full = mf.generate_dataset(s)
     for sensor in range(len(s.measurement)):
-        one = _sensor_problem(s, sensor).data
-        assert np.array_equal(one.values[0], full.values[sensor])
+        assert np.array_equal(_sensor_problem(s, sensor).row, full.values[sensor])
 
 
 class TestSandwich:

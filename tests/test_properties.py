@@ -1,8 +1,9 @@
 """Property tests: config text and the dataset/field containers round-trip exactly, and
 config text writes every shape without building a support; the support function's box
 and phase ranges hold every quadrature node; the forward data, the factorization and the
-coercivity check's O(J^2) norm hold over drawn supports and sensors; the indicator's Fejer
-polynomial equals the dense quadratic form over drawn data."""
+coercivity check's O(J^2) norm hold over drawn supports and sensors, and every
+certificate passes in every unit of length; the indicator's Fejer polynomial equals the
+dense quadratic form over drawn data."""
 
 import dataclasses
 import math
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 import mfsampling as mf
+from mfsampling.cli import run_verify
 from mfsampling.scenario import parse_config_text, write_config_text
 from test_verify import analysis_norms, coercivity_denominators
 
@@ -289,6 +291,22 @@ def test_coercivity_gram_form_is_analysis_norm(s):
     G, gram = coercivity_denominators(s, trials=5)
     exact = analysis_norms(s, G)
     assert np.all(np.abs(gram - exact) <= 1e-13 * exact)
+
+
+@given(st.builds(mf.Ball, center=point, radius=positive, amplitude=amplitude), unit_vectors(),
+       st.booleans(), st.floats(0.5, 20.0), st.integers(2, 16), st.floats(-16.0, 8.0))
+def test_certificates_free_of_the_unit_of_length(ball, d, near, k_max, J, e):
+    # every length times s = 10^e and k_max over s is the same problem in another unit
+    # of length: all four certificates pass at every s
+    s = 10.0 ** e
+    measurement = (mf.MeasurementSet("near", [tuple(9.0 * s * c for c in d)]) if near
+                   else mf.MeasurementSet("far", [d, tuple(-c for c in d)]))
+    scaled = mf.Scenario(
+        support=mf.Ball(tuple(s * c for c in ball.center), s * ball.radius, ball.amplitude),
+        h=s * ball.radius / 6, measurement=measurement,
+        frequencies=mf.FrequencyGrid(k_max=k_max / s, count=J), noise_level=0.0)
+    reports, ok = run_verify(scaled)
+    assert ok, [(r.check, r.measured) for r in reports if not r.passed]
 
 
 # Below 1e-150 a sample times the Fejer weights can leave the normal range, where no

@@ -38,18 +38,13 @@ def offcentre_scenario(kind):
 
 
 def coercivity_denominators(scenario, trials):
-    """The (trials, J) test functions G that check_coercivity draws, and the ||P* g||^2
-    it divides each row by, as the check computes them."""
-    nondegenerate, seen = mf.verify._nondegenerate, []
-
-    def recorded(*args):
-        seen.append(nondegenerate(*args))
-        return seen[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mf.verify, "_nondegenerate", recorded)
-        check_coercivity(scenario, trials=trials)
-    return seen[0]
+    """The (trials, J) test functions G that check_coercivity draws for sensor 0, and
+    the ||P* g||^2 it divides each row by: the forms over the Gram row P P*, the
+    band convolution of sum_q w_q z_q^m, through `_toeplitz_forms`."""
+    _, rule, fac = mf.verify._sensor_problem(scenario)
+    gram = mf.forward._laurent_rows(fac.z, rule.weights, scenario.frequencies.count, "extend")
+    G = mf.verify._draws(scenario, 0, mf.verify._COERCIVITY_SALT)(trials)
+    return G, mf.operators._toeplitz_forms(gram, G, scenario.frequencies.spacing).real
 
 
 def analysis_norms(scenario, gs):
@@ -170,7 +165,7 @@ class TestCheckCoercivity:
 
         def tripled(*args, **kwargs):
             p = problem(*args, **kwargs)
-            return p._replace(data=replace(p.data, values=3 * p.data.values))
+            return p._replace(row=3 * p.row)
 
         monkeypatch.setattr(mf.verify, "_sensor_problem", tripled)
         report = check_coercivity(s)
@@ -198,9 +193,11 @@ class TestCheckPsf:
                                                                       abs=1e-12)
 
     def test_zero_scales_inversely_with_band(self):
+        # the samples are in units of 1 / k_max, so the check passes at every band
         locs = {}
-        for k_max in (3.0, 5.0, 10.0):
+        for k_max in (1e-6, 1e-5, 3.0, 5.0, 10.0, 24.0, 2000.0, 1e4, 1e8):
             report = check_psf(FrequencyGrid(k_max=k_max, count=11))
+            assert report.passed, (k_max, report.details)
             locs[k_max] = report.details["first_zero_location"]
         assert locs[3.0] > locs[5.0] > locs[10.0]
         for k_max, loc in locs.items():
@@ -215,6 +212,17 @@ class TestCheckPsf:
         assert report.details["first_zero_error"] > 1e-12
         assert not report.passed
 
+
+    @pytest.mark.parametrize("k_max", [1e-6, 11.0, 1e8])
+    def test_envelope_breach_caught_at_every_band(self, monkeypatch, k_max):
+        # a profile 1.5 times too large where k_max |t| > 4, past the envelope's corner at
+        # k_max |t| = 2: samples in units of 1 / k_max reach that region at every band
+        closed = mf.verify.psf_closed_form
+        monkeypatch.setattr(mf.verify, "psf_closed_form", lambda t, k: closed(t, k) * np.where(
+            k * np.abs(t) > 4, 1.5, 1.0))
+        report = check_psf(FrequencyGrid(k_max=k_max, count=11))
+        assert report.details["envelope_violation"] > 0.4
+        assert not report.passed
 
     @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["left_endpoint", "midpoint"])
     def test_other_node_conventions_fail(self, monkeypatch, offset):
@@ -303,30 +311,73 @@ class TestTrialStreams:
         draw = mf.verify._draws(s, 2, salt)
         assert np.array_equal(np.concatenate([draw(3), draw(4)]), np.array(sequential))
 
-    def test_degenerate_first_draw_skipped(self, monkeypatch):
-        # a first test function with ||P* g||^2 = 0 is dropped, and the batch takes
-        # the stream's next draw in its place
+    def test_degenerate_first_draw_fails(self, monkeypatch):
+        # a first test function g = 0 has neither ratio, ||(N - PTP*)g|| / ||N g|| nor
+        # |(N g, g)| / ||P* g||^2: each check draws exactly `trials` functions in one
+        # batch, redraws none, and fails with measured inf (a RuntimeWarning would fail
+        # this test)
         s = offcentre_scenario("near")
-        draws = mf.verify._draws
-        stream = draws(s, 0, mf.verify._COERCIVITY_SALT)(21)
+        draws, counts = mf.verify._draws, []
 
         def zero_first(*args):
-            draw, calls = draws(*args), []
+            draw = draws(*args)
 
             def forced(count):
                 G = draw(count)
-                if not calls:
-                    G[0] = 0.0
-                calls.append(count)
+                G[0] = 0.0
+                counts.append(count)
                 return G
 
             return forced
 
         monkeypatch.setattr(mf.verify, "_draws", zero_first)
-        G, _ = coercivity_denominators(s, trials=20)
-        assert len(G) == 20
-        assert np.array_equal(G, stream[1:])
-        assert check_coercivity(s, trials=20).passed
+        report = check_coercivity(s, trials=20)
+        assert counts == [20]
+        assert not report.passed
+        assert report.measured == math.inf
+        assert math.isnan(report.details["ratio_min"])
+        report = check_factorization(s, trials=5)
+        assert counts == [20, 5]
+        assert not report.passed
+        assert report.measured == math.inf
+
+
+def scaled_peanut(kind, s):
+    """An off-centre asymmetric peanut seen by three near sensors or two far direction
+    pairs, with every length times s and k_max over s: the same problem in another
+    unit of length."""
+    support = mf.Peanut(centers=((0.9 * s, 0.4 * s, -0.5 * s), (1.7 * s, -0.1 * s, 0.2 * s)),
+                        radius=0.6 * s, amplitude=2.5)
+    if kind == "near":
+        points = [(4.5 * s, -2.5 * s, 1.5 * s), (-3.0 * s, 3.5 * s, -2.0 * s),
+                  (0.5 * s, 1.0 * s, 4.0 * s)]
+    else:
+        points = [(0.6, -0.48, 0.64), (0.0, 1.0, 0.0), (-0.6, 0.48, -0.64), (0.0, -1.0, 0.0)]
+    return mf.Scenario(support=support, h=0.12 * s, measurement=MeasurementSet(kind, points),
+                       frequencies=FrequencyGrid(k_max=30.0 / s, count=40), noise_level=0.0,
+                       seed=1)
+
+
+class TestLengthUnit:
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 11 / 2000])
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_certificates_scale_free(self, kind, s):
+        # no certificate may read an absolute length: each passes in every unit
+        reports, ok = run_verify(scaled_peanut(kind, s))
+        assert [r.check for r in reports] == ["factorization", "coercivity", "psf",
+                                              "symmetries"]
+        assert ok, [(r.check, r.measured) for r in reports if not r.passed]
+
+    def test_tiny_ball_returns_and_passes(self):
+        # every ||P* g||^2 of a ball of radius 1e-11 lies far below 1e-30, and no draw
+        # is degenerate
+        s = mf.Scenario(support=Ball(center=(0.0, 0.0, 0.0), radius=1e-11), h=2e-12,
+                        measurement=MeasurementSet("near", [(3.0, 0.0, 0.0)]),
+                        frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0)
+        G, norms = coercivity_denominators(s, trials=100)
+        assert len(G) == 100 and np.all((0 < norms) & (norms < 1e-30))
+        reports, ok = run_verify(s)
+        assert ok, [(r.check, r.measured) for r in reports if not r.passed]
 
 
 class TestRunVerify:
