@@ -45,8 +45,6 @@ from .imaging import (
     near_test_function,
     normalize,
     probe,
-    psf_closed_form,
-    psf_discrete,
     threshold_mask,
 )
 from .verify import (
@@ -55,6 +53,8 @@ from .verify import (
     check_factorization,
     check_psf,
     check_symmetries,
+    psf_closed_form,
+    psf_discrete,
     symmetry_violation,
 )
 from .scenario import (

@@ -106,35 +106,6 @@ def run_image(dataset_path, scenario: Scenario, out_prefix, force: bool = False)
     return outputs
 
 
-# The certificates in report order.
-CHECK_NAMES = ("factorization", "coercivity", "psf", "symmetries")
-
-
-def run_verify(scenario: Scenario, only: str | None = None):
-    """Run the certificate checks; returns (reports, all_passed).
-
-    Sensor 0's rule, factors and noiseless row (written from them) are built
-    once and passed to the scenario checks; the factors are released as soon as
-    the coercivity check is done with them, so the psf and symmetry checks do
-    not hold them.  Each check is looked up in `verify` when it runs.
-    """
-    if only is not None and only not in CHECK_NAMES:
-        raise ConfigError(f"--only: unknown check {only!r}; choose from {CHECK_NAMES}")
-    names = [name for name in CHECK_NAMES if only in (None, name)]
-    problem = None
-    if names != ["psf"]:
-        problem = verify._sensor_problem(scenario)
-    reports = []
-    for name in names:
-        if name == "psf":
-            reports.append(verify.check_psf(scenario.frequencies))
-            continue
-        reports.append(getattr(verify, f"check_{name}")(scenario, problem=problem))
-        if name == "coercivity":  # the last check that uses the factors
-            problem = problem._replace(fac=None)
-    return reports, all(r.passed for r in reports)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True,
                         help="scenario config file path or preset name")
@@ -166,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerical certificates")
     _add_common(p)
-    p.add_argument("--only", type=str, default=None,
-                   help=f"run a single check: one of {', '.join(CHECK_NAMES)}")
+    p.add_argument("--only", choices=verify.CHECKS, default=None, help="run a single check")
 
     sub.add_parser("presets", help="list built-in presets")
 
@@ -201,7 +171,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         # verify
-        reports, ok = run_verify(scenario, only=args.only)
+        reports, ok = verify.run(scenario, only=args.only)
         print("\n".join(r.to_text() for r in reports))
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

@@ -11,8 +11,7 @@ so there w is a product of per-axis factors, at two complex products per voxel.
 Voxels are independent, so a grid large enough to pay for a fork is split into
 contiguous ranges of axis-0 layers, one per worker process (`_workers`), and each
 voxel is still summed in one process, in sensor order, to the same bits.
-Includes the band-limited point spread profile, field normalization, plane slicing,
-iso-thresholding, and file export.
+Includes field normalization, plane slicing, iso-thresholding, and file export.
 """
 
 from __future__ import annotations
@@ -134,19 +133,6 @@ def probe(kind: str, x, z, grid: FrequencyGrid) -> np.ndarray:
 # Former per-kind names, still called by the benchmark's oracle.
 near_test_function = partial(probe, "near")
 far_test_function = partial(probe, "far")
-
-
-def psf_closed_form(t, k_max: float) -> complex | np.ndarray:
-    """Band-limited point spread profile: integral of e^{i s t} over s in (0, k_max], per t."""
-    t = np.asarray(t, dtype=float)
-    safe = np.where(t == 0.0, 1.0, t)
-    val = np.where(t == 0.0, k_max, (np.exp(1j * safe * k_max) - 1.0) / (1j * safe))
-    return complex(val) if val.ndim == 0 else val
-
-
-def psf_discrete(t: float, grid: FrequencyGrid) -> complex:
-    """Grid analogue: dk * sum_j e^{i k_j t}; converges to the closed form as count grows."""
-    return complex(grid.spacing * np.sum(np.exp(1j * grid.nodes * t)))
 
 
 def _workers(layers: int, steps: int) -> int:

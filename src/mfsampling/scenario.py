@@ -61,9 +61,11 @@ class Scenario:
             raise ConfigError("key 'zero_mode': must be 'extend' or 'drop'")
         if not self.iso_values:
             raise ConfigError("key 'iso': expected at least one value")
-        for v in self.iso_values:
+        for i, v in enumerate(self.iso_values):
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"key 'iso': value {v} must lie strictly between 0 and 1")
+            if v in self.iso_values[:i]:
+                raise ConfigError(f"key 'iso': value {v} repeated")
         for i, p in enumerate(self.measurement.points):
             try:
                 phase_range(self.kind, p, self.support)

@@ -1,13 +1,14 @@
 """Numerical certificates: factorization identity, coercivity sandwich,
-point-spread-profile bounds, and data symmetries.
+point-spread-profile bounds against their closed-form references, and data
+symmetries; and `run`, which runs them.
 
 Every check reduces to a single `measured <= tolerance` comparison;
 composite checks report the worst subcheck over its own tolerance, against 1.
-Checks are deterministic given (scenario, seed).  The scenario certificates
-run on the noiseless data row of sensor 0 alone, never all `L` rows: `run_verify`
-builds that row, its quadrature rule and its factors once per run and passes
-them to each check, and a check called on its own builds them itself.  Each
-check draws exactly `trials` test functions as one batch from a seeded stream,
+Checks are deterministic given (scenario, seed).  `run` runs the checks in `CHECKS`
+order.  The scenario certificates run on the noiseless data row of sensor 0 alone,
+never all `L` rows: `run` builds that row, its quadrature rule and its factors once
+and passes them to each check, and a check called on its own builds them itself.
+Each check draws exactly `trials` test functions as one batch from a seeded stream,
 redrawing none, and applies the data operator to the whole batch at once, in one
 Toeplitz apply (`operators._toeplitz_apply`); the coercivity forms are that
 apply's row-wise dots with the conjugate test functions, and the factorization
@@ -27,7 +28,6 @@ import numpy as np
 from .forward import (FrequencyGrid, MultiFreqDataset, _header_lines, _laurent_rows,
                       _spreading, band_error_bound, mirror, phase_range, radiated_field)
 from .geometry import QuadratureRule, quadrature
-from .imaging import psf_closed_form, psf_discrete
 from .operators import Factorization, _toeplitz_apply, _toeplitz_forms
 
 _FACTORIZATION_SALT = 0x8F1E
@@ -36,6 +36,9 @@ _PSF_FINE_COUNT = 4000
 # the psf's samples t, in units of 1 / k_max: the profile is k_max times a function of k_max t
 _PSF_CONVERGENCE_TS = (5.5, 11.0, 55.0)
 _PSF_ENVELOPE_TS = np.linspace(-1100.0, 1100.0, 10_000)  # an even count: t = 0 is not a sample
+
+# The certificates in report order; `run` runs `check_<name>` for each name.
+CHECKS = ("factorization", "coercivity", "psf", "symmetries")
 
 
 @dataclass
@@ -172,6 +175,19 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
                              "trials": float(trials)})
 
 
+def psf_closed_form(t, k_max: float) -> complex | np.ndarray:
+    """Band-limited point spread profile: integral of e^{i s t} over s in (0, k_max], per t."""
+    t = np.asarray(t, dtype=float)
+    safe = np.where(t == 0.0, 1.0, t)
+    val = np.where(t == 0.0, k_max, (np.exp(1j * safe * k_max) - 1.0) / (1j * safe))
+    return complex(val) if val.ndim == 0 else val
+
+
+def psf_discrete(t: float, grid: FrequencyGrid) -> complex:
+    """Grid analogue: dk * sum_j e^{i k_j t}; converges to the closed form as count grows."""
+    return complex(grid.spacing * np.sum(np.exp(1j * grid.nodes * t)))
+
+
 def check_psf(grid: FrequencyGrid) -> VerificationReport:
     """Certify the point spread profile: peak value, envelope bounds, first zero,
     and convergence of the grid analogue to the closed form.
@@ -252,3 +268,27 @@ def check_symmetries(scenario, problem: _Problem | None = None) -> VerificationR
     bound = band_error_bound(kind, x, rule, grid.spacing, J)[1:]
     ratio = float(np.max(np.abs(row[J - 1::-1] - exact) / bound))
     return _report("symmetries", scenario.summary(), ratio, 1.0, t0)
+
+
+def run(scenario, only: str | None = None) -> tuple[list[VerificationReport], bool]:
+    """Run the checks in `CHECKS`, or the one named `only`; returns (reports, all_passed).
+
+    Sensor 0's problem is built once, unless the psf check runs alone, and its
+    factors are released as soon as the coercivity check is done with them, so the
+    psf and symmetry checks do not hold them.  Each check is looked up in this
+    module when it runs, so a replaced `check_*` is the one called.
+    """
+    if only is not None and only not in CHECKS:
+        raise ValueError(f"unknown check {only!r}; choose from {CHECKS}")
+    names = [name for name in CHECKS if only in (None, name)]
+    problem = _sensor_problem(scenario) if names != ["psf"] else None
+    reports = []
+    for name in names:
+        check = globals()[f"check_{name}"]
+        if name == "psf":
+            reports.append(check(scenario.frequencies))
+            continue
+        reports.append(check(scenario, problem=problem))
+        if name == "coercivity":  # the last check that uses the factors
+            problem = problem._replace(fac=None)
+    return reports, all(r.passed for r in reports)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from mfsampling import (
     scenario_hash,
     write_config,
 )
-from mfsampling.cli import main, run_image, run_simulate, run_verify
+from mfsampling.cli import main, run_image, run_simulate
 from mfsampling.scenario import parse_config_text, write_config_text
 from conftest import assert_no_child, fail_in_workers
 
@@ -243,6 +244,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key 'iso': expected at least one value"):
             replace(PRESETS["ball_pt1"], iso_values=())
 
+    def test_repeated_iso_refused(self):
+        # a repeated value would print its mask line twice and write its mask once
+        with pytest.raises(ConfigError, match="key 'iso': value 0.5 repeated"):
+            parse_config_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso = 0.5 0.5\n")
+        with pytest.raises(ConfigError, match="key 'iso': value 0.7 repeated"):
+            replace(PRESETS["ball_pt1"], iso_values=(0.7, 0.3, 0.7))
+
     def test_comments_ignored(self):
         s = parse_config_text("# experiment\nshape = ball  # unit\nradius = 1\nsensors = 3 0 0\n")
         assert isinstance(s.support, Ball)
@@ -329,23 +337,32 @@ class TestRunImage:
 
 class TestRunVerify:
     def test_all_checks_pass_clean(self, fast_scenario):
-        reports, ok = run_verify(replace(fast_scenario, noise_level=0.0))
+        reports, ok = mf.verify.run(replace(fast_scenario, noise_level=0.0))
         assert ok
         assert [r.check for r in reports] == ["factorization", "coercivity", "psf",
                                               "symmetries"]
 
     def test_only_flag(self, fast_scenario):
-        reports, ok = run_verify(replace(fast_scenario, noise_level=0.0), only="psf")
+        reports, ok = mf.verify.run(replace(fast_scenario, noise_level=0.0), only="psf")
         assert ok
         assert [r.check for r in reports] == ["psf"]
 
     def test_unknown_check(self, fast_scenario):
-        with pytest.raises(ConfigError, match="--only"):
-            run_verify(fast_scenario, only="spectral")
+        # refused before the noiseless precondition, naming the checks there are
+        with pytest.raises(ValueError, match=re.escape(f"choose from {mf.verify.CHECKS}")):
+            mf.verify.run(fast_scenario, only="spectral")
+
+    def test_parser_refuses_unknown_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", "ball_pt1", "--noise", "0", "--only", "spectral"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--only: invalid choice: 'spectral'" in err
+        assert all(repr(name) in err for name in mf.verify.CHECKS)
 
     def test_noisy_scenario_surfaces_error(self, fast_scenario):
         with pytest.raises(ValueError, match="noiseless"):
-            run_verify(fast_scenario)
+            mf.verify.run(fast_scenario)
 
 
 class TestCommandCounts:
@@ -481,6 +498,15 @@ class TestMainExitCodes:
         assert main(["image", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.startswith("config error: key 'iso': expected at least")
+        assert list(tmp_path.glob("r*")) == []
+
+    def test_repeated_iso_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "d.mfd"
+        assert main(["simulate", "--config", "ball_pt1", "--grid", "4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["image", "--config", "ball_pt1", "--grid", "4", "--data", str(data),
+                     "--iso", "0.5,0.5", "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'iso': value 0.5 repeated")
         assert list(tmp_path.glob("r*")) == []
 
     @pytest.mark.parametrize("key, value", [("h", math.nan), ("h", math.inf),

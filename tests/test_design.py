@@ -5,11 +5,14 @@ and the rule samples the source, so only the rule's builder may sample it; the b
 has one kernel, one row writer, one Horner pass and one Toeplitz apply, so only a
 fixed set of functions may call each; every e^{i theta} comes from one
 vectorised kernel, so only the closed-form references may call `exp`; every
-cache-sized loop takes its blocks from one slab rule, which alone reads the budget; and
-only the indicator forks, and reaps what it forks."""
+cache-sized loop takes its blocks from one slab rule, which alone reads the budget;
+only the indicator forks, and reaps what it forks; and the certificates, their
+runner and their references live in `verify` alone."""
 
 import ast
 from pathlib import Path
+
+from mfsampling import verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mfsampling"
 
@@ -62,6 +65,11 @@ SLAB_BUDGET_READERS = ["forward._expi", "forward._row_blocks"]
 # processes: the one function that walks the grid forks them, and reaps each before it
 # returns or raises.
 FORK_CALLERS = ["compute_indicator"]
+
+# The command line parses and prints, and imaging images: which certificates run, in
+# what order and on what problem is `verify.run`'s, and the point spread references
+# sit beside the check that reads them.
+CERTIFICATE_FREE = ["cli.py", "imaging.py"]
 
 
 def _is_kind(node) -> bool:
@@ -174,3 +182,28 @@ def test_only_the_slab_rule_and_the_kernel_scratch_read_the_budget():
         found.update(_readers(ast.parse(path.read_text(encoding="utf-8")), "_SLAB_VOXELS",
                               path.stem))
     assert sorted(found) == SLAB_BUDGET_READERS
+
+
+def _certificate_names(tree):
+    """Each string that names a check in `verify.CHECKS`, and each `check_*` or `psf_*`
+    name, attribute, import or definition in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in verify.CHECKS:
+            yield repr(node.value)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)):
+            if isinstance(name, str) and name.startswith(("check_", "psf_")):
+                yield name
+
+
+def test_only_verify_names_a_certificate():
+    for name in CERTIFICATE_FREE:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        assert sorted(set(_certificate_names(tree))) == [], name
+
+
+def test_checks_list_the_check_functions_in_report_order():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    defined = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")]
+    assert defined == [f"check_{name}" for name in verify.CHECKS]

@@ -24,7 +24,6 @@ from mfsampling import (
     read_dataset,
     write_dataset,
 )
-from mfsampling.cli import run_verify
 
 
 def ball_field_oracle(s, k, R=1.0):
@@ -336,7 +335,7 @@ class TestMeasurementSet:
         assert data.values[0].tobytes() == closed.values[0].tobytes()
         field = mf.compute_indicator(data, s.sampling)
         assert np.all(np.isfinite(field.values)) and field.values.max() > 0
-        reports, ok = run_verify(s)
+        reports, ok = mf.verify.run(s)
         assert len(reports) == 4 and ok
 
     @pytest.mark.parametrize("kind, points", [

@@ -17,7 +17,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st
 
 import mfsampling as mf
-from mfsampling.cli import run_verify
 from mfsampling.scenario import parse_config_text, write_config_text
 from test_verify import analysis_norms, coercivity_denominators
 
@@ -305,7 +304,7 @@ def test_certificates_free_of_the_unit_of_length(ball, d, near, k_max, J, e):
         support=mf.Ball(tuple(s * c for c in ball.center), s * ball.radius, ball.amplitude),
         h=s * ball.radius / 6, measurement=measurement,
         frequencies=mf.FrequencyGrid(k_max=k_max / s, count=J), noise_level=0.0)
-    reports, ok = run_verify(scaled)
+    reports, ok = mf.verify.run(scaled)
     assert ok, [(r.check, r.measured) for r in reports if not r.passed]
 
 

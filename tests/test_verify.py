@@ -17,7 +17,6 @@ from mfsampling import (
     generate_dataset,
     symmetry_violation,
 )
-from mfsampling.cli import run_verify
 from conftest import support_norm
 
 
@@ -255,7 +254,7 @@ class TestCheckSymmetries:
         # a mirror that copies the positive columns drops the conjugate; the data-side test
         # reads the same mirror and cannot see it
         s = offcentre_scenario(kind)
-        reports, ok = run_verify(s, only="symmetries")
+        reports, ok = mf.verify.run(s, only="symmetries")
         assert ok
 
         def copy(positive):
@@ -264,7 +263,7 @@ class TestCheckSymmetries:
         monkeypatch.setattr(mf.forward, "mirror", copy)
         monkeypatch.setattr(mf.verify, "mirror", copy)
         assert symmetry_violation(generate_dataset(s)) == 0.0
-        reports, ok = run_verify(s, only="symmetries")
+        reports, ok = mf.verify.run(s, only="symmetries")
         assert not ok
         assert reports[0].measured > 1e6
 
@@ -284,7 +283,7 @@ class TestCheckSymmetries:
                 monkeypatch.setattr(module, "_laurent_rows", counted)
         s = offcentre_scenario(kind)
         assert len(s.measurement) >= 3
-        _, ok = run_verify(s)
+        _, ok = mf.verify.run(s)
         assert ok
         assert sizes == [1, 1]
 
@@ -363,7 +362,7 @@ class TestLengthUnit:
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_certificates_scale_free(self, kind, s):
         # no certificate may read an absolute length: each passes in every unit
-        reports, ok = run_verify(scaled_peanut(kind, s))
+        reports, ok = mf.verify.run(scaled_peanut(kind, s))
         assert [r.check for r in reports] == ["factorization", "coercivity", "psf",
                                               "symmetries"]
         assert ok, [(r.check, r.measured) for r in reports if not r.passed]
@@ -376,7 +375,7 @@ class TestLengthUnit:
                         frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0)
         G, norms = coercivity_denominators(s, trials=100)
         assert len(G) == 100 and np.all((0 < norms) & (norms < 1e-30))
-        reports, ok = run_verify(s)
+        reports, ok = mf.verify.run(s)
         assert ok, [(r.check, r.measured) for r in reports if not r.passed]
 
 
@@ -405,19 +404,44 @@ class TestRunVerify:
 
         monkeypatch.setattr(mf.geometry.SourceSupport, "amplitude_at", counted_sample)
         s = offcentre_scenario(kind)
-        reports, ok = run_verify(s)
+        reports, ok = mf.verify.run(s)
         assert ok and len(reports) == 4
         assert counts == {"_band": 1, "quadrature": 1, "amplitude_at": 1}
         counts.update(_band=0, quadrature=0, amplitude_at=0)
-        reports, ok = run_verify(s, only="psf")
+        reports, ok = mf.verify.run(s, only="psf")
         assert ok and len(reports) == 1
         assert counts == {"_band": 0, "quadrature": 0, "amplitude_at": 0}
+
+    def test_reports_in_check_order(self, ball_scenario):
+        reports, ok = mf.verify.run(ball_scenario)
+        assert ok
+        assert tuple(r.check for r in reports) == mf.verify.CHECKS
+
+    @pytest.mark.parametrize("name", mf.verify.CHECKS)
+    def test_only_runs_the_named_check(self, ball_scenario, name):
+        reports, ok = mf.verify.run(ball_scenario, only=name)
+        assert ok
+        assert [r.check for r in reports] == [name]
+
+    def test_replaced_check_is_called(self, monkeypatch, ball_scenario):
+        # `run` looks each check up when it runs it, so a replacement is what it calls;
+        # the symmetry check gets sensor 0's problem with its factors released
+        check, problems = mf.verify.check_symmetries, []
+
+        def failing(scenario, problem=None):
+            problems.append(problem)
+            return replace(check(scenario, problem=problem), passed=False)
+
+        monkeypatch.setattr(mf.verify, "check_symmetries", failing)
+        reports, ok = mf.verify.run(ball_scenario)
+        assert not ok and not reports[-1].passed
+        assert len(problems) == 1 and problems[0].fac is None
 
     def test_shared_problem_same_reports(self):
         # the checks report the same numbers whether they share the run's problem or
         # each builds its own
         s = offcentre_scenario("far")
-        shared, _ = run_verify(s)
+        shared, _ = mf.verify.run(s)
         alone = [check_factorization(s), check_coercivity(s),
                  check_psf(s.frequencies), check_symmetries(s)]
         for a, b in zip(shared, alone):
