@@ -27,27 +27,25 @@ from .forward import (
     read_dataset,
     write_dataset,
 )
-from .operators import (
-    Factorization,
-    apply_operator,
-    far_quadratic_form,
-    near_quadratic_form,
-    quadratic_form,
-)
 from .imaging import (
     CrossSection,
     IndicatorField,
     SamplingGrid,
     ThresholdMask,
+    apply_operator,
     compute_indicator,
     cross_section,
+    far_quadratic_form,
     far_test_function,
+    near_quadratic_form,
     near_test_function,
     normalize,
     probe,
+    quadratic_form,
     threshold_mask,
 )
 from .verify import (
+    Factorization,
     VerificationReport,
     check_coercivity,
     check_factorization,

@@ -13,9 +13,10 @@ The band k = m dk, m = 0..J, is equally spaced, so a dataset's column m is the
 power sum sum_q c_q z_q^m of one ratio z = e^{i dk phase} per quadrature node
 (`_band`), one running product c z^m per node (`_power_sums`), never a
 (J+1) x Q band; `_laurent_rows` writes them over m = -J..J, as the data P(T 1)
-and `verify`'s Gram row, and `_horner` sums the analysis factor's and the
-indicator's polynomials.  Arbitrary wavenumbers (`radiated_field`, the probe, and
-the near indicator) take `_cis` of the phase; `radiated_field` takes its wavenumbers
+and `verify`'s Gram row, `_toeplitz_apply` convolves such a row with a batch of band
+functions, (J,) arrays on the positive nodes, and `_horner` sums the analysis factor's
+and the indicator's polynomials.  Arbitrary wavenumbers (`radiated_field`, the probe,
+and the near indicator) take `_cis` of the phase; `radiated_field` takes its wavenumbers
 in blocks of whole rows, never a J x Q array.  `_grid_walk` walks the indicator's grid;
 the far phase is linear, so there it evaluates the kernel on the three axes alone.
 Every e^{i theta} comes from one vectorised kernel, `_expi`: a table of the N-th roots
@@ -32,6 +33,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -383,6 +385,28 @@ def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
+@lru_cache(maxsize=16)
+def _toeplitz_index(J: int) -> np.ndarray:
+    """Read-only J x J index j - l + J into a row over the difference columns m = -J..J."""
+    idx = (np.arange(J)[:, None] - np.arange(J)[None, :]) + J
+    idx.flags.writeable = False
+    return idx
+
+
+def _toeplitz_forms(row: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
+    """(N g, g) = dk sum_j (N g)_j conj g_j at each row g of a (T, J) array G, with N
+    the band convolution of a row over the difference columns m = -J..J: one
+    `_toeplitz_apply` of every row, then a row-wise dot, each in O(J^2)."""
+    return dk * np.einsum("tj,tj->t", _toeplitz_apply(row, G, dk), np.conj(G))
+
+
+def _toeplitz_apply(row: np.ndarray, G: np.ndarray, dk: float) -> np.ndarray:
+    """dk sum_l row[j - l] G[t, l] at each row t of a (T, J) array G: the band
+    convolution N of a row over the difference columns m = -J..J, applied to every
+    row of G at once through the row's J x J block."""
+    return dk * np.einsum("jl,tl->tj", row[_toeplitz_index(len(row) // 2)], G)
+
+
 def band_error_bound(kind: str, x, rule: QuadratureRule, dk: float, J: int) -> np.ndarray:
     """Per-column bound on a power sum's rounding against exact exponentials, m = 0..J.
 
@@ -490,16 +514,21 @@ def add_noise(data: MultiFreqDataset, level: float, seed: int) -> MultiFreqDatas
     the row's (2J+1, 2) standard normal block from one generator keyed by
     (seed, l).  A row's noise depends on nothing else, so it is independent of
     evaluation order and of the other sensors.  The dataset refuses a negative
-    or non-finite level and a negative seed.
+    or non-finite level and a negative seed; a ValueError refuses data whose RMS
+    or noisy samples overflow, rather than return a non-finite sample.
     """
     level = float(level)
     noisy = replace(data, values=data.values.copy(), noise_level=level, seed=int(seed))
     values = noisy.values
     if level > 0:
-        sigma = data.row_rms()
-        for ell, row in enumerate(values):
-            xi = np.random.default_rng([seed, ell]).standard_normal((len(row), 2))
-            row += level * sigma[ell] * (xi[:, 0] + 1j * xi[:, 1]) / math.sqrt(2)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                sigma = data.row_rms()
+                for ell, row in enumerate(values):
+                    xi = np.random.default_rng([seed, ell]).standard_normal((len(row), 2))
+                    row += level * sigma[ell] * (xi[:, 0] + 1j * xi[:, 1]) / math.sqrt(2)
+        except FloatingPointError as exc:
+            raise ValueError(f"noise level {level!r} overflows on these data ({exc})") from exc
     return noisy
 
 

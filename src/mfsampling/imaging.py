@@ -5,9 +5,12 @@ unimodular probe built from the sensor's phase map t (distance for near-field
 sensors, negated projection for far-field directions) and the moduli are
 summed over sensors.  At that probe the form is w^{1-J} times the polynomial
 dk^2 sum_{|m|<J} (J - |m|) u_m w^{m+J-1} in w = e^{-i dk t}; as |w| = 1, one
-Horner pass gives its modulus.  `forward._grid_walk` gives w slab by slab: a near
-sensor's is the vectorised complex exponential at every voxel; a far phase is linear,
-so there w is a product of per-axis factors, at two complex products per voxel.
+Horner pass gives its modulus.  `quadratic_form` is that form at any band function, a
+(J,) array, through `apply_operator`, the band convolution N of one sensor's row; both
+are references, which the indicator is checked against.  `forward._grid_walk` gives w
+slab by slab: a near sensor's is the vectorised complex exponential at every voxel; a
+far phase is linear, so there w is a product of per-axis factors, at two complex
+products per voxel.
 Voxels are independent, so a grid large enough to pay for a fork is split into
 contiguous ranges of axis-0 layers, one per worker process (`_workers`), and each
 voxel is still summed in one process, in sensor order, to the same bits.
@@ -35,6 +38,8 @@ from .forward import (
     _numbers,
     _reading,
     _samples,
+    _toeplitz_apply,
+    _toeplitz_forms,
     _write_container,
     phase,
 )
@@ -130,9 +135,33 @@ def probe(kind: str, x, z, grid: FrequencyGrid) -> np.ndarray:
     return _cis(grid.nodes, phase(kind, x, _point(z)))
 
 
+def _band_function(data: MultiFreqDataset, g) -> np.ndarray:
+    """g as complex samples on the data's J nodes, refusing a wrong shape or a non-finite
+    sample.  An array carries no k_max: only its count can meet the grid."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (data.grid.count,):
+        raise ValueError(f"expected {data.grid.count} band samples, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("band samples must be finite")
+    return g
+
+
+def apply_operator(data: MultiFreqDataset, sensor: int, g: np.ndarray) -> np.ndarray:
+    """Band convolution (N g)(k_j) = dk * sum_l values[sensor, j-l] g(k_l), (J,) to (J,)."""
+    return _toeplitz_apply(data.values[sensor], _band_function(data, g)[None],
+                           data.grid.spacing)[0]
+
+
+def quadratic_form(data: MultiFreqDataset, sensor: int, g: np.ndarray) -> complex:
+    """(N g, g) under the discrete band inner product, at (J,) band samples g."""
+    return complex(_toeplitz_forms(data.values[sensor], _band_function(data, g)[None],
+                                   data.grid.spacing)[0])
+
+
 # Former per-kind names, still called by the benchmark's oracle.
 near_test_function = partial(probe, "near")
 far_test_function = partial(probe, "far")
+near_quadratic_form = far_quadratic_form = quadratic_form
 
 
 def _workers(layers: int, steps: int) -> int:

@@ -1,6 +1,7 @@
 """Numerical certificates: factorization identity, coercivity sandwich,
 point-spread-profile bounds against their closed-form references, and data
-symmetries; and `run`, which runs them.
+symmetries; `run`, which runs them; and `Factorization`, one sensor's factors of its
+data operator, N = P T P*, exact on matched quadrature.
 
 Every check reduces to a single `measured <= tolerance` comparison;
 composite checks report the worst subcheck over its own tolerance, against 1.
@@ -10,7 +11,7 @@ never all `L` rows: `run` builds that row, its quadrature rule and its factors o
 and passes them to each check, and a check called on its own builds them itself.
 Each check draws exactly `trials` test functions as one batch from a seeded stream,
 redrawing none, and applies the data operator to the whole batch at once, in one
-Toeplitz apply (`operators._toeplitz_apply`); the coercivity forms are that
+Toeplitz apply (`forward._toeplitz_apply`); the coercivity forms are that
 apply's row-wise dots with the conjugate test functions, and the factorization
 check hands each row of the batch, a plain array, straight to the factors.
 """
@@ -25,10 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forward import (FrequencyGrid, MultiFreqDataset, _header_lines, _laurent_rows,
-                      _spreading, band_error_bound, mirror, phase_range, radiated_field)
+from .forward import (FrequencyGrid, MultiFreqDataset, _band, _header_lines, _horner,
+                      _laurent_rows, _power_sums, _spreading, _toeplitz_apply, _toeplitz_forms,
+                      band_error_bound, mirror, phase_range, radiated_field)
 from .geometry import QuadratureRule, quadrature
-from .operators import Factorization, _toeplitz_apply, _toeplitz_forms
 
 _FACTORIZATION_SALT = 0x8F1E
 _COERCIVITY_SALT = 0x51D3
@@ -69,6 +70,53 @@ def _report(check: str, scenario: str, measured: float, tol: float, t0: float,
     return VerificationReport(check=check, scenario=scenario, measured=measured, tolerance=tol,
                               passed=measured <= tol, runtime_s=time.perf_counter() - t0,
                               details=details or {})
+
+
+def _check_length(a: np.ndarray, n: int, what: str) -> None:
+    if len(a) != n:
+        raise ValueError(f"expected {n} {what}, got {len(a)}")
+
+
+class Factorization:
+    """One sensor's factors of its data operator, N = P T P* on matched quadrature.
+
+    The factors act on arrays: P (`synthesis`) maps (Q,) support samples to (J,)
+    band samples with kernel e^{i k phase(y)}, T (`apply_multiplier`) multiplies
+    (Q,) samples by f(y) / spreading(y), with f the rule's `amplitude`, and P*
+    (`analysis`), P's adjoint with the conjugate kernel, maps (J,) to (Q,); each
+    refuses another length.
+    `_band` gives the multiplier and the sensor's ratio z; the kernel at
+    k_j = j dk is z^j, so P sums running products (`_power_sums`) and P* runs
+    Horner's rule in conj(z) (`_horner`); neither builds a J x Q kernel.  conj(z)
+    and complex copies of the multiplier and weights are taken once, here: a
+    complex times a real array's complex copy has the bits of numpy's own
+    promotion.  The sensor's data row is P(T 1): `_laurent_rows` of z against
+    the weights times `multiplier`, which `_sensor_problem` writes from these
+    factors alone.
+    """
+
+    def __init__(self, kind: str, x, rule: QuadratureRule, grid: FrequencyGrid):
+        self.rule, self.grid = rule, grid
+        self.z, self.multiplier = _band(kind, x, rule, grid.spacing)
+        self._zc = np.conj(self.z)
+        self._multiplier_c = self.multiplier.astype(complex)
+        self._weights_c = rule.weights.astype(complex)
+
+    def synthesis(self, psi: np.ndarray) -> np.ndarray:
+        _check_length(psi, len(self.rule), "support samples")
+        return _power_sums(self.z, self._weights_c * psi, self.grid.count)[1:]
+
+    def apply_multiplier(self, h: np.ndarray) -> np.ndarray:
+        _check_length(h, len(self.rule), "support samples")
+        return h * self._multiplier_c
+
+    def analysis(self, phi: np.ndarray) -> np.ndarray:
+        # dk sum_j conj(z)^(j+1) phi_j: Horner's rule in conj(z), from j = J-1 down
+        _check_length(phi, self.grid.count, "band samples")
+        out = _horner(phi, self._zc)
+        out *= self._zc
+        out *= self.grid.spacing
+        return out
 
 
 class _Problem(NamedTuple):
@@ -118,10 +166,11 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
     N is applied to all the trials in one `_toeplitz_apply` call, row by row the
     bits of `apply_operator`; the exported factors are applied to one trial, a
     row of that batch, at a time.  The maximum propagates NaN, so a trial whose
-    factors return a non-finite sample fails the check; one with N g = 0 has no
-    ratio and fails it with inf, as in `check_coercivity`.  `problem`, when given,
-    is `_sensor_problem(scenario, sensor)`; otherwise the check builds it.  A
-    maximum over no trial certifies nothing, so `trials` must be at least 1.
+    factors return a non-finite sample fails the check; one with N g = 0, or with a
+    norm ||N g|| that overflows, has no ratio and fails it with inf, as in
+    `check_coercivity`.  `problem`, when given, is `_sensor_problem(scenario, sensor)`;
+    otherwise the check builds it.  A maximum over no trial certifies nothing, so
+    `trials` must be at least 1.
     """
     if trials < 1:
         raise ValueError(f"a certificate needs at least one trial, got {trials}")
@@ -131,9 +180,10 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
     NG = _toeplitz_apply(row, G, scenario.frequencies.spacing)
     ratios = np.empty(trials)
     for t, (g, Ng) in enumerate(zip(G, NG)):
-        den = np.linalg.norm(Ng)
-        residual = np.linalg.norm(Ng - fac.synthesis(fac.apply_multiplier(fac.analysis(g))))
-        ratios[t] = residual / den if den > 0 else math.inf
+        PTPg = fac.synthesis(fac.apply_multiplier(fac.analysis(g)))
+        with np.errstate(over="ignore"):
+            den, residual = np.linalg.norm(Ng), np.linalg.norm(Ng - PTPg)
+        ratios[t] = residual / den if 0 < den < math.inf else math.inf
     return _report("factorization", scenario.summary(), float(np.max(ratios)), tol, t0,
                    {"trials": float(trials), "sensor": float(sensor)})
 

@@ -395,7 +395,7 @@ class TestCommandCounts:
         monkeypatch.setattr(mf.Scenario, "validate", counting("validate", mf.Scenario.validate))
         monkeypatch.setattr(Ball, "__post_init__", counting("Ball", Ball.__post_init__))
         quadrature = mf.geometry.quadrature
-        for module in (mf.geometry, mf.forward, mf.operators, mf.imaging, mf.verify, mf.cli):
+        for module in (mf.geometry, mf.forward, mf.imaging, mf.verify, mf.cli):
             if getattr(module, "quadrature", None) is quadrature:
                 monkeypatch.setattr(module, "quadrature", counting("quadrature", quadrature))
         cfg, data = tmp_path / "s.cfg", tmp_path / "s.mfd"
@@ -475,6 +475,15 @@ class TestMainExitCodes:
         rc = main(["simulate", "--config", "ball_pt1", "--noise", value, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: key 'noise'")
+        assert not out.exists()
+
+    def test_overflowing_noise_exit_two(self, tmp_path, capsys):
+        # noise on samples near 1e154 overflows: simulate refuses before it writes
+        cfg, out = tmp_path / "c.cfg", tmp_path / "d.mfd"
+        cfg.write_text("shape = ball\nradius = 1\namplitude = 1e160\nsensors = 3 0 0\n"
+                       "noise = 0.05\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: noise level 0.05 overflows")
         assert not out.exists()
 
     def test_flags_replace_config_values_before_validation(self, tmp_path, capsys):

@@ -6,8 +6,9 @@ has one kernel, one row writer, one Horner pass and one Toeplitz apply, so only 
 fixed set of functions may call each; every e^{i theta} comes from one
 vectorised kernel, so only the closed-form references may call `exp`; every
 cache-sized loop takes its blocks from one slab rule, which alone reads the budget;
-only the indicator forks, and reaps what it forks; and the certificates, their
-runner and their references live in `verify` alone."""
+only the indicator forks, and reaps what it forks; the certificates, their
+runner, their references and the factors they certify live in `verify` alone; every
+band kernel is defined in `forward`; and the former per-kind names in `imaging`."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,9 @@ POWER_SUM_CALLERS = ["_laurent_rows", "synthesis"]
 # and the coercivity Gram row (T = 1).
 ROW_WRITERS = ["_sensor_problem", "check_coercivity", "generate_dataset"]
 
+# The factors N = P T P* are built for the one problem the certificates share.
+FACTORIZATION_BUILDERS = ["_sensor_problem"]
+
 # One Horner pass: the analysis factor's polynomial in conj(z) and the indicator's in w.
 HORNER_CALLERS = ["analysis", "compute_indicator"]
 
@@ -65,6 +69,16 @@ SLAB_BUDGET_READERS = ["forward._expi", "forward._row_blocks"]
 # processes: the one function that walks the grid forks them, and reaps each before it
 # returns or raises.
 FORK_CALLERS = ["compute_indicator"]
+
+# The band kernels, each defined in `forward` alone: the exponentials, the grid walk,
+# the slab rule, the power sums and the rows they write, Horner's rule, and the
+# Toeplitz apply of a row with its index and forms.
+BAND_KERNELS = ["_cis", "_expi", "_grid_walk", "_horner", "_laurent_rows", "_power_sums",
+                "_row_blocks", "_toeplitz_apply", "_toeplitz_forms", "_toeplitz_index"]
+
+# The former per-kind names that the benchmark's oracle still calls, bound in one block.
+LEGACY_NAMES = ["far_quadratic_form", "far_test_function", "near_quadratic_form",
+                "near_test_function"]
 
 # The command line parses and prints, and imaging images: which certificates run, in
 # what order and on what problem is `verify.run`'s, and the point spread references
@@ -134,6 +148,10 @@ def test_only_the_listed_functions_sum_band_powers():
 
 def test_only_the_listed_functions_write_band_rows():
     assert _all_callers("_laurent_rows") == ROW_WRITERS
+
+
+def test_only_the_listed_functions_build_factors():
+    assert _all_callers("Factorization") == FACTORIZATION_BUILDERS
 
 
 def test_only_the_listed_functions_run_horner():
@@ -207,3 +225,31 @@ def test_checks_list_the_check_functions_in_report_order():
     defined = [node.name for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")]
     assert defined == [f"check_{name}" for name in verify.CHECKS]
+
+
+def _bindings(tree):
+    """Names that a module's own top-level statements bind: each def, class and
+    assignment target, imports left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _binders(name):
+    """Stems of the modules that bind `name` at module level."""
+    return [path.stem for path in sorted(SRC.glob("*.py"))
+            if name in set(_bindings(ast.parse(path.read_text(encoding="utf-8"))))]
+
+
+def test_band_kernels_are_defined_in_forward():
+    for name in BAND_KERNELS:
+        assert _binders(name) == ["forward"], name
+
+
+def test_former_names_are_bound_in_imaging():
+    for name in LEGACY_NAMES:
+        assert _binders(name) == ["imaging"], name

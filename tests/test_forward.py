@@ -865,6 +865,13 @@ class TestAddNoise:
         add_noise(data, 0.05, 2)
         assert len(built) == len(data.sensors)
 
+    def test_overflowing_rms_refused(self, ball_scenario):
+        # samples near 1e154 square past the largest double: the row's RMS would be
+        # inf and its noisy samples NaN, which no reader accepts
+        s = replace(ball_scenario, support=replace(ball_scenario.support, amplitude=1e160))
+        with pytest.raises(ValueError, match=r"noise level 0\.05 overflows on these data"):
+            add_noise(generate_dataset(s), 0.05, 1)
+
 
 class TestDatasetIO:
     def test_round_trip(self, ball_dataset, tmp_path):

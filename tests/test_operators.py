@@ -19,8 +19,7 @@ from mfsampling import (
     quadrature,
 )
 from mfsampling.cli import main
-from mfsampling.forward import _horner, _power_sums
-from mfsampling.operators import _toeplitz_apply, _toeplitz_forms
+from mfsampling.forward import _horner, _power_sums, _toeplitz_apply, _toeplitz_forms
 from mfsampling.verify import _sensor_problem
 from conftest import freq_inner, support_inner, support_norm
 
