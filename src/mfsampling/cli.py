@@ -111,6 +111,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="scenario config file path or preset name")
     parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
     parser.add_argument("--noise", type=float, default=None, help="override noise level")
+
+
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    """--grid and --iso: `image` reads them, and `simulate` hashes them into its dataset."""
     parser.add_argument("--grid", type=int, default=None,
                         help="override sampling resolution (cubic)")
     parser.add_argument("--iso", type=str, default=None,
@@ -126,10 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a dataset file")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--out", required=True, help="output dataset path")
 
     p = sub.add_parser("image", help="compute the indicator field for a dataset")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--data", required=True, help="input dataset path")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--force", action="store_true",

@@ -142,21 +142,12 @@ def _sensor_problem(scenario, sensor: int = 0) -> _Problem:
     return _Problem(row, rule, fac)
 
 
-def _draws(scenario, sensor: int, salt: int):
-    """The seeded stream of test functions (N(0,1) + i N(0,1)) / sqrt 2 per frequency.
-
-    Returns `draw(count)`, a (count, J) array of the stream's next `count` test
-    functions; each call continues the stream, so `draw(a)` then `draw(b)`
-    equals `draw(a + b)`.
-    """
-    rng = np.random.default_rng([scenario.seed, sensor, salt])
-    J = scenario.frequencies.count
-
-    def draw(count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, 2, J))
-        return (xi[:, 0] + 1j * xi[:, 1]) / math.sqrt(2)
-
-    return draw
+def _draws(scenario, sensor: int, salt: int, count: int) -> np.ndarray:
+    """The first `count` test functions, a (count, J) array, of the stream seeded by
+    (seed, sensor, salt): (N(0,1) + i N(0,1)) / sqrt 2 per frequency."""
+    xi = np.random.default_rng([scenario.seed, sensor, salt]).standard_normal(
+        (count, 2, scenario.frequencies.count))
+    return (xi[:, 0] + 1j * xi[:, 1]) / math.sqrt(2)
 
 
 def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float = 1e-10,
@@ -176,7 +167,7 @@ def check_factorization(scenario, sensor: int = 0, trials: int = 20, tol: float 
         raise ValueError(f"a certificate needs at least one trial, got {trials}")
     t0 = time.perf_counter()
     row, rule, fac = problem or _sensor_problem(scenario, sensor)
-    G = _draws(scenario, sensor, _FACTORIZATION_SALT)(trials)
+    G = _draws(scenario, sensor, _FACTORIZATION_SALT, trials)
     NG = _toeplitz_apply(row, G, scenario.frequencies.spacing)
     ratios = np.empty(trials)
     for t, (g, Ng) in enumerate(zip(G, NG)):
@@ -212,7 +203,7 @@ def check_coercivity(scenario, sensor: int = 0, trials: int = 100, tol: float = 
     c_f, C_f = scenario.support.amplitude_bounds()
     t_min, t_max = phase_range(scenario.kind, x, scenario.support)
     lower, upper = c_f / _spreading(scenario.kind, t_max), C_f / _spreading(scenario.kind, t_min)
-    G = _draws(scenario, sensor, _COERCIVITY_SALT)(trials)
+    G = _draws(scenario, sensor, _COERCIVITY_SALT, trials)
     norms = _toeplitz_forms(gram, G, dk).real
     positive = norms > 0  # False at a NaN norm too
     ratios = np.abs(_toeplitz_forms(row, G, dk)) / np.where(positive, norms, math.nan)

@@ -63,6 +63,11 @@ def far_ball_dataset(far_ball_scenario):
     return mf.generate_dataset(far_ball_scenario)
 
 
+def random_freq(grid, rng):
+    """A (J,) band sample array on `grid`: (N(0,1) + i N(0,1)) / sqrt 2 per frequency."""
+    return (rng.standard_normal(grid.count) + 1j * rng.standard_normal(grid.count)) / math.sqrt(2)
+
+
 def freq_inner(a, b, dk) -> complex:
     """Discrete band inner product dk * sum a conj(b) of two (J,) band sample arrays."""
     return complex(dk * np.sum(a * np.conj(b)))

@@ -518,6 +518,22 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("config error: key 'iso': value 0.5 repeated")
         assert list(tmp_path.glob("r*")) == []
 
+    @pytest.mark.parametrize("flag", [("--grid", "8"), ("--iso", "0.5")], ids=["grid", "iso"])
+    def test_verify_refuses_sampling_flags(self, capsys, flag):
+        # verify reads neither the sampling grid nor the iso values, so its parser has
+        # neither flag
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", "ball_pt1", "--noise", "0", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_simulate_and_image_take_sampling_flags(self, tmp_path, capsys):
+        # simulate hashes the grid and the iso values into its dataset, and image reads them
+        args, data = ["--config", "ball_pt1", "--grid", "8", "--iso", "0.5"], tmp_path / "d.mfd"
+        assert main(["simulate", *args, "--out", str(data)]) == 0
+        assert main(["image", *args, "--data", str(data), "--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r_mask_0.5.txt").is_file()
+
     @pytest.mark.parametrize("key, value", [("h", math.nan), ("h", math.inf),
                                             ("noise_level", math.nan), ("noise_level", math.inf)])
     def test_non_finite_scenario_field_refused(self, key, value):

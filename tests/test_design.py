@@ -8,7 +8,8 @@ vectorised kernel, so only the closed-form references may call `exp`; every
 cache-sized loop takes its blocks from one slab rule, which alone reads the budget;
 only the indicator forks, and reaps what it forks; the certificates, their
 runner, their references and the factors they certify live in `verify` alone; every
-band kernel is defined in `forward`; and the former per-kind names in `imaging`."""
+band kernel is defined in `forward`; the former per-kind names in `imaging`; and each
+test module is named for a package module or is one of the listed suites."""
 
 import ast
 from pathlib import Path
@@ -84,6 +85,11 @@ LEGACY_NAMES = ["far_quadratic_form", "far_test_function", "near_quadratic_form"
 # what order and on what problem is `verify.run`'s, and the point spread references
 # sit beside the check that reads them.
 CERTIFICATE_FREE = ["cli.py", "imaging.py"]
+
+# The test modules named for no package module: the acceptance criteria, the artifact
+# digest ledger, these guards and the property tests.  Every other test module is named
+# for the module whose code it tests.
+SUITES = ["acceptance", "artifact_ledger", "design", "properties"]
 
 
 def _is_kind(node) -> bool:
@@ -253,3 +259,9 @@ def test_band_kernels_are_defined_in_forward():
 def test_former_names_are_bound_in_imaging():
     for name in LEGACY_NAMES:
         assert _binders(name) == ["imaging"], name
+
+
+def test_each_test_module_names_a_module_or_a_suite():
+    for path in sorted(Path(__file__).resolve().parent.glob("test_*.py")):
+        name = path.stem.removeprefix("test_")
+        assert (SRC / f"{name}.py").is_file() or name in SUITES, path.name

@@ -9,12 +9,14 @@ from dataclasses import replace
 
 import mfsampling as mf
 from mfsampling import (
+    Ball,
     FrequencyGrid,
     IndicatorField,
     MeasurementSet,
     MultiFreqDataset,
     SamplingGrid,
     add_noise,
+    apply_operator,
     compute_indicator,
     cross_section,
     generate_dataset,
@@ -25,8 +27,9 @@ from mfsampling import (
     quadratic_form,
     threshold_mask,
 )
-from conftest import (assert_no_child, fail_in_workers, radial_profile_deviation,
-                      support_norm)
+from mfsampling.forward import _toeplitz_apply, _toeplitz_forms
+from conftest import (assert_no_child, fail_in_workers, freq_inner, radial_profile_deviation,
+                      random_freq, support_norm)
 
 
 class TestSamplingGrid:
@@ -75,6 +78,114 @@ class TestTestFunctions:
         grid = FrequencyGrid(k_max=11.0, count=11)
         with pytest.raises(ValueError, match="unit"):
             probe("far", (2.0, 0.0, 0.0), (0.0, 0.0, 0.0), grid)
+
+
+@pytest.fixture(scope="module")
+def toy_near_dataset():
+    """J = 2 near dataset with hand-set values (no physics)."""
+    grid = FrequencyGrid(k_max=2.0, count=2)
+    sensors = MeasurementSet("near", [(9.0, 9.0, 9.0)])
+    # columns m = -2..2
+    values = np.array([[0.3 - 0.4j, -0.2 + 0.1j, 0.5 + 0.0j, 0.1 + 0.7j, -0.6 - 0.2j]])
+    return MultiFreqDataset(sensors=sensors, grid=grid, values=values)
+
+
+class TestApplyNearOperator:
+    def test_zero_input(self, ball_dataset):
+        out = apply_operator(ball_dataset, 0, np.zeros(11, dtype=complex))
+        assert np.all(out == 0)
+
+    def test_hand_2x2(self, toy_near_dataset):
+        vm1, v0, vp1 = -0.2 + 0.1j, 0.5 + 0.0j, 0.1 + 0.7j
+        g1, g2 = 1.0 + 2.0j, -1.0j
+        out = apply_operator(toy_near_dataset, 0, np.array([g1, g2]))
+        # dk = 1; row j collects values[j - l]
+        expected = np.array([v0 * g1 + vm1 * g2, vp1 * g1 + v0 * g2])
+        assert np.allclose(out, expected, rtol=1e-15, atol=0)
+
+    def test_linearity(self, ball_dataset):
+        rng = np.random.default_rng(2)
+        g1, g2 = random_freq(ball_dataset.grid, rng), random_freq(ball_dataset.grid, rng)
+        a, b = 1.3 - 0.2j, -0.7 + 2.1j
+        lhs = apply_operator(ball_dataset, 0, a * g1 + b * g2)
+        rhs = a * apply_operator(ball_dataset, 0, g1) + b * apply_operator(ball_dataset, 0, g2)
+        assert np.allclose(lhs, rhs, rtol=1e-12)
+
+    def test_grid_mismatch(self, ball_dataset):
+        g = np.zeros(7, dtype=complex)  # the samples of a 7-frequency grid
+        with pytest.raises(ValueError, match="expected 11 band samples"):
+            apply_operator(ball_dataset, 0, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_sample_refused(self, ball_dataset, far_ball_dataset, bad):
+        # the one validation of `apply_operator` and `quadratic_form`, near and far
+        g = np.ones(11, dtype=complex)
+        g[4] = bad
+        for data in (ball_dataset, far_ball_dataset):
+            for op in (apply_operator, quadratic_form):
+                with pytest.raises(ValueError, match="must be finite"):
+                    op(data, 0, g)
+
+    def test_wrong_shape_refused(self, ball_dataset):
+        for g in (np.ones(1), np.ones(12), np.ones((1, 11)), np.ones((11, 1))):
+            for op in (apply_operator, quadratic_form):
+                with pytest.raises(ValueError, match="expected 11 band samples"):
+                    op(ball_dataset, 0, g)
+
+
+@pytest.mark.parametrize("kind", ["near", "far"])
+def test_batch_apply_rows_match_apply_operator(kind):
+    # `check_factorization` applies N to all its trials in one call; each row has the bits
+    # of `apply_operator` on that trial alone, and of the one-row einsum it replaced.  The
+    # forms (N g, g) of the batch, that apply's row-wise dot with conj(g), are each
+    # trial's dk vdot(g, N g) within 1e-14 of the dot's scale dk sum_j |g_j (N g)_j|
+    # (relative to the form itself, a cancelling one reads up to 1.6e-14)
+    s = mf.Scenario(
+        support=Ball(center=(1.2, 0.4, 0.0), radius=0.5), h=0.2,
+        measurement=MeasurementSet(kind, [(3.0, -0.5, 0.5) if kind == "near"
+                                          else (0.6, -0.48, 0.64)]),
+        frequencies=FrequencyGrid(k_max=30.0, count=40), noise_level=0.0, seed=1)
+    rng = np.random.default_rng(11)
+    G = (rng.standard_normal((20, 40)) + 1j * rng.standard_normal((20, 40))) / math.sqrt(2)
+    J = s.frequencies.count
+    for zero_mode in ("extend", "drop"):
+        data = mf.generate_dataset(replace(s, zero_mode=zero_mode))
+        u, dk = data.values[0], data.grid.spacing
+        block = u[np.subtract.outer(np.arange(J), np.arange(J)) + J]  # u[j - l]
+        rows, forms = _toeplitz_apply(u, G, dk), _toeplitz_forms(u, G, dk)
+        for g, row, form in zip(G, rows, forms):
+            one = apply_operator(data, 0, g)
+            assert row.tobytes() == one.tobytes()
+            assert row.tobytes() == (dk * np.einsum("jl,l->j", block, g)).tobytes()
+            scale = dk * np.sum(np.abs(g * one))
+            assert abs(form - dk * np.vdot(g, one)) <= 1e-14 * scale
+
+
+class TestQuadraticForms:
+    def test_zero(self, ball_dataset):
+        assert quadratic_form(ball_dataset, 0, np.zeros(11, dtype=complex)) == 0
+
+    def test_matches_inner_product(self, ball_dataset):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            g = random_freq(ball_dataset.grid, rng)
+            qf = quadratic_form(ball_dataset, 0, g)
+            ip = freq_inner(apply_operator(ball_dataset, 0, g), g, ball_dataset.grid.spacing)
+            assert abs(qf - ip) <= 1e-14 * abs(qf)
+
+    def test_positive_at_center_probe(self, ball_dataset):
+        g = probe("near", (3.0, 0.0, 0.0), (0.0, 0.0, 0.0), ball_dataset.grid)
+        assert abs(quadratic_form(ball_dataset, 0, g)) > 0
+
+    def test_far_zero(self, far_ball_dataset):
+        assert quadratic_form(far_ball_dataset, 0, np.zeros(11, dtype=complex)) == 0
+
+    def test_homogeneity(self, ball_dataset):
+        rng = np.random.default_rng(9)
+        g = random_freq(ball_dataset.grid, rng)
+        alpha = 2.7
+        assert quadratic_form(ball_dataset, 0, alpha * g) == pytest.approx(
+            alpha**2 * quadratic_form(ball_dataset, 0, g), rel=1e-12)
 
 
 class TestPsfClosedForm:

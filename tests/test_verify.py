@@ -7,17 +7,24 @@ from dataclasses import replace
 import mfsampling as mf
 from mfsampling import (
     Ball,
+    Factorization,
     FrequencyGrid,
     MeasurementSet,
+    QuadratureRule,
     add_noise,
     check_coercivity,
     check_factorization,
     check_psf,
     check_symmetries,
     generate_dataset,
+    quadratic_form,
+    quadrature,
     symmetry_violation,
 )
-from conftest import support_norm
+from mfsampling.cli import main
+from mfsampling.forward import _horner, _power_sums
+from mfsampling.verify import _sensor_problem
+from conftest import freq_inner, random_freq, support_inner, support_norm
 
 
 def offcentre_scenario(kind):
@@ -42,7 +49,7 @@ def coercivity_denominators(scenario, trials):
     band convolution of sum_q w_q z_q^m, through `_toeplitz_forms`."""
     _, rule, fac = mf.verify._sensor_problem(scenario)
     gram = mf.forward._laurent_rows(fac.z, rule.weights, scenario.frequencies.count, "extend")
-    G = mf.verify._draws(scenario, 0, mf.verify._COERCIVITY_SALT)(trials)
+    G = mf.verify._draws(scenario, 0, mf.verify._COERCIVITY_SALT, trials)
     return G, mf.forward._toeplitz_forms(gram, G, scenario.frequencies.spacing).real
 
 
@@ -52,6 +59,129 @@ def analysis_norms(scenario, gs):
     fac = mf.Factorization(scenario.kind, scenario.measurement.points[0], rule,
                            scenario.frequencies)
     return np.array([support_norm(rule.weights, fac.analysis(g)) ** 2 for g in gs])
+
+
+_GRID = FrequencyGrid(k_max=11.0, count=11)
+
+
+def random_support(rule, rng):
+    n = len(rule)
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+
+
+class TestAdjointness:
+    @pytest.mark.parametrize("kind, x, seed", [("near", (3.0, 0.0, 0.0), 7),
+                                               ("far", (0.0, 0.0, 1.0), 8)],
+                             ids=["near", "far"])
+    def test_synthesis_analysis_pair(self, unit_ball, ball_scenario, kind, x, seed):
+        rule = quadrature(unit_ball, 0.2)
+        grid = ball_scenario.frequencies
+        fac = Factorization(kind, x, rule, grid)
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            psi = random_support(rule, rng)
+            phi = random_freq(grid, rng)
+            lhs = freq_inner(fac.synthesis(psi), phi, grid.spacing)
+            rhs = support_inner(rule.weights, psi, fac.analysis(phi))
+            scale = max(abs(lhs), abs(rhs), 1e-30)
+            assert abs(lhs - rhs) / scale < 1e-12
+
+    def test_single_node_synthesis(self, ball_scenario):
+        rule = QuadratureRule(nodes=np.array([[0.0, 0.0, 0.0]]),
+                              weights=np.array([0.125]), amplitude=np.ones(1))
+        psi = np.array([1.0 + 0j])
+        grid = ball_scenario.frequencies
+        out = Factorization("near", (3.0, 0.0, 0.0), rule, grid).synthesis(psi)
+        assert np.allclose(out, 0.125 * np.exp(1j * grid.nodes * 3.0), rtol=1e-15)
+
+
+class TestMiddleOperator:
+    def test_zero(self, unit_ball):
+        rule = quadrature(unit_ball, 0.25)
+        h = np.zeros(len(rule), dtype=complex)
+        out = Factorization("near", (3.0, 0.0, 0.0), rule, _GRID).apply_multiplier(h)
+        assert np.all(out == 0)
+
+    def test_single_node_multiplier(self):
+        rule = QuadratureRule(nodes=np.array([[2.0, 0.0, 0.0]]),
+                              weights=np.array([1e-3]), amplitude=np.ones(1))
+        h = np.array([1.0 + 0j])
+        out = Factorization("near", (0.0, 0.0, 0.0), rule, _GRID).apply_multiplier(h)
+        assert out[0] == pytest.approx(1 / (8 * math.pi), rel=1e-14)
+
+    def test_self_adjoint(self, unit_ball):
+        rule = quadrature(unit_ball, 0.2)
+        rng = np.random.default_rng(13)
+        fac = Factorization("near", (3.0, 0.0, 0.0), rule, _GRID)
+        for _ in range(20):
+            h1, h2 = random_support(rule, rng), random_support(rule, rng)
+            lhs = support_inner(rule.weights, fac.apply_multiplier(h1), h2)
+            rhs = support_inner(rule.weights, h1, fac.apply_multiplier(h2))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-30)
+
+    def test_sign_definite_bounds(self, unit_ball):
+        # quadratic-form ratio confined to [c_f/(4 pi r2), C_f/(4 pi r1)]
+        rule = quadrature(unit_ball, 0.2)
+        x = (3.0, 0.0, 0.0)
+        r1, r2 = mf.phase_range("near", x, unit_ball)
+        lo, hi = 1 / (4 * math.pi * r2), 1 / (4 * math.pi * r1)
+        fac = Factorization("near", x, rule, _GRID)
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            h = random_support(rule, rng)
+            val = support_inner(rule.weights, fac.apply_multiplier(h), h)
+            assert abs(val.imag) <= 1e-14 * abs(val)
+            ratio = abs(val) / support_norm(rule.weights, h) ** 2
+            assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
+
+
+def offcentre_factors(kind):
+    """Sensor factors of an off-centre ball on a 40-frequency band."""
+    rule = quadrature(Ball(center=(0.6, -0.3, 0.2), radius=0.5), 0.1)
+    x = (3.0, -0.5, 0.5) if kind == "near" else (0.6, -0.48, 0.64)
+    return Factorization(kind, x, rule, FrequencyGrid(k_max=30.0, count=40))
+
+
+class TestArrayFactors:
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_bits_of_the_promoting_expressions(self, kind):
+        # conj(z) and the complex copies of the multiplier and weights, taken once, give
+        # each factor the bytes of the expression that conjugates and promotes per call
+        fac = offcentre_factors(kind)
+        rng = np.random.default_rng(43)
+        phi, h = random_freq(fac.grid, rng), random_support(fac.rule, rng)
+        zc, dk = np.conj(fac.z), fac.grid.spacing
+        assert fac.analysis(phi).tobytes() == (dk * (_horner(phi, zc) * zc)).tobytes()
+        assert fac.apply_multiplier(h).tobytes() == (h * fac.multiplier).tobytes()
+        expected = _power_sums(fac.z, fac.rule.weights * h, fac.grid.count)[1:]
+        assert fac.synthesis(h).tobytes() == expected.tobytes()
+
+    def test_wrong_length_refused(self):
+        # length 1 included: one sample would broadcast over every node or frequency
+        fac = offcentre_factors("near")
+        J, Q = fac.grid.count, len(fac.rule)
+        for n in (1, J - 1, J + 1):
+            with pytest.raises(ValueError, match=f"expected {J} band samples, got {n}$"):
+                fac.analysis(np.zeros(n, dtype=complex))
+        for apply in (fac.synthesis, fac.apply_multiplier):
+            for n in (1, Q - 1, Q + 1):
+                with pytest.raises(ValueError, match=f"expected {Q} support samples, got {n}$"):
+                    apply(np.zeros(n, dtype=complex))
+
+
+@pytest.mark.parametrize("kind", ["near", "far"])
+def test_one_sensor_rows_match_full_dataset(kind):
+    # the certificates regenerate one sensor's row instead of all L
+    s = mf.Scenario(
+        support=Ball(center=(1.2, 0.4, 0.0), radius=0.5), h=0.2,
+        measurement=(MeasurementSet("near", [(3.0, 0.0, 0.0), (0.0, -3.0, 0.5),
+                                             (-2.0, 1.0, 2.0)]) if kind == "near"
+                     else MeasurementSet("far", [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8),
+                                                 (-1.0, 0.0, 0.0), (0.0, -0.6, -0.8)])),
+        frequencies=FrequencyGrid(k_max=11.0, count=11), noise_level=0.0, seed=1)
+    full = mf.generate_dataset(s)
+    for sensor in range(len(s.measurement)):
+        assert np.array_equal(_sensor_problem(s, sensor).row, full.values[sensor])
 
 
 class TestCheckFactorization:
@@ -90,6 +220,88 @@ class TestCheckFactorization:
                                      trials=5)
         assert not report.passed
         assert report.measured == math.inf
+
+
+class TestFactorization:
+    def test_near_identity(self, ball_scenario):
+        assert check_factorization(ball_scenario, sensor=0, trials=20).measured <= 1e-10
+
+    def test_far_identity(self, far_ball_scenario):
+        assert check_factorization(far_ball_scenario, sensor=0, trials=20).measured <= 1e-10
+
+    def test_single_node_two_frequencies(self):
+        # one interior voxel, two frequencies: the identity is hand-checkable
+        tiny = Ball(center=(0.0, 0.0, 0.0), radius=0.04)
+        scenario = mf.Scenario(
+            support=tiny, h=0.05,
+            measurement=MeasurementSet("near", [(3.0, 0.0, 0.0)]),
+            frequencies=FrequencyGrid(k_max=2.0, count=2),
+            noise_level=0.0, seed=1, sampling=mf.SamplingGrid.cube(1.0, 2),
+        )
+        assert len(quadrature(tiny, 0.05)) == 1
+        assert check_factorization(scenario, trials=5).measured <= 1e-13
+
+    def test_noisy_scenario_rejected(self, ball_scenario):
+        noisy = replace(ball_scenario, noise_level=0.05)
+        with pytest.raises(ValueError, match="noiseless"):
+            check_factorization(noisy)
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_unconjugated_analysis_caught(self, ball_scenario, far_ball_scenario, monkeypatch,
+                                          kind):
+        # the certificate runs the exported factors, so an analysis that runs Horner's
+        # rule in the synthesis ratio z instead of its conjugate fails it
+        s = (ball_scenario if kind == "near" else
+             replace(far_ball_scenario, support=Ball(center=(0.6, -0.3, 0.2), radius=0.5)))
+        assert check_factorization(s).measured <= 1e-10
+
+        def analysis(self, phi):
+            out = phi[-1] * self.z
+            for p in phi[-2::-1]:
+                out += p
+                out *= self.z
+            return self.grid.spacing * out
+
+        monkeypatch.setattr(Factorization, "analysis", analysis)
+        assert check_factorization(s).measured > 1e-3
+
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_nan_trial_fails(self, ball_scenario, far_ball_scenario, monkeypatch, tmp_path,
+                             capsys, kind):
+        # the residual is the maximum over every trial's ratio, NaN included: one trial whose
+        # analysis returns a NaN sample reads `measured nan`, fails, and `verify` exits 1
+        s = ball_scenario if kind == "near" else far_ball_scenario
+        analysis, calls = Factorization.analysis, []
+
+        def poisoned(self, phi):
+            out = analysis(self, phi)
+            calls.append(len(calls))
+            if calls[-1] % 20 == 7:  # the eighth of each check's 20 trials
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(Factorization, "analysis", poisoned)
+        report = check_factorization(s)
+        assert math.isnan(report.measured) and not report.passed
+        cfg = tmp_path / "s.cfg"
+        mf.write_config(s, cfg)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg), "--only", "factorization"]) == 1
+        assert "measured: nan" in capsys.readouterr().out
+        assert len(calls) == 40
+
+    def test_zero_mode_drop_breaks_identity(self, ball_scenario):
+        # without the zero-frequency column the diagonal is missing: large residual
+        res_ext = check_factorization(ball_scenario, trials=10).measured
+        res_drop = check_factorization(replace(ball_scenario, zero_mode="drop"),
+                                       trials=10).measured
+        assert res_drop > 1e3 * max(res_ext, 1e-16)
+        assert 0.05 <= res_drop <= 5.0
+
+    def test_residual_deterministic(self, ball_scenario):
+        a = check_factorization(ball_scenario, trials=5).measured
+        b = check_factorization(ball_scenario, trials=5).measured
+        assert a == b
 
 
 class TestCheckCoercivity:
@@ -186,6 +398,44 @@ class TestCheckCoercivity:
         b = check_coercivity(ball_scenario, trials=20)
         assert a.measured == b.measured
         assert a.details == b.details
+
+
+class TestSandwich:
+    def test_near_sandwich_random(self, ball_scenario, ball_dataset, unit_ball):
+        rule = quadrature(unit_ball, ball_scenario.h)
+        x = (3.0, 0.0, 0.0)
+        lo, hi = 1 / (16 * math.pi), 1 / (8 * math.pi)
+        fac = Factorization("near", x, rule, ball_dataset.grid)
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            g = random_freq(ball_dataset.grid, rng)
+            denom = support_norm(rule.weights, fac.analysis(g)) ** 2
+            ratio = abs(quadratic_form(ball_dataset, 0, g)) / denom
+            assert lo * (1 - 1e-10) <= ratio <= hi * (1 + 1e-10)
+
+    def test_far_sandwich_unit_amplitude(self, far_ball_scenario, far_ball_dataset, unit_ball):
+        # with f = 1 the far ratio collapses to exactly 1
+        rule = quadrature(unit_ball, far_ball_scenario.h)
+        fac = Factorization("far", far_ball_scenario.measurement.array[0], rule,
+                            far_ball_dataset.grid)
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            phi = random_freq(far_ball_dataset.grid, rng)
+            denom = support_norm(rule.weights, fac.analysis(phi)) ** 2
+            ratio = abs(quadratic_form(far_ball_dataset, 0, phi)) / denom
+            assert ratio == pytest.approx(1.0, rel=1e-10)
+
+    def test_far_sandwich_scaled_amplitude(self, far_ball_scenario):
+        scaled = replace(far_ball_scenario,
+                         support=Ball(center=(0.0, 0.0, 0.0), radius=1.0, amplitude=2.0))
+        data = mf.generate_dataset(scaled)
+        rule = quadrature(scaled.support, scaled.h)
+        fac = Factorization("far", scaled.measurement.array[0], rule, data.grid)
+        rng = np.random.default_rng(31)
+        phi = random_freq(data.grid, rng)
+        denom = support_norm(rule.weights, fac.analysis(phi)) ** 2
+        ratio = abs(quadratic_form(data, 0, phi)) / denom
+        assert ratio == pytest.approx(2.0, rel=1e-10)
 
 
 class TestCheckPsf:
@@ -310,15 +560,14 @@ class TestTrialStreams:
     @pytest.mark.parametrize("salt", [mf.verify._FACTORIZATION_SALT,
                                       mf.verify._COERCIVITY_SALT])
     def test_batch_is_sequential_stream(self, salt):
-        # one (count, 2, J) draw, continued across calls, is the stream of
-        # (N(J) + i N(J)) / sqrt 2 draws taken one test function at a time
+        # one (count, 2, J) draw is the stream of (N(J) + i N(J)) / sqrt 2 draws taken
+        # one test function at a time
         s = offcentre_scenario("near")
         J = s.frequencies.count
         rng = np.random.default_rng([s.seed, 2, salt])
         sequential = [(rng.standard_normal(J) + 1j * rng.standard_normal(J)) / math.sqrt(2)
                       for _ in range(7)]
-        draw = mf.verify._draws(s, 2, salt)
-        assert np.array_equal(np.concatenate([draw(3), draw(4)]), np.array(sequential))
+        assert np.array_equal(mf.verify._draws(s, 2, salt, 7), np.array(sequential))
 
     def test_degenerate_first_draw_fails(self, monkeypatch):
         # a first test function g = 0 has neither ratio, ||(N - PTP*)g|| / ||N g|| nor
@@ -328,16 +577,11 @@ class TestTrialStreams:
         s = offcentre_scenario("near")
         draws, counts = mf.verify._draws, []
 
-        def zero_first(*args):
-            draw = draws(*args)
-
-            def forced(count):
-                G = draw(count)
-                G[0] = 0.0
-                counts.append(count)
-                return G
-
-            return forced
+        def zero_first(scenario, sensor, salt, count):
+            G = draws(scenario, sensor, salt, count)
+            G[0] = 0.0
+            counts.append(count)
+            return G
 
         monkeypatch.setattr(mf.verify, "_draws", zero_first)
         report = check_coercivity(s, trials=20)
