@@ -18,6 +18,8 @@ import argparse
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import forward, imaging, verify
 from .forward import DatasetFormatError, add_noise, generate_dataset
 from .imaging import SamplingGrid, compute_indicator, cross_section, normalize, threshold_mask
@@ -61,7 +63,8 @@ def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
     if scenario.noise_level > 0:
         data = add_noise(data, scenario.noise_level, scenario.seed)
     forward.write_dataset(data, out_path, scenario_hash(scenario))
-    rms = data.row_rms()
+    # each row's RMS, its moduli scaled first: no partial sum exceeds it, so it cannot overflow
+    rms = np.hypot.reduce(np.abs(data.values) / np.sqrt(data.values.shape[1]), axis=1)
     print(f"wrote {out_path}: kind={data.kind} L={len(data.sensors)} "
           f"J={data.grid.count} columns={data.values.shape[1]} "
           f"noise={data.noise_level!r} seed={data.seed}")
@@ -69,15 +72,16 @@ def run_simulate(scenario: Scenario, out_path) -> forward.MultiFreqDataset:
     return data
 
 
-def run_image(dataset_path, scenario: Scenario, out_prefix, force: bool = False) -> dict:
+def run_image(dataset_path, scenario: Scenario, out_prefix) -> dict:
     """Compute the normalized indicator and write field, masks and slices through the grid's
-    mid-plane on each axis."""
+    mid-plane on each axis.  A dataset hashed for other data (`scenario_hash` leaves the
+    grid and the iso values out) is refused; one written with no hash, `-`, is not."""
     data, meta = forward.read_dataset(dataset_path)
     shash = scenario_hash(scenario)
-    if meta.get("scenario_hash", "-") not in ("-", shash) and not force:
+    if meta.get("scenario_hash", "-") not in ("-", shash):
         raise ConfigError(
             f"dataset {dataset_path} was generated for scenario hash "
-            f"{meta.get('scenario_hash')}, not {shash}; pass --force to image anyway")
+            f"{meta.get('scenario_hash')}, not {shash}: it holds another scenario's data")
     if data.kind != scenario.kind:
         raise ConfigError(f"dataset kind {data.kind!r} does not match scenario kind "
                           f"{scenario.kind!r}")
@@ -113,14 +117,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise", type=float, default=None, help="override noise level")
 
 
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    """--grid and --iso: `image` reads them, and `simulate` hashes them into its dataset."""
-    parser.add_argument("--grid", type=int, default=None,
-                        help="override sampling resolution (cubic)")
-    parser.add_argument("--iso", type=str, default=None,
-                        help="override iso values, comma separated")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfsampling",
@@ -130,16 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a dataset file")
     _add_common(p)
-    _add_sampling(p)
     p.add_argument("--out", required=True, help="output dataset path")
 
     p = sub.add_parser("image", help="compute the indicator field for a dataset")
     _add_common(p)
-    _add_sampling(p)
+    p.add_argument("--grid", type=int, default=None, help="override sampling resolution (cubic)")
+    p.add_argument("--iso", type=str, default=None, help="override iso values, comma separated")
     p.add_argument("--data", required=True, help="input dataset path")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--force", action="store_true",
-                   help="image even if the dataset hash does not match the scenario")
 
     p = sub.add_parser("verify", help="run the numerical certificates")
     _add_common(p)
@@ -173,7 +167,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "image":
-            run_image(args.data, scenario, args.out, force=args.force)
+            run_image(args.data, scenario, args.out)
             return EXIT_OK
 
         # verify

@@ -348,8 +348,11 @@ def write_config(s: Scenario, path) -> None:
 
 
 def scenario_hash(s: Scenario) -> str:
-    """Stable content hash of the canonical config text."""
-    return hashlib.sha256(write_config_text(s).encode("ascii")).hexdigest()[:16]
+    """Stable content hash of the canonical config text without the keys that `image`
+    alone reads, so one dataset images at any sampling grid and iso values."""
+    text = "".join(line for line in write_config_text(s).splitlines(keepends=True)
+                   if line.partition(" = ")[0] not in ("grid_bounds", "grid_n", "iso"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

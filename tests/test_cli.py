@@ -77,6 +77,25 @@ class TestConfigRoundTrip:
         assert scenario_hash(s) == scenario_hash(replace(s))
         assert scenario_hash(s) != scenario_hash(replace(s, seed=2))
 
+    def test_hash_leaves_out_image_keys(self):
+        # grid_bounds, grid_n and iso are read by image alone: they stay in the config
+        # text and out of the hash, and the label and every key of the data move it
+        s = PRESETS["ball_pt14"]
+        imaged = [replace(s, sampling=mf.SamplingGrid(bounds=((-2.0, 3.0), (-3.0, 1.0),
+                                                              (0.0, 2.0)), resolution=(8, 9, 10))),
+                  replace(s, sampling=mf.SamplingGrid.cube(3.0, 16)),
+                  replace(s, iso_values=(0.5, 0.6))]
+        for t in imaged:
+            assert write_config_text(t) != write_config_text(s)
+            assert scenario_hash(t) == scenario_hash(s)
+        data = [replace(s, label="other"), replace(s, h=0.2), replace(s, seed=2),
+                replace(s, noise_level=0.1), replace(s, zero_mode="drop"),
+                replace(s, frequencies=mf.FrequencyGrid(k_max=9.0, count=11)),
+                replace(s, measurement=MeasurementSet("near", s.measurement.points[:3])),
+                replace(s, support=Ball(center=(0.2, -0.1, 0.0), radius=1.0))]
+        hashes = {scenario_hash(t) for t in [s, *data]}
+        assert len(hashes) == len(data) + 1
+
     def test_negative_zero_hash(self):
         # -0.0 == 0.0, so scenarios that differ only in the sign of a zero are equal
         # and must hash alike
@@ -317,16 +336,17 @@ class TestRunImage:
         data_path = tmp_path / "ball.mfd"
         run_simulate(fast_scenario, data_path)
         other = replace(fast_scenario, seed=99)
-        with pytest.raises(ConfigError, match="--force"):
+        with pytest.raises(ConfigError, match="[0-9a-f]{16}: it holds another scenario's data"):
             run_image(data_path, other, str(tmp_path / "recon"))
-        run_image(data_path, other, str(tmp_path / "recon"), force=True)
+        assert list(tmp_path.glob("recon*")) == []
 
     def test_kind_mismatch(self, fast_scenario, far_ball_scenario, tmp_path):
+        # a dataset written with no hash, `-`, passes the hash check to meet the kind check
         data_path = tmp_path / "far.mfd"
-        far = replace(far_ball_scenario, noise_level=0.0)
-        run_simulate(far, data_path)
+        mf.forward.write_dataset(mf.generate_dataset(far_ball_scenario), data_path)
+        assert read_dataset(data_path)[1]["scenario_hash"] == "-"
         with pytest.raises(ConfigError, match="kind"):
-            run_image(data_path, fast_scenario, str(tmp_path / "recon"), force=True)
+            run_image(data_path, fast_scenario, str(tmp_path / "recon"))
 
     def test_empty_dataset_file(self, fast_scenario, tmp_path):
         bad = tmp_path / "empty.mfd"
@@ -486,23 +506,45 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("error: noise level 0.05 overflows")
         assert not out.exists()
 
+    def test_noiseless_overflowing_square_prints_finite_rms(self, tmp_path, capsys):
+        # samples near 1e154: a modulus squared overflows, their RMS does not, and the
+        # printed range is the amplitude-1 rows' RMS scaled by 1e160 (a RuntimeWarning
+        # fails the test)
+        cfg, out = tmp_path / "c.cfg", tmp_path / "d.mfd"
+        text = "shape = ball\nradius = 1\nsensors = 3 0 0\nnoise = 0\n"
+        cfg.write_text(text + "amplitude = 1e160\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        lo, hi = (float(v) for v in re.fullmatch(r"row rms range: \[(.*), (.*)\]", line).groups())
+        (rms,) = mf.generate_dataset(parse_config_text(text)).row_rms() * 1e160
+        assert lo == hi == pytest.approx(rms, rel=1e-6)
+
     def test_flags_replace_config_values_before_validation(self, tmp_path, capsys):
         # the one validation sees the flags' values: a config key out of range alone is
         # refused, and a flag that replaces it is accepted; a flag's own error exits 2
         cfg, out = tmp_path / "c.cfg", tmp_path / "d.mfd"
-        cfg.write_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso = 1.5\n")
-        argv = ["simulate", "--config", str(cfg), "--grid", "4", "--out", str(out)]
+        data_lines = "shape = ball\nradius = 1\nsensors = 3 0 0\n"
+        cfg.write_text(data_lines + "iso = 1.5\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: key 'iso'")
         assert main(argv + ["--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("config error: key 'seed'")
         assert not out.exists()
+        # the same data lines without the iso key: the same scenario hash
+        (tmp_path / "data.cfg").write_text(data_lines)
+        assert main(["simulate", "--config", str(tmp_path / "data.cfg"), "--out", str(out)]) == 0
+        argv = ["image", "--config", str(cfg), "--grid", "4", "--data", str(out),
+                "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'iso'")
         assert main(argv + ["--iso", "0.5"]) == 0
 
     def test_empty_iso_exit_two(self, tmp_path, capsys):
         cfg, data = tmp_path / "c.cfg", tmp_path / "d.mfd"
-        cfg.write_text("shape = ball\nradius = 1\nsensors = 3 0 0\niso =\ngrid_n = 4\n")
-        assert main(["simulate", "--config", str(cfg), "--iso", "0.5", "--out", str(data)]) == 0
+        cfg.write_text("shape = ball\nradius = 1\nsensors = 3 0 0\ngrid_n = 4\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+        cfg.write_text(cfg.read_text() + "iso =\n")  # the same data, so the same hash
         capsys.readouterr()
         assert main(["image", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "r")]) == 2
@@ -511,28 +553,57 @@ class TestMainExitCodes:
 
     def test_repeated_iso_exit_two(self, tmp_path, capsys):
         data = tmp_path / "d.mfd"
-        assert main(["simulate", "--config", "ball_pt1", "--grid", "4", "--out", str(data)]) == 0
+        assert main(["simulate", "--config", "ball_pt1", "--out", str(data)]) == 0
         capsys.readouterr()
         assert main(["image", "--config", "ball_pt1", "--grid", "4", "--data", str(data),
                      "--iso", "0.5,0.5", "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.startswith("config error: key 'iso': value 0.5 repeated")
         assert list(tmp_path.glob("r*")) == []
 
-    @pytest.mark.parametrize("flag", [("--grid", "8"), ("--iso", "0.5")], ids=["grid", "iso"])
-    def test_verify_refuses_sampling_flags(self, capsys, flag):
-        # verify reads neither the sampling grid nor the iso values, so its parser has
-        # neither flag
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", ("--grid", "8")), ("verify", ("--iso", "0.5")),
+        ("simulate", ("--grid", "8")), ("simulate", ("--iso", "0.5")),
+    ], ids=["grid", "iso", "simulate_grid", "simulate_iso"])
+    def test_verify_refuses_sampling_flags(self, tmp_path, capsys, command, flag):
+        # neither verify nor simulate reads the sampling grid or the iso values, and the
+        # scenario hash leaves them out, so neither parser has either flag
+        out = tmp_path / "d.mfd"
+        argv = [command, "--config", "ball_pt1", "--noise", "0",
+                *(["--out", str(out)] if command == "simulate" else []), *flag]
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--config", "ball_pt1", "--noise", "0", *flag])
+            main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_simulate_and_image_take_sampling_flags(self, tmp_path, capsys):
-        # simulate hashes the grid and the iso values into its dataset, and image reads them
-        args, data = ["--config", "ball_pt1", "--grid", "8", "--iso", "0.5"], tmp_path / "d.mfd"
-        assert main(["simulate", *args, "--out", str(data)]) == 0
-        assert main(["image", *args, "--data", str(data), "--out", str(tmp_path / "r")]) == 0
-        assert (tmp_path / "r_mask_0.5.txt").is_file()
+    def test_one_dataset_images_at_any_grid_and_iso(self, tmp_path, capsys):
+        # the scenario hash leaves out the grid and the iso values, which image alone
+        # reads: one dataset images at any of them, with no --force to pass; a dataset
+        # of other data is refused with exit 2 and no artifact
+        cfg, data = tmp_path / "c.cfg", tmp_path / "d.mfd"
+        s = replace(PRESETS["ball_pt1"], h=0.2)
+        write_config(s, cfg)
+        assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+        image = ["image", "--config", str(cfg), "--data", str(data)]
+        for prefix, flags in (("g8", ["--grid", "8"]), ("g6", ["--grid", "6"]),
+                              ("iso", ["--grid", "6", "--iso", "0.6"])):
+            assert main([*image, *flags, "--out", str(tmp_path / prefix)]) == 0
+        for prefix, n in (("g8", 8), ("g6", 6)):
+            field, _ = mf.imaging.read_field(tmp_path / f"{prefix}.field")
+            assert field.grid.resolution == (n, n, n)
+        assert (tmp_path / "iso_mask_0.6.txt").is_file()
+        assert (tmp_path / "iso.field").read_bytes() == (tmp_path / "g6.field").read_bytes()
+        for change in ({"seed": 2}, {"h": 0.25}, {"zero_mode": "drop"}):
+            write_config(replace(s, **change), cfg)
+            capsys.readouterr()
+            assert main([*image, "--grid", "6", "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: dataset {data} was "
+                                                      "generated for scenario hash")
+        assert list(tmp_path.glob("x*")) == []
+        with pytest.raises(SystemExit) as exc:
+            main([*image, "--force", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("h", math.nan), ("h", math.inf),
                                             ("noise_level", math.nan), ("noise_level", math.inf)])
@@ -554,7 +625,7 @@ class TestMainExitCodes:
     def test_non_utf8_byte_in_comment_parses(self, tmp_path, capsys):
         cfg, out = tmp_path / "c.cfg", tmp_path / "d.mfd"
         cfg.write_bytes(b"shape = ball\nradius = 1\nsensors = 3 0 0\n# caf\xe9\n")
-        assert main(["simulate", "--config", str(cfg), "--grid", "8", "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
 
     def test_non_utf8_byte_in_value_exit_two(self, tmp_path, capsys):
@@ -641,14 +712,17 @@ class TestImageWorkers:
     """`image` in worker processes writes the serial run's bytes, and a failed worker
     fails the command with no field written."""
 
-    ARGS = ["--config", "ball_pt3", "--grid", "9"]  # 3 sensors; 9 layers split 4 + 5
+    CONFIG = ["--config", "ball_pt3"]  # 3 sensors
 
-    def _image(self, tmp_path, prefix):
-        return main(["image", *self.ARGS, "--data", str(tmp_path / "d.mfd"),
+    def _simulate(self, tmp_path):
+        return main(["simulate", *self.CONFIG, "--out", str(tmp_path / "d.mfd")])
+
+    def _image(self, tmp_path, prefix):  # 9 layers split 4 + 5
+        return main(["image", *self.CONFIG, "--grid", "9", "--data", str(tmp_path / "d.mfd"),
                      "--out", str(tmp_path / prefix)])
 
     def test_split_writes_the_serial_bytes(self, tmp_path, split, capsys):
-        assert main(["simulate", *self.ARGS, "--out", str(tmp_path / "d.mfd")]) == 0
+        assert self._simulate(tmp_path) == 0
         assert self._image(tmp_path, "serial") == 0
         forks = split(2)
         assert self._image(tmp_path, "split") == 0
@@ -661,7 +735,7 @@ class TestImageWorkers:
             assert twin.read_bytes() == path.read_bytes(), path.name
 
     def test_failing_worker_fails_the_command(self, tmp_path, split, monkeypatch, capsys):
-        assert main(["simulate", *self.ARGS, "--out", str(tmp_path / "d.mfd")]) == 0
+        assert self._simulate(tmp_path) == 0
         forks = split(2)
         fail_in_workers(monkeypatch)
         capsys.readouterr()
@@ -698,7 +772,8 @@ class TestCorruptFiles:
         "nan_sample": lambda b: b[:-8] + struct.pack("<d", math.nan),
         "inf_sample": lambda b: b[:-8] + struct.pack("<d", math.inf),
     }
-    ARGS = ["--config", "ball_pt1", "--noise", "0", "--grid", "8"]
+    ARGS = ["--config", "ball_pt1", "--noise", "0"]
+    IMAGE = ["image", *ARGS, "--grid", "8"]
 
     @pytest.mark.parametrize("corrupt", sorted(DATASETS))
     def test_dataset_exit_three(self, tmp_path, capsys, corrupt):
@@ -706,7 +781,7 @@ class TestCorruptFiles:
         assert main(["simulate", *self.ARGS, "--out", str(path)]) == 0
         path.write_bytes(self.DATASETS[corrupt](path.read_bytes()))
         capsys.readouterr()
-        rc = main(["image", *self.ARGS, "--data", str(path), "--out", str(tmp_path / "r")])
+        rc = main([*self.IMAGE, "--data", str(path), "--out", str(tmp_path / "r")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("i/o error:")
 
@@ -714,7 +789,7 @@ class TestCorruptFiles:
     def test_field_format_error(self, tmp_path, corrupt):
         path = tmp_path / "d.mfd"
         assert main(["simulate", *self.ARGS, "--out", str(path)]) == 0
-        assert main(["image", *self.ARGS, "--data", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert main([*self.IMAGE, "--data", str(path), "--out", str(tmp_path / "r")]) == 0
         field = tmp_path / "r.field"
         mf.imaging.read_field(field)
         field.write_bytes(self.FIELDS[corrupt](field.read_bytes()))

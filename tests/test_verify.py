@@ -200,8 +200,9 @@ class TestCheckFactorization:
             check_factorization(replace(ball_scenario, noise_level=0.05))
 
     def test_far_scenario(self, far_ball_scenario):
-        report = check_factorization(far_ball_scenario, trials=10)
+        report = check_factorization(far_ball_scenario, trials=20)
         assert report.passed
+        assert report.measured <= 1e-10
 
     def test_no_trial_refused(self, ball_scenario, monkeypatch):
         # a maximum over no trial would read 0.0 and pass: the check refuses before it
@@ -223,12 +224,6 @@ class TestCheckFactorization:
 
 
 class TestFactorization:
-    def test_near_identity(self, ball_scenario):
-        assert check_factorization(ball_scenario, sensor=0, trials=20).measured <= 1e-10
-
-    def test_far_identity(self, far_ball_scenario):
-        assert check_factorization(far_ball_scenario, sensor=0, trials=20).measured <= 1e-10
-
     def test_single_node_two_frequencies(self):
         # one interior voxel, two frequencies: the identity is hand-checkable
         tiny = Ball(center=(0.0, 0.0, 0.0), radius=0.04)
@@ -240,11 +235,6 @@ class TestFactorization:
         )
         assert len(quadrature(tiny, 0.05)) == 1
         assert check_factorization(scenario, trials=5).measured <= 1e-13
-
-    def test_noisy_scenario_rejected(self, ball_scenario):
-        noisy = replace(ball_scenario, noise_level=0.05)
-        with pytest.raises(ValueError, match="noiseless"):
-            check_factorization(noisy)
 
     @pytest.mark.parametrize("kind", ["near", "far"])
     def test_unconjugated_analysis_caught(self, ball_scenario, far_ball_scenario, monkeypatch,
